@@ -12,6 +12,14 @@ Because the word problem is undecidable in general, completion is always
 budgeted and ``Unknown`` is a first-class verdict: a Partial system can
 still certify equality (every rewrite step is a consequence of the
 relations) but never inequality.
+
+Reduction finds redexes through a letter trie over the rule left-hand
+sides and always rewrites the leftmost one, taking the lowest rule id when
+several start at the same position.  The order is fixed because it shapes
+results: a Partial system is not confluent, so its normal forms, and with
+them ``Equal`` versus ``Unknown``, depend on which redex goes first; and
+the rule table met mid-interreduction is not reduced, so one left-hand
+side can contain another.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .presentations import (
     Kind,
@@ -72,10 +80,14 @@ class ShortlexOrder:
 
     alphabet: tuple[str, ...]
 
+    @cached_property
+    def _ranks(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.alphabet)}
+
     def rank(self, symbol: str) -> int:
         try:
-            return self.alphabet.index(symbol)
-        except ValueError:
+            return self._ranks[symbol]
+        except KeyError:
             raise ValidationError(f"symbol {symbol} not in rewriting alphabet") from None
 
     def key(self, w: Letters):
@@ -114,11 +126,15 @@ class MonoidEncoding:
     presentation: Presentation
     inverses: tuple[tuple[str, str], ...]  # (generator, inverse letter) pairs
 
+    @cached_property
+    def _inverse(self) -> dict[str, str]:
+        return dict(self.inverses)
+
     def inverse_of(self, symbol: str) -> str:
-        for g, gi in self.inverses:
-            if g == symbol:
-                return gi
-        raise ValidationError(f"{symbol} has no inverse letter")
+        try:
+            return self._inverse[symbol]
+        except KeyError:
+            raise ValidationError(f"{symbol} has no inverse letter") from None
 
 
 @lru_cache(maxsize=256)
@@ -180,25 +196,77 @@ def letters_to_word(letters: Letters) -> Word:
 # rewriting
 
 
-def _reduce(word: Letters, rules: dict[int, RewriteRule]) -> Letters:
-    # Leftmost match position, lowest rule index at that position.  After a
-    # rewrite, back up just far enough to catch redexes spanning the edit.
-    if not rules:
-        return word
-    items = sorted(rules.items())
-    maxlhs = max(len(r.lhs) for _, r in items)
-    w = list(word)
-    i = 0
-    while i < len(w):
-        for _, rule in items:
-            L = len(rule.lhs)
-            if i + L <= len(w) and tuple(w[i:i + L]) == rule.lhs:
-                w[i:i + L] = rule.rhs
-                i = max(0, i - maxlhs + 1)
+_END = None  # trie key under which a node records the rule whose lhs ends there
+
+
+class _RuleIndex:
+    """Letter trie over the left-hand sides of a rule table.
+
+    Reduction rewrites the leftmost redex, taking the lowest rule id when
+    several left-hand sides start at that position.  The table is shared
+    with its owner, which reports every added or removed rule; a rule may
+    get a new rhs without notice.  Of rules sharing one lhs only the first
+    added is indexed, so only tables with distinct lhs may remove rules.
+    """
+
+    def __init__(self, rules: dict[int, RewriteRule]):
+        self.rules = rules
+        self.root: dict = {}
+        self.depth = 0  # longest lhs ever added
+        for rid in sorted(rules):
+            self.add(rid)
+
+    def add(self, rid: int):
+        lhs = self.rules[rid].lhs
+        node = self.root
+        for s in lhs:
+            node = node.setdefault(s, {})
+        node.setdefault(_END, rid)
+        self.depth = max(self.depth, len(lhs))
+
+    def remove(self, rid: int):
+        """Forget `rid`; call before deleting it from the table."""
+        lhs = self.rules[rid].lhs
+        path = [self.root]
+        for s in lhs:
+            path.append(path[-1][s])
+        del path[-1][_END]
+        for s, parent, node in zip(reversed(lhs), reversed(path[:-1]), reversed(path)):
+            if node:
                 break
-        else:
-            i += 1
-    return tuple(w)
+            del parent[s]
+
+    def reduce(self, word: Letters) -> Letters:
+        root, rules = self.root, self.rules
+        # No redex starts left of i.  After a rewrite at i, a new one must
+        # reach into the edit, so it starts at most `back` letters earlier.
+        back = self.depth - 1
+        w = list(word)
+        n = len(w)
+        i = 0
+        while i < n:
+            node, best, j = root, None, i
+            while j < n:
+                node = node.get(w[j])
+                if node is None:
+                    break
+                rid = node.get(_END)
+                if rid is not None and (best is None or rid < best):
+                    best = rid
+                j += 1
+            if best is None:
+                i += 1
+                continue
+            rule = rules[best]
+            w[i:i + len(rule.lhs)] = rule.rhs
+            n = len(w)
+            i = max(0, i - back)
+        return tuple(w)
+
+
+def _contains(word: Letters, factor: Letters) -> bool:
+    k = len(factor)
+    return any(word[i:i + k] == factor for i in range(len(word) - k + 1))
 
 
 def _overlaps(a: Letters, b: Letters):
@@ -213,6 +281,7 @@ class _Completion:
         self.order = order
         self.budget = budget
         self.rules: dict[int, RewriteRule] = {}
+        self.index = _RuleIndex(self.rules)
         self.next_id = 0
         self.pairs: list[tuple[int, int, int, int, int]] = []  # (key, seq, id1, id2, olen)
         self.eqs: deque[tuple[Letters, Letters]] = deque()
@@ -237,31 +306,33 @@ class _Completion:
                     self._push_pair(oid, rid, k)
 
     def add_rule(self, u: Letters, v: Letters):
-        u = _reduce(u, self.rules)
-        v = _reduce(v, self.rules)
+        u = self.index.reduce(u)
+        v = self.index.reduce(v)
         if u == v:
             return
         lhs, rhs = (u, v) if self.order.less(v, u) else (v, u)
         if len(lhs) > self.budget.max_rule_length or len(self.rules) >= self.budget.max_rules:
             self.overflow = True
             return
-        assert self.order.less(rhs, lhs), "rule must be strictly decreasing"
+        if not self.order.less(rhs, lhs):
+            raise RuntimeError(f"rule must be strictly decreasing: {RewriteRule(lhs, rhs)}")
         rid = self.next_id
         self.next_id += 1
         self.rules[rid] = RewriteRule(lhs, rhs)
+        self.index.add(rid)
         self._queue_pairs(rid)
-        # Interreduce: requeue rules whose lhs the new rule touches, rewrite
-        # in place rules whose rhs it touches.
+        # Interreduce: requeue rules whose lhs contains the new lhs, rewrite
+        # in place rules whose rhs does.
         for oid in sorted(self.rules):
             if oid == rid:
                 continue
             other = self.rules[oid]
-            only_new = {rid: self.rules[rid]}
-            if _reduce(other.lhs, only_new) != other.lhs:
+            if _contains(other.lhs, lhs):
+                self.index.remove(oid)
                 del self.rules[oid]
                 self.push_equation(other.lhs, other.rhs)
-            elif _reduce(other.rhs, only_new) != other.rhs:
-                self.rules[oid] = RewriteRule(other.lhs, _reduce(other.rhs, self.rules))
+            elif _contains(other.rhs, lhs):
+                self.rules[oid] = RewriteRule(other.lhs, self.index.reduce(other.rhs))
 
     def run(self) -> Completeness:
         steps = 0
@@ -279,8 +350,8 @@ class _Completion:
                 continue  # a side was interreduced away; its content was requeued
             r1, r2 = self.rules[id1], self.rules[id2]
             # overlap word: r1.lhs[:-k] + r2.lhs, rewritable two ways
-            left = _reduce(r1.rhs + r2.lhs[k:], self.rules)
-            right = _reduce(r1.lhs[:-k] + r2.rhs, self.rules)
+            left = self.index.reduce(r1.rhs + r2.lhs[k:])
+            right = self.index.reduce(r1.lhs[:-k] + r2.rhs)
             if left != right:
                 self.push_equation(left, right)
         if self.eqs or self.pairs:
@@ -305,8 +376,19 @@ def knuth_bendix(p: Presentation, budget: Budget = DEFAULT_BUDGET) -> RewritingS
     return RewritingSystem(tuple(final), order, status)
 
 
+# Indexes of the last two systems reduced against, matched by identity.  The
+# bounded checks alternate between two systems; an index kept for every cached
+# system would cost more memory than rebuilding one on the rare other calls.
+_recent_indexes: deque[tuple[RewritingSystem, _RuleIndex]] = deque(maxlen=2)
+
+
 def reduce_letters(rs: RewritingSystem, letters: Letters) -> Letters:
-    return _reduce(letters, dict(enumerate(rs.rules)))
+    for held, index in _recent_indexes:
+        if held is rs:
+            return index.reduce(letters)
+    index = _RuleIndex(dict(enumerate(rs.rules)))
+    _recent_indexes.appendleft((rs, index))
+    return index.reduce(letters)
 
 
 def normal_form(rs: RewritingSystem, w: Word) -> Word:
@@ -360,20 +442,17 @@ def confluence_audit(rs: RewritingSystem, max_rules: int = 50) -> bool:
     """
     if len(rs.rules) > max_rules:
         raise ValueError(f"audit limited to {max_rules} rules")
-    table = dict(enumerate(rs.rules))
     for r1 in rs.rules:
         for r2 in rs.rules:
             for k in _overlaps(r1.lhs, r2.lhs):
-                word = r1.lhs[:-k] + r2.lhs
-                left = _reduce(r1.rhs + r2.lhs[k:], table)
-                right = _reduce(r1.lhs[:-k] + r2.rhs, table)
-                assert left == right, f"critical pair of {r1} / {r2} at {word} diverges"
+                left = reduce_letters(rs, r1.rhs + r2.lhs[k:])
+                right = reduce_letters(rs, r1.lhs[:-k] + r2.rhs)
+                if left != right:
+                    word = r1.lhs[:-k] + r2.lhs
+                    raise AssertionError(f"critical pair of {r1} / {r2} at {word} diverges")
             # containment: a reduced system has none
-            if r1 is not r2 and len(r1.lhs) <= len(r2.lhs):
-                for i in range(len(r2.lhs) - len(r1.lhs) + 1):
-                    assert r2.lhs[i:i + len(r1.lhs)] != r1.lhs, (
-                        f"rule {r2} is reducible by {r1}"
-                    )
+            if r1 is not r2 and _contains(r2.lhs, r1.lhs):
+                raise AssertionError(f"rule {r2} is reducible by {r1}")
     return True
 
 

@@ -239,3 +239,13 @@ def test_cli_main_returns_int_for_inprocess_use(capsys):
     assert rc == EXIT_PROVED
     out = capsys.readouterr().out
     assert "proved" in out
+
+
+def test_cli_corpus_passes_under_python_optimize():
+    # -O strips assert statements, so no soundness check may rely on one
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "fpkit.cli", "corpus", "--jobs", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stdout + r.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,7 +10,11 @@ from fpkit.rewriting import (
     Budget,
     Completeness,
     RewriteRule,
+    RewritingSystem,
+    ShortlexOrder,
     Verdict,
+    _Completion,
+    _RuleIndex,
     confluence_audit,
     irreducible_words,
     knuth_bendix,
@@ -211,3 +216,128 @@ def test_monoid_encoding_exposes_inverses():
     enc = monoid_encoding(p)
     assert enc.inverse_of("a") == "a_inv"
     assert enc.inverse_of("b") == "b_inv"
+
+
+def test_missing_rank_and_inverse_raise_validation_errors():
+    order = ShortlexOrder(("a", "b"))
+    assert [order.rank("a"), order.rank("b")] == [0, 1]
+    with pytest.raises(ValidationError, match="symbol c not in rewriting alphabet"):
+        order.rank("c")
+    enc = monoid_encoding(parse_presentation("group\ngens: a\nrels:"))
+    with pytest.raises(ValidationError, match="c has no inverse letter"):
+        enc.inverse_of("c")
+
+
+# -- the rule index must rewrite exactly as the plain scan it replaced:
+#    leftmost redex, lowest rule id at that position.  Partial systems, and
+#    so `equal` versus `unknown`, depend on that order.
+
+
+def reference_reduce(word, rules):
+    if not rules:
+        return word
+    items = sorted(rules.items())
+    maxlhs = max(len(r.lhs) for _, r in items)
+    w = list(word)
+    i = 0
+    while i < len(w):
+        for _, rule in items:
+            L = len(rule.lhs)
+            if i + L <= len(w) and tuple(w[i:i + L]) == rule.lhs:
+                w[i:i + L] = rule.rhs
+                i = max(0, i - maxlhs + 1)
+                break
+        else:
+            i += 1
+    return tuple(w)
+
+
+ABC = ShortlexOrder(("a", "b", "c"))
+letters3 = st.lists(st.sampled_from("abc"), max_size=4).map(tuple)
+words3 = st.lists(st.sampled_from("abc"), max_size=14).map(tuple)
+
+
+@st.composite
+def rule_tables(draw):
+    """Shortlex-decreasing rules with distinct lhs and scattered ids; not interreduced."""
+    lhss = draw(st.lists(letters3.filter(bool), max_size=8, unique=True))
+    ids = draw(st.lists(st.integers(0, 50), min_size=len(lhss), max_size=len(lhss), unique=True))
+    table = {}
+    for rid, lhs in zip(ids, lhss):
+        rhs = draw(st.lists(st.sampled_from("abc"), max_size=len(lhs)).map(tuple))
+        if not ABC.less(rhs, lhs):
+            rhs = rhs[1:]
+        table[rid] = RewriteRule(lhs, rhs)
+    return table
+
+
+@given(rule_tables(), words3)
+def test_rule_index_matches_reference_scan(table, word):
+    assert _RuleIndex(table).reduce(word) == reference_reduce(word, table)
+
+
+@given(rule_tables(), rule_tables(), st.data())
+def test_rule_index_tracks_added_and_removed_rules(table, extra, data):
+    index = _RuleIndex(table)
+    gone = data.draw(st.sets(st.sampled_from(sorted(table)))) if table else set()
+    for rid in gone:
+        index.remove(rid)
+        del table[rid]
+    for rid, rule in extra.items():
+        if all(r.lhs != rule.lhs for r in table.values()):
+            table[100 + rid] = rule
+            index.add(100 + rid)
+    word = data.draw(words3)
+    assert index.reduce(word) == reference_reduce(word, table)
+    assert index.root == _RuleIndex(table).root  # removal prunes dead branches
+
+
+def R(lhs: str, rhs: str) -> RewriteRule:
+    return RewriteRule(tuple(lhs), tuple(rhs))
+
+
+def test_rule_index_prefers_leftmost_start_then_lowest_id():
+    # `b` ends first, but `abc` starts further left
+    assert _RuleIndex({0: R("b", "a"), 1: R("abc", "")}).reduce(tuple("abc")) == ()
+    # a prefix and its extension both start at 0: the lower id wins, either way round
+    assert _RuleIndex({3: R("ab", "c"), 5: R("abb", "")}).reduce(tuple("abb")) == tuple("cb")
+    assert _RuleIndex({3: R("abb", ""), 5: R("ab", "c")}).reduce(tuple("abb")) == ()
+    for table in (
+        {0: R("b", "a"), 1: R("abc", "")},
+        {3: R("ab", "c"), 5: R("abb", "")},
+        {2: R("cc", "a"), 7: R("acc", "b"), 9: R("c", "")},
+    ):
+        for word in map(tuple, ("abc", "abb", "aacc", "cacc", "ababbcc")):
+            assert _RuleIndex(table).reduce(word) == reference_reduce(word, table)
+
+
+def test_budgeted_one_relator_partial_system_is_pinned():
+    # time-to-unknown path: the partial system must not drift with the strategy
+    p = to_monoid_form(parse_presentation("group\ngens: a, b\nrels: a^-1 b^-2 a^-2 = 1"))
+    rs = knuth_bendix(p, Budget(400, 40, 4000))
+    assert rs.status is Completeness.PARTIAL
+    assert len(rs.rules) == 329
+    text = "\n".join(str(r) for r in rs.rules)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9e3ecd556902dee5c96f1a18d09fd19b4c2506626f2f60832b896b2a4961e430"
+    )
+
+
+def test_confluence_audit_raises_on_divergence_and_containment():
+    order = ShortlexOrder(("a", "b"))
+    diverging = RewritingSystem((R("ab", "a"), R("ba", "b")), order, Completeness.COMPLETE)
+    with pytest.raises(AssertionError, match="diverges"):
+        confluence_audit(diverging)
+    reducible = RewritingSystem((R("aa", ""), R("baa", "b")), order, Completeness.COMPLETE)
+    with pytest.raises(AssertionError, match="reducible"):
+        confluence_audit(reducible)
+
+
+def test_completion_refuses_a_rule_that_does_not_decrease():
+    class Broken(ShortlexOrder):
+        def less(self, u, v):
+            return False
+
+    comp = _Completion(Broken(("a", "b")), Budget())
+    with pytest.raises(RuntimeError, match="strictly decreasing"):
+        comp.add_rule(("a",), ("b",))
