@@ -3,7 +3,9 @@
 Three commands: `build` writes a constructed presentation plus its audit
 trail, `verify` runs the bounded check suite for one instance and emits a
 certificate, `corpus` drives a manifest of instances (optionally in
-parallel) and compares outcomes against expectations.
+parallel) and compares outcomes against expectations.  One table,
+`KINDS`, drives the `build`/`verify` parsers, manifest rows and
+`run_job`, so each subcommand accepts only the settings it reads.
 
 Exit codes: 0 proved / all expectations matched, 1 refuted / mismatch,
 2 usage or parse error, 3 unknown.
@@ -14,10 +16,10 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .coset import EnumLimits, is_trivial
 from .constructions import (
@@ -31,7 +33,6 @@ from .constructions import (
     triviality_test_group,
 )
 from .presentations import (
-    Kind,
     ParseError,
     Presentation,
     PresentationError,
@@ -74,7 +75,7 @@ class RunConfig:
     xi_range: XiRange = XiRange.ALL_GENERATORS
     recipe: str = "rabin-ladder"
     out_dir: Path | None = None
-    jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
+    jobs: int = 1
 
     def __post_init__(self):
         if self.cutoff <= 0 or self.jobs <= 0:
@@ -91,7 +92,8 @@ def _load_presentation(path: Path) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# instance descriptions
+# instance descriptions; `from_inputs` makes a job from manifest inputs, and
+# command lines go through it too, since their argparse dests are the same keys
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,12 @@ class MarkovJob:
     h_text: str
     xi_range: XiRange
 
+    @classmethod
+    def from_inputs(cls, name: str, inp: dict, root: Path, config: RunConfig) -> MarkovJob:
+        xi = XiRange(inp.get("xi", config.xi_range.value))
+        s0, s1, s4 = (root / inp[k] for k in ("s0", "s1", "s4"))
+        return cls(name, s0, s1, s4, inp["G"], inp["H"], xi)
+
 
 @dataclass(frozen=True)
 class GroupTestJob:
@@ -112,6 +120,11 @@ class GroupTestJob:
     a_text: str
     b_text: str | None
     recipe: str
+
+    @classmethod
+    def from_inputs(cls, name: str, inp: dict, root: Path, config: RunConfig) -> GroupTestJob:
+        recipe = inp.get("recipe", config.recipe)
+        return cls(name, root / inp["base"], inp["w"], inp.get("b"), recipe)
 
 
 @dataclass(frozen=True)
@@ -122,6 +135,12 @@ class PropertyJob:
     g_minus: Path
     test: Path
     mode: Mode
+
+    @classmethod
+    def from_inputs(cls, name: str, inp: dict, root: Path, config: RunConfig) -> PropertyJob:
+        prop = inp.get("property", "unnamed property")
+        g_plus, g_minus, test = (root / inp[k] for k in ("gplus", "gminus", "test"))
+        return cls(name, prop, g_plus, g_minus, test, Mode(inp.get("mode", Mode.MARKOV.value)))
 
 
 def _markov_instance(job: MarkovJob) -> MarkovInstance:
@@ -268,15 +287,19 @@ def verify_test_group(
     )
 
 
-def verify_property(job: PropertyJob, config: RunConfig) -> Certificate:
-    watch = Stopwatch()
+def _property_inputs(job: PropertyJob) -> tuple[PropertySpec, Presentation]:
     spec = PropertySpec(
         name=job.property_name,
         g_plus=_load_presentation(job.g_plus),
         g_minus=_load_presentation(job.g_minus),
         mode=job.mode,
     )
-    test = _load_presentation(job.test)
+    return spec, _load_presentation(job.test)
+
+
+def verify_property(job: PropertyJob, config: RunConfig) -> Certificate:
+    watch = Stopwatch()
+    spec, test = _property_inputs(job)
     build = markov_property_reduction(spec, test)
     triv = is_trivial(test, config.enum_limits)
 
@@ -353,6 +376,66 @@ def verify_property(job: PropertyJob, config: RunConfig) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
+# instance kinds
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one kind of instance is read, built and verified."""
+
+    job: type
+    # argparse (flag, options) per input; each dest is the input's manifest key
+    inputs: tuple[tuple[str, dict], ...]
+    build_settings: tuple[str, ...]  # settings that shape the construction
+    check_settings: tuple[str, ...]  # further settings that only `verify` reads
+    build: Callable  # job -> construction with .presentation and .trail
+    verify: Callable  # (job, config[, built]) -> Certificate
+    takes_built: bool  # whether `verify` accepts --built instead of building
+    name: str  # default --name of `build`
+
+
+_REQUIRED = {"required": True}
+KINDS = {
+    "markov": _Kind(
+        MarkovJob,
+        (("s0", {}), ("s1", {}), ("s4", {}), ("--G", _REQUIRED), ("--H", _REQUIRED)),
+        ("xi_range",),
+        ("budget_rules", "cutoff"),
+        lambda job: markov_semigroup(_markov_instance(job)),
+        verify_markov,
+        True,
+        "s_gh",
+    ),
+    "test-group": _Kind(
+        GroupTestJob,
+        (("base", {}), ("--w", _REQUIRED), ("--b", {})),
+        ("recipe",),
+        ("budget_rules", "budget_cosets"),
+        lambda job: triviality_test_group(_group_instance(job)),
+        verify_test_group,
+        True,
+        "t",
+    ),
+    "property": _Kind(
+        PropertyJob,
+        (
+            ("--g-plus", {"dest": "gplus", **_REQUIRED}),
+            ("--g-minus", {"dest": "gminus", **_REQUIRED}),
+            ("--test", _REQUIRED),
+            ("--property-name", {"dest": "property", "default": "being the trivial group"}),
+            ("--mode", {"choices": [m.value for m in Mode], "default": Mode.MARKOV.value}),
+        ),
+        (),
+        ("budget_cosets",),
+        lambda job: markov_property_reduction(*_property_inputs(job)),
+        verify_property,
+        False,
+        "composite",
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # corpus manifests
 
 
@@ -379,7 +462,7 @@ def parse_manifest(path: Path) -> list[ManifestRow]:
                 f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
             )
         name, kind, inputs_field, expected = (p.strip() for p in parts)
-        if kind not in ("markov", "test-group", "property"):
+        if kind not in KINDS:
             raise PresentationError(f"{path}:{lineno}: unknown instance type {kind!r}")
         if expected not in ("proved", "refuted", "unknown"):
             raise PresentationError(f"{path}:{lineno}: unknown expected verdict {expected!r}")
@@ -396,45 +479,16 @@ def parse_manifest(path: Path) -> list[ManifestRow]:
 
 
 def _job_from_row(row: ManifestRow, base_dir: Path, config: RunConfig):
-    inp = row.inputs
+    kind = KINDS[row.kind]
     try:
-        if row.kind == "markov":
-            xi = XiRange(inp.get("xi", config.xi_range.value))
-            return MarkovJob(
-                row.name,
-                base_dir / inp["s0"],
-                base_dir / inp["s1"],
-                base_dir / inp["s4"],
-                inp["G"],
-                inp["H"],
-                xi,
-            )
-        if row.kind == "test-group":
-            return GroupTestJob(
-                row.name,
-                base_dir / inp["base"],
-                inp["w"],
-                inp.get("b"),
-                inp.get("recipe", config.recipe),
-            )
-        return PropertyJob(
-            row.name,
-            inp.get("property", "unnamed property"),
-            base_dir / inp["gplus"],
-            base_dir / inp["gminus"],
-            base_dir / inp["test"],
-            Mode(inp.get("mode", Mode.MARKOV.value)),
-        )
+        return kind.job.from_inputs(row.name, row.inputs, base_dir, config)
     except KeyError as exc:
         raise PresentationError(f"instance {row.name}: missing input {exc}") from None
 
 
 def run_job(job, config: RunConfig) -> Certificate:
-    if isinstance(job, MarkovJob):
-        return verify_markov(job, config)
-    if isinstance(job, GroupTestJob):
-        return verify_test_group(job, config)
-    return verify_property(job, config)
+    kind = next(k for k in KINDS.values() if isinstance(job, k.job))
+    return kind.verify(job, config)
 
 
 def _run_row(args) -> tuple[str, str]:
@@ -473,26 +527,36 @@ def cmd_corpus(manifest: Path, config: RunConfig, out=sys.stdout) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# setting dest -> argparse options; `corpus` takes them all
+_SETTINGS = {
+    "budget_rules": {"type": int, "default": Budget().max_rules},
+    "budget_cosets": {"type": int, "default": EnumLimits().max_cosets},
+    "cutoff": {"type": int, "default": RunConfig.cutoff},
+    "xi_range": {"choices": [x.value for x in XiRange], "default": RunConfig.xi_range.value},
+    "recipe": {"default": RunConfig.recipe},
+    "out": {"type": Path, "default": None},
+    "jobs": {"type": int, "default": RunConfig.jobs},
+}
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--budget-rules", type=int, default=Budget().max_rules)
-    parser.add_argument("--budget-cosets", type=int, default=EnumLimits().max_cosets)
-    parser.add_argument("--cutoff", type=int, default=6)
-    parser.add_argument("--xi-range", choices=["verbatim", "all"], default="all")
-    parser.add_argument("--recipe", default="rabin-ladder")
-    parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+
+def _add_settings(parser: argparse.ArgumentParser, dests) -> None:
+    """Add the settings in `dests`, and --out, in one fixed order."""
+    for dest, options in _SETTINGS.items():
+        if dest in dests or dest == "out":
+            parser.add_argument("--" + dest.replace("_", "-"), **options)
 
 
 def _config(args) -> RunConfig:
+    # a subcommand that does not take a setting leaves it at its default
+    s = {dest: getattr(args, dest, opts["default"]) for dest, opts in _SETTINGS.items()}
     return RunConfig(
-        rewrite_budget=Budget(max_rules=args.budget_rules),
-        enum_limits=EnumLimits(max_cosets=args.budget_cosets),
-        cutoff=args.cutoff,
-        xi_range=XiRange(args.xi_range),
-        recipe=args.recipe,
-        out_dir=args.out,
-        jobs=args.jobs,
+        rewrite_budget=Budget(max_rules=s["budget_rules"]),
+        enum_limits=EnumLimits(max_cosets=s["budget_cosets"]),
+        cutoff=s["cutoff"],
+        xi_range=XiRange(s["xi_range"]),
+        recipe=s["recipe"],
+        out_dir=s["out"],
+        jobs=s["jobs"],
     )
 
 
@@ -501,137 +565,66 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fpkit", description="finitely presented (semi)group toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     build = sub.add_parser("build", help="run a construction and write its output")
-    bsub = build.add_subparsers(dest="kind", required=True)
-    bm = bsub.add_parser("markov")
-    bm.add_argument("s0", type=Path)
-    bm.add_argument("s1", type=Path)
-    bm.add_argument("s4", type=Path)
-    bm.add_argument("--G", required=True)
-    bm.add_argument("--H", required=True)
-    bm.add_argument("--name", default="s_gh")
-    _add_common(bm)
-    bt = bsub.add_parser("test-group")
-    bt.add_argument("base", type=Path)
-    bt.add_argument("--w", required=True)
-    bt.add_argument("--b", default=None)
-    bt.add_argument("--name", default="t")
-    _add_common(bt)
-    bp = bsub.add_parser("property")
-    bp.add_argument("--g-plus", type=Path, required=True)
-    bp.add_argument("--g-minus", type=Path, required=True)
-    bp.add_argument("--test", type=Path, required=True)
-    bp.add_argument("--property-name", default="being the trivial group")
-    bp.add_argument("--mode", choices=[m.value for m in Mode], default="markov")
-    bp.add_argument("--name", default="composite")
-    _add_common(bp)
-
     verify = sub.add_parser("verify", help="verify one instance and emit a certificate")
+    bsub = build.add_subparsers(dest="kind", required=True)
     vsub = verify.add_subparsers(dest="kind", required=True)
-    vm = vsub.add_parser("markov")
-    vm.add_argument("s0", type=Path)
-    vm.add_argument("s1", type=Path)
-    vm.add_argument("s4", type=Path)
-    vm.add_argument("--G", required=True)
-    vm.add_argument("--H", required=True)
-    vm.add_argument("--built", type=Path, default=None)
-    vm.add_argument("--name", default="instance")
-    _add_common(vm)
-    vt = vsub.add_parser("test-group")
-    vt.add_argument("base", type=Path)
-    vt.add_argument("--w", required=True)
-    vt.add_argument("--b", default=None)
-    vt.add_argument("--built", type=Path, default=None)
-    vt.add_argument("--name", default="instance")
-    _add_common(vt)
-    vp = vsub.add_parser("property")
-    vp.add_argument("--g-plus", type=Path, required=True)
-    vp.add_argument("--g-minus", type=Path, required=True)
-    vp.add_argument("--test", type=Path, required=True)
-    vp.add_argument("--property-name", default="being the trivial group")
-    vp.add_argument("--mode", choices=[m.value for m in Mode], default="markov")
-    vp.add_argument("--name", default="instance")
-    _add_common(vp)
+    for kind_name, kind in KINDS.items():
+        bp = bsub.add_parser(kind_name)
+        vp = vsub.add_parser(kind_name)
+        for p in (bp, vp):
+            for flag, options in kind.inputs:
+                p.add_argument(flag, **options)
+        if kind.takes_built:
+            vp.add_argument("--built", type=Path, default=None)
+        bp.add_argument("--name", default=kind.name)
+        vp.add_argument("--name", default="instance")
+        _add_settings(bp, kind.build_settings)
+        _add_settings(vp, kind.build_settings + kind.check_settings)
 
     corpus = sub.add_parser("corpus", help="run every instance of a manifest")
     corpus.add_argument(
         "manifest", type=Path, nargs="?", default=None, help="defaults to the bundled corpus"
     )
-    _add_common(corpus)
+    _add_settings(corpus, _SETTINGS)
     return parser
 
 
-def _write_build(config: RunConfig, name: str, presentation, trail) -> None:
-    out_dir = config.out_dir or Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pres_path = out_dir / f"{name}.pres"
-    pres_path.write_text(serialize_presentation(presentation), encoding="utf-8")
-    (out_dir / f"{name}.audit.txt").write_text(trail.to_text(), encoding="utf-8")
-    print(pres_path)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config(args)
+        if args.command == "corpus":
+            manifest = args.manifest
+            if manifest is None:
+                from .corpus import bundled_manifest
+
+                manifest = bundled_manifest()
+            return cmd_corpus(manifest, config)
+
+        kind = KINDS[args.kind]
+        keys = [options.get("dest", flag.lstrip("-")) for flag, options in kind.inputs]
+        inputs = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+        job = _job_from_row(ManifestRow(args.name, args.kind, inputs, ""), Path(), config)
         if args.command == "build":
-            if args.kind == "markov":
-                job = MarkovJob(
-                    args.name, args.s0, args.s1, args.s4, args.G, args.H, config.xi_range
-                )
-                build = markov_semigroup(_markov_instance(job))
-                _write_build(config, args.name, build.presentation, build.trail)
-            elif args.kind == "test-group":
-                job = GroupTestJob(args.name, args.base, args.w, args.b, config.recipe)
-                build = triviality_test_group(_group_instance(job))
-                _write_build(config, args.name, build.presentation, build.trail)
-            else:
-                spec = PropertySpec(
-                    args.property_name,
-                    _load_presentation(args.g_plus),
-                    _load_presentation(args.g_minus),
-                    Mode(args.mode),
-                )
-                build = markov_property_reduction(spec, _load_presentation(args.test))
-                _write_build(config, args.name, build.presentation, build.trail)
+            build = kind.build(job)
+            out_dir = config.out_dir or Path.cwd()
+            out_dir.mkdir(parents=True, exist_ok=True)
+            pres_path = out_dir / f"{args.name}.pres"
+            pres_path.write_text(serialize_presentation(build.presentation), encoding="utf-8")
+            (out_dir / f"{args.name}.audit.txt").write_text(build.trail.to_text(), encoding="utf-8")
+            print(pres_path)
             return EXIT_PROVED
 
-        if args.command == "verify":
-            built = _load_presentation(args.built) if getattr(args, "built", None) else None
-            if args.kind == "markov":
-                job = MarkovJob(
-                    args.name, args.s0, args.s1, args.s4, args.G, args.H, config.xi_range
-                )
-                cert = verify_markov(job, config, built)
-            elif args.kind == "test-group":
-                job = GroupTestJob(args.name, args.base, args.w, args.b, config.recipe)
-                cert = verify_test_group(job, config, built)
-            else:
-                job = PropertyJob(
-                    args.name,
-                    args.property_name,
-                    args.g_plus,
-                    args.g_minus,
-                    args.test,
-                    Mode(args.mode),
-                )
-                cert = verify_property(job, config)
-            if config.out_dir is not None:
-                config.out_dir.mkdir(parents=True, exist_ok=True)
-                (config.out_dir / f"{args.name}.cert.json").write_text(
-                    cert.to_json(), encoding="utf-8"
-                )
-            print(f"{args.name}: {cert.overall.value}")
-            return _EXIT_BY_OVERALL[cert.overall]
-
-        manifest = args.manifest
-        if manifest is None:
-            from .corpus import bundled_manifest
-
-            manifest = bundled_manifest()
-        return cmd_corpus(manifest, config)
+        built = {"built": _load_presentation(args.built)} if getattr(args, "built", None) else {}
+        cert = kind.verify(job, config, **built)
+        if config.out_dir is not None:
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+            (config.out_dir / f"{args.name}.cert.json").write_text(
+                cert.to_json(), encoding="utf-8"
+            )
+        print(f"{args.name}: {cert.overall.value}")
+        return _EXIT_BY_OVERALL[cert.overall]
     except (PresentationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

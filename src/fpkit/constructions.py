@@ -426,9 +426,6 @@ def _rabin_ladder(inst: GroupTestInstance, trail: AuditTrail) -> GroupTestBuild:
 
 RECIPES: dict[str, Callable[[GroupTestInstance, AuditTrail], GroupTestBuild]] = {
     "rabin-ladder": _rabin_ladder,
-    # same ladder architecture under its other customary name: one stable
-    # letter per base generator, then a final one
-    "adian-iterated-hnn": _rabin_ladder,
 }
 
 

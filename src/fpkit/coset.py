@@ -310,7 +310,8 @@ def todd_coxeter(
     table.compact()
     if debug_checks:
         table.check_consistency()
-    assert table.is_closed()
+    if not table.is_closed():
+        raise RuntimeError("coset enumeration stopped with an incomplete table")
     return TcResult(True, table.live, table)
 
 

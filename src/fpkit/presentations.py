@@ -91,10 +91,6 @@ class Word:
         object.__setattr__(self, "letters", _merge(self.letters))
 
     @staticmethod
-    def identity() -> "Word":
-        return Word(())
-
-    @staticmethod
     def single(symbol: str, exp: int = 1) -> "Word":
         return Word(((symbol, exp),))
 

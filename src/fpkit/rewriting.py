@@ -137,7 +137,6 @@ class MonoidEncoding:
             raise ValidationError(f"{symbol} has no inverse letter") from None
 
 
-@lru_cache(maxsize=256)
 def monoid_encoding(p: Presentation) -> MonoidEncoding:
     """Monoid form of `p` plus the generator/inverse-letter pairing."""
     if p.kind is Kind.MONOID:
@@ -400,8 +399,10 @@ def normal_form(rs: RewritingSystem, w: Word) -> Word:
 
 
 @lru_cache(maxsize=128)
-def _completed(p: Presentation, budget: Budget) -> RewritingSystem:
-    return knuth_bendix(p, budget)
+def _completed(p: Presentation, budget: Budget) -> tuple[MonoidEncoding, RewritingSystem]:
+    """The monoid encoding of `p` and its system, cached on `p` itself."""
+    enc = monoid_encoding(p)
+    return enc, knuth_bendix(enc.presentation, budget)
 
 
 def words_equal(
@@ -413,7 +414,6 @@ def words_equal(
     descendant (valid even under a Partial system), Distinct only by
     distinct normal forms of a Complete one.
     """
-    enc = monoid_encoding(p)
     gens = set(p.generators)
     for w in (u, v):
         bad = w.symbols() - gens
@@ -421,7 +421,7 @@ def words_equal(
             raise ValidationError(f"word uses symbol {sorted(bad)[0]} outside the presentation")
         if p.kind is Kind.MONOID and not w.is_positive:
             raise ValidationError(f"negative exponent in monoid word {w}")
-    rs = _completed(enc.presentation, budget)
+    enc, rs = _completed(p, budget)
     nu = reduce_letters(rs, flatten_word(u, enc if p.is_group else None))
     nv = reduce_letters(rs, flatten_word(v, enc if p.is_group else None))
     if nu == nv:

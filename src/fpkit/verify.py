@@ -6,11 +6,15 @@ an exact Smith normal form.  It is the cheap decidable shadow used to
 certify nontriviality, and the cross-check for every construction that
 claims to preserve or compose group structure.
 
-The two bounded checks mirror the defining lemma dichotomy of the test
-constructions: `collapse_check` asks whether a built presentation falls
-onto a target up to a word-length cutoff, `embedding_spot_check` whether
-a factor stays faithfully embedded.  Both run on top of the budgeted
-word-problem oracle and report Pass / Fail-with-witness / Unknown.
+The bounded checks mirror the defining lemma dichotomy of the test
+constructions.  They are one loop with two entry points:
+`embedding_spot_check` asks whether a factor stays faithfully embedded
+up to a word-length cutoff (distinct words keep distinct images), and
+`collapse_check` asks whether a built presentation falls onto a target,
+running the same loop and then checking that every built generator
+equals a target image, the zero or the identity.  Both run on top of
+the budgeted word-problem oracle and report Pass / Fail-with-witness /
+Unknown.
 """
 
 from __future__ import annotations
@@ -248,6 +252,89 @@ def _image(w: Word, mapping: Mapping[str, Word]) -> Word:
     return out
 
 
+def _bounded_check(
+    small: Presentation,
+    big: Presentation,
+    mapping: Mapping[str, Word],
+    cutoff: int,
+    budget: Budget,
+    name: str,
+    onto: bool,
+) -> CheckReport:
+    """The loop behind both bounded checks.
+
+    No pair of `small`-words up to `cutoff` that is certified Distinct in
+    `small` may have images certified Equal in `big`; with `onto`, every
+    generator of `big` must also equal an image, the identity or the
+    zero.  Each image is computed once.
+    """
+    if onto:
+        role, lost = "projection", "target words collapse in the built presentation"
+    else:
+        role, lost = "inclusion", "distinct words collapse in the big presentation"
+    big_gens = set(big.generators)
+    for g, img in mapping.items():
+        bad = img.symbols() - big_gens
+        if bad:
+            raise ValidationError(f"{role} image of {g} uses unknown symbol {sorted(bad)[0]}")
+    words = enumerate_words(small.generators, cutoff)
+    images = [_image(w, mapping) for w in words]
+    comparisons = 0
+    blocked = 0
+
+    def fail(witness: str, notes: str) -> CheckReport:
+        return CheckReport(
+            name,
+            CheckVerdict.FAIL,
+            witness=witness,
+            notes=notes,
+            budget_used={"comparisons": comparisons},
+        )
+
+    for i, wa in enumerate(words):
+        for j in range(i + 1, len(words)):
+            inner = words_equal(small, wa, words[j], budget)
+            comparisons += 1
+            if inner is Verdict.UNKNOWN:
+                blocked += 1
+                continue
+            if inner is Verdict.EQUAL:
+                continue
+            outer = words_equal(big, images[i], images[j], budget)
+            if outer is Verdict.EQUAL:
+                return fail(f"{wa} | {words[j]}", lost)
+            if outer is Verdict.UNKNOWN:
+                blocked += 1
+    if onto:
+        anchors = images + [Word()]
+        if big.zero is not None:
+            anchors.append(Word.single(big.zero))
+        for g in big.generators:
+            gw = Word.single(g)
+            matched = False
+            saw_unknown = False
+            for anchor in anchors:
+                verdict = words_equal(big, gw, anchor, budget)
+                comparisons += 1
+                if verdict is Verdict.EQUAL:
+                    matched = True
+                    break
+                if verdict is Verdict.UNKNOWN:
+                    saw_unknown = True
+            if not matched:
+                if not saw_unknown:
+                    return fail(str(g), "generator does not collapse onto the target image")
+                blocked += 1
+    if blocked:
+        return CheckReport(
+            name,
+            CheckVerdict.UNKNOWN,
+            notes=f"{blocked} comparisons exhausted the budget",
+            budget_used={"comparisons": comparisons, "blocked": blocked},
+        )
+    return CheckReport(name, CheckVerdict.PASS, budget_used={"comparisons": comparisons})
+
+
 def embedding_spot_check(
     sub: Presentation,
     big: Presentation,
@@ -262,42 +349,7 @@ def embedding_spot_check(
     must not be certified Equal in `big`.  A definite violation yields
     Fail with the offending pair; any blocked comparison yields Unknown.
     """
-    big_gens = set(big.generators)
-    for g, img in inclusion.items():
-        bad = img.symbols() - big_gens
-        if bad:
-            raise ValidationError(f"inclusion image of {g} uses unknown symbol {sorted(bad)[0]}")
-    words = enumerate_words(sub.generators, cutoff)
-    comparisons = 0
-    blocked = 0
-    for i, wa in enumerate(words):
-        for wb in words[i + 1:]:
-            inner = words_equal(sub, wa, wb, budget)
-            comparisons += 1
-            if inner is Verdict.UNKNOWN:
-                blocked += 1
-                continue
-            if inner is Verdict.EQUAL:
-                continue
-            outer = words_equal(big, _image(wa, inclusion), _image(wb, inclusion), budget)
-            if outer is Verdict.EQUAL:
-                return CheckReport(
-                    name,
-                    CheckVerdict.FAIL,
-                    witness=f"{wa} | {wb}",
-                    notes="distinct words collapse in the big presentation",
-                    budget_used={"comparisons": comparisons},
-                )
-            if outer is Verdict.UNKNOWN:
-                blocked += 1
-    if blocked:
-        return CheckReport(
-            name,
-            CheckVerdict.UNKNOWN,
-            notes=f"{blocked} comparisons exhausted the budget",
-            budget_used={"comparisons": comparisons, "blocked": blocked},
-        )
-    return CheckReport(name, CheckVerdict.PASS, budget_used={"comparisons": comparisons})
+    return _bounded_check(sub, big, inclusion, cutoff, budget, name, onto=False)
 
 
 def collapse_check(
@@ -314,69 +366,7 @@ def collapse_check(
     generator of built equals a projected target word, the designated
     zero, or the identity.
     """
-    built_gens = set(built.generators)
-    for g, img in projection.items():
-        bad = img.symbols() - built_gens
-        if bad:
-            raise ValidationError(f"projection image of {g} uses unknown symbol {sorted(bad)[0]}")
-    twords = enumerate_words(target.generators, cutoff)
-    images = [_image(w, projection) for w in twords]
-    comparisons = 0
-    blocked = 0
-    for i, wa in enumerate(twords):
-        for j in range(i + 1, len(twords)):
-            inner = words_equal(target, wa, twords[j], budget)
-            comparisons += 1
-            if inner is Verdict.UNKNOWN:
-                blocked += 1
-                continue
-            if inner is Verdict.EQUAL:
-                continue
-            outer = words_equal(built, images[i], images[j], budget)
-            if outer is Verdict.EQUAL:
-                return CheckReport(
-                    name,
-                    CheckVerdict.FAIL,
-                    witness=f"{wa} | {twords[j]}",
-                    notes="target words collapse in the built presentation",
-                    budget_used={"comparisons": comparisons},
-                )
-            if outer is Verdict.UNKNOWN:
-                blocked += 1
-    anchors = list(images) + [Word()]
-    if built.zero is not None:
-        anchors.append(Word.single(built.zero))
-    for g in built.generators:
-        gw = Word.single(g)
-        matched = False
-        saw_unknown = False
-        for anchor in anchors:
-            verdict = words_equal(built, gw, anchor, budget)
-            comparisons += 1
-            if verdict is Verdict.EQUAL:
-                matched = True
-                break
-            if verdict is Verdict.UNKNOWN:
-                saw_unknown = True
-        if not matched:
-            if saw_unknown:
-                blocked += 1
-            else:
-                return CheckReport(
-                    name,
-                    CheckVerdict.FAIL,
-                    witness=str(g),
-                    notes="generator does not collapse onto the target image",
-                    budget_used={"comparisons": comparisons},
-                )
-    if blocked:
-        return CheckReport(
-            name,
-            CheckVerdict.UNKNOWN,
-            notes=f"{blocked} comparisons exhausted the budget",
-            budget_used={"comparisons": comparisons, "blocked": blocked},
-        )
-    return CheckReport(name, CheckVerdict.PASS, budget_used={"comparisons": comparisons})
+    return _bounded_check(target, built, projection, cutoff, budget, name, onto=True)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ from fpkit.cli import (
     PropertyJob,
     RunConfig,
     GroupTestJob,
+    ManifestRow,
+    _build_parser,
+    _job_from_row,
     cmd_corpus,
     main,
     parse_manifest,
@@ -249,3 +252,93 @@ def test_cli_corpus_passes_under_python_optimize():
         text=True,
     )
     assert r.returncode == 0, r.stdout + r.stderr
+
+
+# -- the per-kind table: each subcommand takes only the settings it reads
+
+SETTING_FLAGS = {
+    "--budget-rules": "7",
+    "--budget-cosets": "7",
+    "--cutoff": "3",
+    "--xi-range": "verbatim",
+    "--recipe": "rabin-ladder",
+    "--out": "certs",
+    "--jobs": "2",
+}
+ACCEPTED = {
+    ("build", "markov"): {"--xi-range", "--out"},
+    ("build", "test-group"): {"--recipe", "--out"},
+    ("build", "property"): {"--out"},
+    ("verify", "markov"): {"--budget-rules", "--cutoff", "--xi-range", "--out"},
+    ("verify", "test-group"): {"--budget-rules", "--budget-cosets", "--recipe", "--out"},
+    ("verify", "property"): {"--budget-cosets", "--out"},
+}
+INPUTS = {
+    "markov": [
+        str(CORPUS / "s0_free_x.pres"),
+        str(CORPUS / "s1_cubed.pres"),
+        str(CORPUS / "s4_trivial.pres"),
+        "--G",
+        "g",
+        "--H",
+        "g^2",
+    ],
+    "test-group": [str(CORPUS / "base_c5.pres"), "--w", "a^2", "--b", "a^7"],
+    "property": [
+        "--g-plus",
+        str(CORPUS / "gplus_trivial.pres"),
+        "--g-minus",
+        str(CORPUS / "base_z.pres"),
+        "--test",
+        str(CORPUS / "base_killed.pres"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command,kind", sorted(ACCEPTED))
+@pytest.mark.parametrize("flag", sorted(SETTING_FLAGS))
+def test_subcommands_take_only_the_settings_they_read(command, kind, flag, capsys):
+    argv = [command, kind, *INPUTS[kind], flag, SETTING_FLAGS[flag]]
+    if flag in ACCEPTED[command, kind]:
+        args = _build_parser().parse_args(argv)
+        assert str(getattr(args, flag[2:].replace("-", "_"))) == SETTING_FLAGS[flag]
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# the instances of INPUTS as manifest inputs; the property row states the
+# command line's default property name, which differs from the manifest's
+ROW_INPUTS = {
+    "markov": f"s0={CORPUS}/s0_free_x.pres;s1={CORPUS}/s1_cubed.pres;"
+    f"s4={CORPUS}/s4_trivial.pres;G=g;H=g^2",
+    "test-group": f"base={CORPUS}/base_c5.pres;w=a^2;b=a^7",
+    "property": f"gplus={CORPUS}/gplus_trivial.pres;gminus={CORPUS}/base_z.pres;"
+    f"test={CORPUS}/base_killed.pres;property=being the trivial group",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+def test_verify_writes_the_certificate_corpus_writes(kind, tmp_path):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"one\t{kind}\t{ROW_INPUTS[kind]}\tproved\n", encoding="utf-8")
+    argv = ["verify", kind, *INPUTS[kind], "--name", "one", "--out", str(tmp_path / "cli")]
+    assert main(argv) == EXIT_PROVED
+    config = RunConfig(out_dir=tmp_path / "corpus")
+    assert cmd_corpus(manifest, config, out=io.StringIO()) == EXIT_PROVED
+    from_cli = (tmp_path / "cli" / "one.cert.json").read_text(encoding="utf-8")
+    from_corpus = (tmp_path / "corpus" / "one.cert.json").read_text(encoding="utf-8")
+    assert _stable_json(from_cli) == _stable_json(from_corpus)
+
+
+def test_manifest_property_name_defaults_to_unnamed(tmp_path):
+    # the command line's default is checked by the certificate comparison above
+    row = ManifestRow("p", "property", {"gplus": "g", "gminus": "m", "test": "t"}, "proved")
+    assert _job_from_row(row, tmp_path, RunConfig()).property_name == "unnamed property"
+
+
+def test_run_config_is_serial_by_default():
+    assert RunConfig().jobs == 1
+    assert _build_parser().parse_args(["corpus"]).jobs == 1

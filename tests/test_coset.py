@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fpkit.coset import EnumLimits, is_trivial, todd_coxeter
+from fpkit.coset import CosetTable, EnumLimits, is_trivial, todd_coxeter
 from fpkit.presentations import (
     Kind,
     Presentation,
@@ -32,6 +32,13 @@ def test_index_cyclic_five():
 def test_index_klein_four():
     r = todd_coxeter(parse_presentation(KLEIN), (), LIMITS, debug_checks=True)
     assert r.closed and r.index == 4
+
+
+def test_unclosed_table_raises_even_without_asserts(monkeypatch):
+    # the closing soundness check is a real exception, so python -O keeps it
+    monkeypatch.setattr(CosetTable, "is_closed", lambda self: False)
+    with pytest.raises(RuntimeError, match="incomplete table"):
+        todd_coxeter(parse_presentation(C5), (), LIMITS)
 
 
 def test_free_group_exhausts():
