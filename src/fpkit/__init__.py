@@ -18,7 +18,6 @@ from .presentations import (
     Relation,
     ValidationError,
     Word,
-    free_reduce,
     parse_presentation,
     parse_word,
     rename_generators,
@@ -31,11 +30,9 @@ from .rewriting import (
     Completeness,
     RewriteRule,
     RewritingSystem,
-    ShortlexOrder,
     Verdict,
     knuth_bendix,
     normal_form,
-    to_monoid_form,
     words_equal,
 )
 from .coset import EnumLimits, TcResult, Triviality, is_trivial, todd_coxeter

@@ -1,13 +1,14 @@
 """Todd-Coxeter coset enumeration for group presentations.
 
 HLT-style (relator tracing) enumeration over a finitely generated
-subgroup.  The table has one column per generator and one per formal
-inverse; entries are mutually inverse at all times.  Coincidences are
-merged to transitive closure immediately through a union-find over coset
-ids, replaying the deleted coset's edges onto the survivor.  When the
-table hits the coset limit and enough rows are dead, the table is
-compacted in place (ids renumbered in order) and enumeration resumes;
-otherwise the run ends Exhausted.
+subgroup.  Table columns are the letter codes of
+`presentations.encode_word`: column 2i is generator i and 2i+1 its
+inverse, so ``col ^ 1`` is the inverse column.  Entries are mutually
+inverse at all times.  Coincidences are merged to transitive closure
+immediately through a union-find over coset ids, replaying the deleted
+coset's edges onto the survivor.  When the table hits the coset limit and
+enough rows are dead, the table is compacted in place (ids renumbered in
+order) and enumeration resumes; otherwise the run ends Exhausted.
 
 A closed table certifies the subgroup index.  Triviality testing first
 consults the abelianization (the cheap certificate for nontriviality,
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .presentations import Kind, Presentation, ValidationError, Word
+from .presentations import Kind, Presentation, ValidationError, Word, encode_word
 from .verify import abelianization
 
 UNDEF = -1
@@ -61,23 +62,9 @@ class CosetTable:
         self.debug_checks = False
         self.new_coset()
 
-    # -- column bookkeeping: column 2i is generator i, 2i+1 its inverse
-
-    def col(self, symbol: str, sign: int) -> int:
-        i = self.generators.index(symbol)
-        return 2 * i + (0 if sign > 0 else 1)
-
     @staticmethod
     def inv(col: int) -> int:
         return col ^ 1
-
-    def flatten(self, w: Word) -> tuple[int, ...]:
-        out: list[int] = []
-        for s, e in w.letters:
-            if s not in self.generators:
-                raise ValidationError(f"word uses symbol {s} outside the presentation")
-            out.extend([self.col(s, 1 if e > 0 else -1)] * abs(e))
-        return tuple(out)
 
     # -- core mutations
 
@@ -154,7 +141,7 @@ class CosetTable:
         if self.debug_checks:
             self.check_consistency()
 
-    def scan_and_fill(self, alpha: int, relator: tuple[int, ...], fill: bool = True):
+    def scan_and_fill(self, alpha: int, relator: tuple[int, ...]):
         """Trace a relator at a coset, filling gaps with new cosets (HLT)."""
         if not relator:
             return
@@ -178,8 +165,6 @@ class CosetTable:
                 self.set_entry(f, relator[i], b)
                 if self.debug_checks:
                     self.check_consistency()
-                return
-            if not fill:
                 return
             n = self.new_coset()
             self.set_entry(f, relator[i], n)
@@ -213,9 +198,8 @@ class CosetTable:
                 if d == UNDEF:
                     continue
                 back = self.rows[self.find(d)][self.inv(col)]
-                assert back != UNDEF and self.find(back) == c, (
-                    f"inverse consistency broken at coset {c}, column {col}"
-                )
+                if back == UNDEF or self.find(back) != c:
+                    raise RuntimeError(f"inverse consistency broken at coset {c}, column {col}")
 
     def is_closed(self) -> bool:
         return all(
@@ -252,13 +236,6 @@ class TcResult:
         return not self.closed
 
 
-def _relators(p: Presentation, table: CosetTable) -> list[tuple[int, ...]]:
-    rels = []
-    for rel in p.relations:
-        rels.append(table.flatten(rel.lhs * rel.rhs.inverse()))
-    return rels
-
-
 def todd_coxeter(
     p: Presentation,
     subgens: Sequence[Word] = (),
@@ -274,11 +251,11 @@ def todd_coxeter(
         raise ValidationError("todd_coxeter expects a group presentation")
     table = CosetTable(p.generators, limits)
     table.debug_checks = debug_checks
-    relators = _relators(p, table)
+    relators = [encode_word(p, rel.lhs * rel.rhs.inverse()) for rel in p.relations]
     try:
         try:
             for w in subgens:
-                table.scan_and_fill(0, table.flatten(w))
+                table.scan_and_fill(0, encode_word(p, w))
         except _TableFull:
             return TcResult(False, None, table)
         alpha = 0

@@ -198,6 +198,33 @@ class Presentation:
 
 
 # ---------------------------------------------------------------------------
+# letter codes
+
+
+def encode_word(p: Presentation, w: Word) -> tuple[int, ...]:
+    """`w` as a flat tuple of letter codes over `p`.
+
+    Generator i is code 2i and its inverse 2i+1, so ``c ^ 1`` inverts a
+    letter and code order is generator order with each inverse right after
+    its generator.  Knuth-Bendix and Todd-Coxeter both work on these codes.
+    """
+    codes: list[int] = []
+    for s, e in w.letters:
+        if s not in p.generators:
+            raise ValidationError(f"word uses symbol {s} outside the presentation")
+        if e < 0 and p.kind is Kind.MONOID:
+            raise ValidationError(f"negative exponent in monoid word {w}")
+        i = p.generators.index(s)
+        codes.extend([2 * i if e > 0 else 2 * i + 1] * abs(e))
+    return tuple(codes)
+
+
+def decode_word(p: Presentation, codes) -> Word:
+    """The word over `p` spelled by letter codes; inverse of `encode_word`."""
+    return Word(tuple((p.generators[c >> 1], -1 if c & 1 else 1) for c in codes))
+
+
+# ---------------------------------------------------------------------------
 # word and presentation text format
 
 
@@ -312,17 +339,6 @@ def parse_presentation(text: str) -> Presentation:
 
 # ---------------------------------------------------------------------------
 # elementary transformations
-
-
-def free_reduce(w: Word, kind: Kind) -> Word:
-    """Merged (for groups: freely reduced) form of `w`.
-
-    Words are kept normalized by construction, so this validates the
-    monoid positivity constraint and is otherwise the identity.
-    """
-    if kind is Kind.MONOID and not w.is_positive:
-        raise ValidationError(f"negative exponent in monoid word {w}")
-    return Word(w.letters)
 
 
 def rename_generators(p: Presentation, mapping: Mapping[str, str]) -> Presentation:

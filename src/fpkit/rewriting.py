@@ -1,12 +1,13 @@
 """Shortlex string rewriting and Knuth-Bendix completion.
 
-Everything here operates on monoid presentations; group presentations are
-first converted to monoid form by adjoining a formal inverse letter for
-each generator (``a`` gets ``a_inv``, placed immediately after ``a`` in
-the ordering) together with the two cancellation relations.  Completion
-orients the relations into length-reducing shortlex rules, resolves
-critical pairs in a FIFO queue keyed by combined rule length, and
-interreduces after every rule insertion.
+Words are tuples of the letter codes of `presentations.encode_word`:
+generator i is 2i and its inverse 2i+1.  A group is completed as the
+monoid on all these letters, starting from the two cancellation rules of
+each generator; a monoid uses only the even codes.  Shortlex compares
+length, then the codes themselves, so each inverse sorts right after its
+generator.  Completion orients the relations into length-reducing shortlex
+rules, resolves critical pairs in a FIFO queue keyed by combined rule
+length, and interreduces after every rule insertion.
 
 Because the word problem is undecidable in general, completion is always
 budgeted and ``Unknown`` is a first-class verdict: a Partial system can
@@ -29,18 +30,11 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .presentations import (
-    Kind,
-    Presentation,
-    Relation,
-    ValidationError,
-    Word,
-    fresh_symbol,
-)
+from .presentations import Presentation, Word, decode_word, encode_word
 
-Letters = tuple[str, ...]
+Letters = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -70,31 +64,13 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ShortlexOrder:
-    """Length-then-lexicographic order over a fixed alphabet.
+def shortlex(w: Letters) -> tuple[int, Letters]:
+    """Sort key of the length-then-lexicographic order on letter codes.
 
     Total, well-founded, and compatible with concatenation, so every
     oriented rule is strictly length-or-tie-breaking decreasing.
     """
-
-    alphabet: tuple[str, ...]
-
-    @cached_property
-    def _ranks(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.alphabet)}
-
-    def rank(self, symbol: str) -> int:
-        try:
-            return self._ranks[symbol]
-        except KeyError:
-            raise ValidationError(f"symbol {symbol} not in rewriting alphabet") from None
-
-    def key(self, w: Letters):
-        return (len(w), tuple(self.rank(s) for s in w))
-
-    def less(self, u: Letters, v: Letters) -> bool:
-        return self.key(u) < self.key(v)
+    return (len(w), w)
 
 
 @dataclass(frozen=True)
@@ -102,93 +78,16 @@ class RewriteRule:
     lhs: Letters
     rhs: Letters
 
-    def __str__(self) -> str:
-        return f"{' '.join(self.lhs) or '1'} -> {' '.join(self.rhs) or '1'}"
-
 
 @dataclass(frozen=True)
 class RewritingSystem:
     rules: tuple[RewriteRule, ...]
-    order: ShortlexOrder
+    presentation: Presentation
     status: Completeness
 
     @property
     def complete(self) -> bool:
         return self.status is Completeness.COMPLETE
-
-
-# ---------------------------------------------------------------------------
-# group -> monoid encoding
-
-
-@dataclass(frozen=True)
-class MonoidEncoding:
-    presentation: Presentation
-    inverses: tuple[tuple[str, str], ...]  # (generator, inverse letter) pairs
-
-    @cached_property
-    def _inverse(self) -> dict[str, str]:
-        return dict(self.inverses)
-
-    def inverse_of(self, symbol: str) -> str:
-        try:
-            return self._inverse[symbol]
-        except KeyError:
-            raise ValidationError(f"{symbol} has no inverse letter") from None
-
-
-def monoid_encoding(p: Presentation) -> MonoidEncoding:
-    """Monoid form of `p` plus the generator/inverse-letter pairing."""
-    if p.kind is Kind.MONOID:
-        return MonoidEncoding(p, ())
-    used = set(p.generators)
-    gens: list[str] = []
-    inverses: list[tuple[str, str]] = []
-    for g in p.generators:
-        gi = fresh_symbol(f"{g}_inv", used)
-        used.add(gi)
-        gens.extend((g, gi))
-        inverses.append((g, gi))
-    inv = dict(inverses)
-    rels = []
-    for g, gi in inverses:
-        rels.append(Relation(Word.single(g) * Word.single(gi), Word()))
-        rels.append(Relation(Word.single(gi) * Word.single(g), Word()))
-
-    def positive(w: Word) -> Word:
-        letters = []
-        for s, e in w.letters:
-            letters.extend([(s if e > 0 else inv[s], 1)] * abs(e))
-        return Word(tuple(letters))
-
-    for r in p.relations:
-        rels.append(Relation(positive(r.lhs), positive(r.rhs)))
-    mono = Presentation(Kind.MONOID, tuple(gens), tuple(rels))
-    return MonoidEncoding(mono, tuple(inverses))
-
-
-def to_monoid_form(p: Presentation) -> Presentation:
-    return monoid_encoding(p).presentation
-
-
-def flatten_word(w: Word, enc: MonoidEncoding | None = None) -> Letters:
-    """Expand a word into a flat positive letter string.
-
-    Negative exponents require an encoding carrying inverse letters.
-    """
-    out: list[str] = []
-    for s, e in w.letters:
-        if e > 0:
-            out.extend([s] * e)
-        else:
-            if enc is None:
-                raise ValidationError(f"negative exponent in monoid word {w}")
-            out.extend([enc.inverse_of(s)] * (-e))
-    return tuple(out)
-
-
-def letters_to_word(letters: Letters) -> Word:
-    return Word(tuple((s, 1) for s in letters))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +175,7 @@ def _overlaps(a: Letters, b: Letters):
 
 
 class _Completion:
-    def __init__(self, order: ShortlexOrder, budget: Budget):
-        self.order = order
+    def __init__(self, budget: Budget):
         self.budget = budget
         self.rules: dict[int, RewriteRule] = {}
         self.index = _RuleIndex(self.rules)
@@ -309,11 +207,11 @@ class _Completion:
         v = self.index.reduce(v)
         if u == v:
             return
-        lhs, rhs = (u, v) if self.order.less(v, u) else (v, u)
+        lhs, rhs = (u, v) if shortlex(v) < shortlex(u) else (v, u)
         if len(lhs) > self.budget.max_rule_length or len(self.rules) >= self.budget.max_rules:
             self.overflow = True
             return
-        if not self.order.less(rhs, lhs):
+        if not shortlex(rhs) < shortlex(lhs):
             raise RuntimeError(f"rule must be strictly decreasing: {RewriteRule(lhs, rhs)}")
         rid = self.next_id
         self.next_id += 1
@@ -359,20 +257,21 @@ class _Completion:
 
 
 def knuth_bendix(p: Presentation, budget: Budget = DEFAULT_BUDGET) -> RewritingSystem:
-    """Complete the relation set of a monoid presentation into rewrite rules.
+    """Complete the relations of a group or monoid presentation into rewrite rules.
 
     Returns a Complete system when every critical pair resolves within
     budget, otherwise a Partial system holding the rules found so far.
     """
-    if p.kind is not Kind.MONOID:
-        raise ValidationError("knuth_bendix expects a monoid presentation")
-    order = ShortlexOrder(p.generators)
-    comp = _Completion(order, budget)
+    comp = _Completion(budget)
+    if p.is_group:
+        for i in range(len(p.generators)):
+            comp.push_equation((2 * i, 2 * i + 1), ())
+            comp.push_equation((2 * i + 1, 2 * i), ())
     for rel in p.relations:
-        comp.push_equation(flatten_word(rel.lhs), flatten_word(rel.rhs))
+        comp.push_equation(encode_word(p, rel.lhs), encode_word(p, rel.rhs))
     status = comp.run()
-    final = sorted(comp.rules.values(), key=lambda r: (order.key(r.lhs), order.key(r.rhs)))
-    return RewritingSystem(tuple(final), order, status)
+    final = sorted(comp.rules.values(), key=lambda r: (shortlex(r.lhs), shortlex(r.rhs)))
+    return RewritingSystem(tuple(final), p, status)
 
 
 # Indexes of the last two systems reduced against, matched by identity.  The
@@ -392,17 +291,13 @@ def reduce_letters(rs: RewritingSystem, letters: Letters) -> Letters:
 
 def normal_form(rs: RewritingSystem, w: Word) -> Word:
     """Rewrite `w` to an irreducible word; unique when `rs` is Complete."""
-    bad = w.symbols() - set(rs.order.alphabet)
-    if bad:
-        raise ValidationError(f"word uses symbol {sorted(bad)[0]} outside the alphabet")
-    return letters_to_word(reduce_letters(rs, flatten_word(w)))
+    p = rs.presentation
+    return decode_word(p, reduce_letters(rs, encode_word(p, w)))
 
 
 @lru_cache(maxsize=128)
-def _completed(p: Presentation, budget: Budget) -> tuple[MonoidEncoding, RewritingSystem]:
-    """The monoid encoding of `p` and its system, cached on `p` itself."""
-    enc = monoid_encoding(p)
-    return enc, knuth_bendix(enc.presentation, budget)
+def _completed(p: Presentation, budget: Budget) -> RewritingSystem:
+    return knuth_bendix(p, budget)
 
 
 def words_equal(
@@ -414,16 +309,9 @@ def words_equal(
     descendant (valid even under a Partial system), Distinct only by
     distinct normal forms of a Complete one.
     """
-    gens = set(p.generators)
-    for w in (u, v):
-        bad = w.symbols() - gens
-        if bad:
-            raise ValidationError(f"word uses symbol {sorted(bad)[0]} outside the presentation")
-        if p.kind is Kind.MONOID and not w.is_positive:
-            raise ValidationError(f"negative exponent in monoid word {w}")
-    enc, rs = _completed(p, budget)
-    nu = reduce_letters(rs, flatten_word(u, enc if p.is_group else None))
-    nv = reduce_letters(rs, flatten_word(v, enc if p.is_group else None))
+    cu, cv = encode_word(p, u), encode_word(p, v)
+    rs = _completed(p, budget)
+    nu, nv = reduce_letters(rs, cu), reduce_letters(rs, cv)
     if nu == nv:
         return Verdict.EQUAL
     if rs.complete:
@@ -464,6 +352,8 @@ def irreducible_words(rs: RewritingSystem, limit: int):
     prefix walk enumerates them all.
     """
     lhss = {r.lhs for r in rs.rules}
+    p = rs.presentation
+    alphabet = range(0, 2 * len(p.generators), 1 if p.is_group else 2)
     count = 0
     frontier: list[Letters] = [()]
     while frontier:
@@ -473,7 +363,7 @@ def irreducible_words(rs: RewritingSystem, limit: int):
             yield w
             if count >= limit:
                 return
-            for s in rs.order.alphabet:
+            for s in alphabet:
                 cand = w + (s,)
                 # a new redex would have to end at the appended letter
                 if any(cand[-len(l):] == l for l in lhss if len(l) <= len(cand)):

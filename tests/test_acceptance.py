@@ -35,6 +35,7 @@ from fpkit.presentations import (
     Kind,
     Presentation,
     Word,
+    decode_word,
     parse_presentation,
     parse_word,
     rename_generators,
@@ -98,7 +99,8 @@ def test_criterion_1_rewriting_soundness():
     p = parse_presentation("monoid\ngens: a, b\nrels: b a = a b")
     rs = knuth_bendix(p)
     assert rs.status is Completeness.COMPLETE
-    assert [("".join(r.lhs), "".join(r.rhs)) for r in rs.rules] == [("ba", "ab")]
+    rules = [(decode_word(p, r.lhs), decode_word(p, r.rhs)) for r in rs.rules]
+    assert rules == [(parse_word("b a"), parse_word("a b"))]
 
     rng = random.Random(99)
     for _ in range(1000):

@@ -1,8 +1,11 @@
 """Cross-cutting invariants over the bundled corpus."""
 
+import hashlib
+import io
 import itertools
+import json
 
-from fpkit.cli import parse_manifest
+from fpkit.cli import RunConfig, cmd_corpus, parse_manifest
 from fpkit.constructions import MarkovInstance, XiRange, markov_semigroup
 from fpkit.corpus import bundled_manifest, corpus_dir
 from fpkit.coset import EnumLimits, todd_coxeter
@@ -13,7 +16,6 @@ from fpkit.rewriting import (
     confluence_audit,
     irreducible_words,
     knuth_bendix,
-    to_monoid_form,
     words_equal,
 )
 from fpkit.verify import CheckVerdict, abelianization, collapse_check, embedding_spot_check
@@ -87,7 +89,7 @@ def test_enumeration_agrees_with_rewriting_on_corpus_groups():
     for path in sorted(CORPUS.glob("base_*.pres")):
         p = parse_presentation(path.read_text(encoding="utf-8"))
         assert p.kind is Kind.GROUP
-        rs = knuth_bendix(to_monoid_form(p))
+        rs = knuth_bendix(p)
         if rs.status is not Completeness.COMPLETE:
             continue
         forms = list(irreducible_words(rs, 201))
@@ -111,3 +113,49 @@ def test_abelian_corpus_groups_index_matches_invariant_factors():
                 order *= t
             # these corpus groups are abelian, so the index is the group order
             assert result.closed and result.index == order, name
+
+
+# sha256 of each bundled certificate with elapsed_ms and version masked, as
+# `masked_digest` computes it.  A change that is meant to keep behaviour
+# must leave every certificate byte-identical; update these only with a
+# change that means to alter certificates, and say why.
+CERTIFICATE_DIGESTS = {
+    "group-distinct-f2": "7e98d91f332e68220ada42fbaaec6a29074a6004fc0ebc0e4840551c9ba7c2dd",
+    "group-distinct-z": "ff1c9a1ed504c65f525877da81c875df6556bb89294461efc23d22ff3f8a1936",
+    "group-distinct-z2": "409a62b3d672c6d705811771fe3ca4a243bee15e507df2044591587b9b5037ee",
+    "group-distinct-z6": "3b6887b54da10e20838af48c4425cc8704ff3b97831c2d6cbcf12cf04a028a4c",
+    "group-equal-c5": "0d0bbaa369875cd58dbcac9a2b543a13658976cd86312f69cc63c12d1dc93043",
+    "group-equal-killed": "50dee7a3c6d8c5ae10467901d622fc0f7f47f1bb4f84d122eb70a0b9c2ce75ea",
+    "group-equal-klein": "146da4dad192d15217e6abdf10029345dfc7b58df8fe35196f2c60e86a2777c4",
+    "group-equal-z2": "f7c390e9617d192118e0ed038eeac56c74d34d77a41a82fa558583849075707a",
+    "markov-distinct-commute": "79832ff8e29da516ba3ef3886c692d63a397ba993cd655a654f5cb7735e0fb8d",
+    "markov-distinct-cubed": "886787d3a9fb4fd7563aef0c13a9ecf6fda626a38f35e19970283bc45d0d9ec8",
+    "markov-distinct-free": "d9496b9abc09b163e732ff7f2172a3d7cab21153b22320edfcde1b61cfec3b59",
+    "markov-distinct-pair": "006dc687d7ffd8b021d8058ce20cd461bfdc256f21e4d1ba327f852ad5c92403",
+    "markov-distinct-period": "bdbdf8ac956a2528d4dfdcc19bb76a9ea8fa4809bd644e2eca19a3783b6beb35",
+    "markov-equal-absorb": "fbc3f118343e183d658bac38c982506a5e0ddab5aa5b23f80cb36736cc39cca4",
+    "markov-equal-commute": "9a6f2a1866a12aa90f38d5fb082b2790c147f161309087f931134397494d235f",
+    "markov-equal-cubed": "3354e7b8508cf17f77c1198e32bf68de681c07d99af6c610c3c6941004748b59",
+    "markov-equal-idempotent": "ee65ae5e91255a56edb32a3fae1259f1e677f7481481dbdfa0cbd874c2ac7e80",
+    "markov-equal-period": "65839c01a1c1251f0a22c2086e9787f27bdb5fe60cd2711d2e2d4a3d8323d85b",
+    "property-nontrivial-test": "8bbac109a4695cd8984d98a9df6fa4d648a71452e5fae20b6317d3c5ff7a8ce6",
+    "property-trivial-test": "122df5f874b4ae15ddb013174ca382aa73aa1d19174ead72aabdcde2a59f7c14",
+}
+
+
+def masked_digest(cert_json: str) -> str:
+    payload = json.loads(cert_json)
+    payload["elapsed_ms"] = 0
+    payload["version"] = "X"
+    return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+
+
+def test_bundled_certificates_are_pinned(tmp_path):
+    cmd_corpus(bundled_manifest(), RunConfig(jobs=1, out_dir=tmp_path), out=io.StringIO())
+    suffix = ".cert.json"
+    got = {
+        path.name[: -len(suffix)]: masked_digest(path.read_text(encoding="utf-8"))
+        for path in tmp_path.glob("*" + suffix)
+    }
+    assert len(got) == 20
+    assert got == CERTIFICATE_DIGESTS

@@ -12,7 +12,7 @@ from fpkit.presentations import (
     parse_word,
     rename_generators,
 )
-from fpkit.rewriting import Completeness, irreducible_words, knuth_bendix, to_monoid_form
+from fpkit.rewriting import Completeness, irreducible_words, knuth_bendix
 from fpkit.verify import abelianization
 
 W = parse_word
@@ -84,7 +84,7 @@ def test_index_invariant_under_relator_permutation_and_renaming():
 def test_index_matches_normal_form_count_where_both_complete():
     for text in (C5, KLEIN, S3):
         p = parse_presentation(text)
-        rs = knuth_bendix(to_monoid_form(p))
+        rs = knuth_bendix(p)
         if rs.status is not Completeness.COMPLETE:
             continue
         forms = list(irreducible_words(rs, 201))
@@ -122,6 +122,15 @@ def test_inverse_consistency_after_randomized_runs():
             rels.append(Relation(Word(letters), Word()))
         p = Presentation(Kind.GROUP, gens, tuple(rels))
         r = todd_coxeter(p, (), EnumLimits(300, 30_000), debug_checks=True)
+        r.table.check_consistency()
+
+
+def test_corrupted_entry_fails_the_consistency_check():
+    # a real exception, so python -O keeps the check
+    r = todd_coxeter(parse_presentation(KLEIN), (), LIMITS)
+    r.table.check_consistency()
+    r.table.rows[0][0] = 2  # column a of coset 0 now points where a^-1 does not lead back
+    with pytest.raises(RuntimeError, match="inverse consistency broken at coset 0, column 0"):
         r.table.check_consistency()
 
 

@@ -24,7 +24,6 @@ from fpkit.rewriting import (
     Verdict,
     irreducible_words,
     knuth_bendix,
-    to_monoid_form,
     words_equal,
 )
 from fpkit.verify import CheckVerdict, abelianization, collapse_check, embedding_spot_check
@@ -51,7 +50,7 @@ def test_random_groups_element_counts_agree():
     checked = 0
     for _ in range(120):
         p = _random_group(rng)
-        rs = knuth_bendix(to_monoid_form(p), BUDGET)
+        rs = knuth_bendix(p, BUDGET)
         if rs.status is not Completeness.COMPLETE:
             continue
         forms = list(irreducible_words(rs, 301))

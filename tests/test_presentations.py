@@ -8,7 +8,8 @@ from fpkit.presentations import (
     Relation,
     ValidationError,
     Word,
-    free_reduce,
+    decode_word,
+    encode_word,
     parse_presentation,
     parse_word,
     rename_generators,
@@ -88,11 +89,11 @@ def test_roundtrip_structural_equality():
 
 
 def test_free_reduce_examples():
-    assert free_reduce(W("a a^-1 b"), Kind.GROUP) == W("b")
-    assert free_reduce(W("a^2 a^3"), Kind.GROUP) == W("a^5")
-    assert free_reduce(Word(), Kind.GROUP) == Word()
-    with pytest.raises(ValidationError):
-        free_reduce(W("a^-1"), Kind.MONOID)
+    # words are freely reduced on construction
+    assert W("a a^-1 b") == Word((("b", 1),))
+    assert W("a^2 a^3") == Word((("a", 5),))
+    assert W("a b^2 b^-2 a^-1") == Word()
+    assert Word((("a", 1), ("a", -1))).letters == ()
 
 
 group_words = st.lists(
@@ -102,10 +103,36 @@ group_words = st.lists(
 
 @given(group_words)
 def test_free_reduce_idempotent_and_cancels(w):
-    reduced = free_reduce(w, Kind.GROUP)
-    assert free_reduce(reduced, Kind.GROUP) == reduced
-    assert reduced.length() <= w.length() or reduced == w
+    assert Word(w.letters) == w
+    assert all(a != b for (a, _), (b, _) in zip(w.letters, w.letters[1:]))
     assert (w * w.inverse()).is_empty
+
+
+GROUP_ABC = Presentation(Kind.GROUP, ("a", "b", "c"))
+
+
+@given(group_words)
+def test_encode_decode_round_trip(w):
+    codes = encode_word(GROUP_ABC, w)
+    assert len(codes) == w.length()
+    assert decode_word(GROUP_ABC, codes) == w
+    # the inverse word is the reversed codes with each letter's low bit flipped
+    assert encode_word(GROUP_ABC, w.inverse()) == tuple(c ^ 1 for c in reversed(codes))
+
+
+def test_encode_examples():
+    assert encode_word(GROUP_ABC, W("a b^-2 c")) == (0, 3, 3, 4)
+    monoid = Presentation(Kind.MONOID, ("x", "y"))
+    assert encode_word(monoid, W("y x^2")) == (2, 0, 0)
+    assert decode_word(monoid, (2, 0, 0)) == W("y x^2")
+
+
+def test_encoder_rejects_undeclared_symbols_and_monoid_inverses():
+    with pytest.raises(ValidationError, match="word uses symbol d outside the presentation"):
+        encode_word(GROUP_ABC, W("a d"))
+    monoid = Presentation(Kind.MONOID, ("a",))
+    with pytest.raises(ValidationError, match=r"negative exponent in monoid word a\^-1"):
+        encode_word(monoid, W("a^-1"))
 
 
 def test_rename_generators():
