@@ -112,17 +112,23 @@ def test_normal_form_examples():
 
 
 def test_knuth_bendix_takes_group_presentations():
-    # a group starts from the cancellation rules of each generator, a monoid
-    # from its own relations over the even codes only
+    # a group is completed over its generators and their inverses directly
+    c5 = knuth_bendix(parse_presentation("group\ngens: a\nrels: a^5 = 1"))
+    assert c5.status is Completeness.COMPLETE
+    assert normal_form(c5, W("a^4")) == W("a^-1")
+    assert normal_form(c5, W("a^-3")) == W("a^2")
+
+
+def test_knuth_bendix_starts_groups_from_cancellation_rules():
     free = knuth_bendix(parse_presentation("group\ngens: a, b\nrels:"))
     assert free.status is Completeness.COMPLETE
     assert [(r.lhs, r.rhs) for r in free.rules] == [
         ((0, 1), ()), ((1, 0), ()), ((2, 3), ()), ((3, 2), ())
     ]
-    c5 = knuth_bendix(parse_presentation("group\ngens: a\nrels: a^5 = 1"))
-    assert c5.status is Completeness.COMPLETE
-    assert normal_form(c5, W("a^4")) == W("a^-1")
-    assert normal_form(c5, W("a^-3")) == W("a^2")
+
+
+def test_knuth_bendix_keeps_monoids_on_even_codes():
+    # a monoid starts from its own relations, with no inverse letters
     idem = knuth_bendix(parse_presentation("monoid\ngens: g\nrels: g^2 = g"))
     assert idem.rules == (RewriteRule((0, 0), (0,)),)
     assert list(irreducible_words(idem, 10)) == [(), (0,)]
