@@ -167,6 +167,15 @@ def _group_instance(job: GroupTestJob) -> GroupTestInstance:
 # verification pipelines
 
 
+def _word_problem_report(name: str, pair: str, inner: Verdict) -> CheckReport:
+    """Pass when the word-problem oracle decided `pair`, Unknown when it did not."""
+    return CheckReport(
+        name,
+        CheckVerdict.PASS if inner is not Verdict.UNKNOWN else CheckVerdict.UNKNOWN,
+        notes=f"{pair}: {inner.value}",
+    )
+
+
 def verify_markov(
     job: MarkovJob, config: RunConfig, built: Presentation | None = None
 ) -> Certificate:
@@ -176,15 +185,8 @@ def verify_markov(
     target = built if built is not None else build.presentation
     budget = config.rewrite_budget
 
-    reports: list[CheckReport] = []
     inner = words_equal(inst.s1, inst.g, inst.h, budget)
-    reports.append(
-        CheckReport(
-            "s1-word-problem",
-            CheckVerdict.PASS if inner is not Verdict.UNKNOWN else CheckVerdict.UNKNOWN,
-            notes=f"G vs H in S1: {inner.value}",
-        )
-    )
+    reports = [_word_problem_report("s1-word-problem", "G vs H in S1", inner)]
     mandatory = ["s1-word-problem"]
     if inner is Verdict.EQUAL:
         projection = {g: Word.single(img) for g, img in build.maps["s4"].items()}
@@ -236,11 +238,7 @@ def verify_test_group(
     triv = is_trivial(target, config.enum_limits)
 
     reports = [
-        CheckReport(
-            "base-word-problem",
-            CheckVerdict.PASS if inner is not Verdict.UNKNOWN else CheckVerdict.UNKNOWN,
-            notes=f"A vs B in the base: {inner.value}",
-        ),
+        _word_problem_report("base-word-problem", "A vs B in the base", inner),
         CheckReport(
             "test-group-triviality",
             CheckVerdict.PASS if triv.definite else CheckVerdict.UNKNOWN,

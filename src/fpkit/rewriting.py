@@ -31,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterable
 
 from .presentations import Presentation, Word, decode_word, encode_word
 
@@ -274,30 +275,31 @@ def knuth_bendix(p: Presentation, budget: Budget = DEFAULT_BUDGET) -> RewritingS
     return RewritingSystem(tuple(final), p, status)
 
 
-# Indexes of the last two systems reduced against, matched by identity.  The
-# bounded checks alternate between two systems; an index kept for every cached
-# system would cost more memory than rebuilding one on the rare other calls.
-_recent_indexes: deque[tuple[RewritingSystem, _RuleIndex]] = deque(maxlen=2)
-
-
-def reduce_letters(rs: RewritingSystem, letters: Letters) -> Letters:
-    for held, index in _recent_indexes:
-        if held is rs:
-            return index.reduce(letters)
-    index = _RuleIndex(dict(enumerate(rs.rules)))
-    _recent_indexes.appendleft((rs, index))
-    return index.reduce(letters)
-
-
 def normal_form(rs: RewritingSystem, w: Word) -> Word:
     """Rewrite `w` to an irreducible word; unique when `rs` is Complete."""
     p = rs.presentation
-    return decode_word(p, reduce_letters(rs, encode_word(p, w)))
+    return decode_word(p, _RuleIndex(dict(enumerate(rs.rules))).reduce(encode_word(p, w)))
 
 
 @lru_cache(maxsize=128)
 def _completed(p: Presentation, budget: Budget) -> RewritingSystem:
     return knuth_bendix(p, budget)
+
+
+def normal_forms(
+    p: Presentation, words: Iterable[Word], budget: Budget = DEFAULT_BUDGET
+) -> tuple[RewritingSystem, list[Letters]]:
+    """Reduce each of `words` once against the budgeted completion of `p`.
+
+    Returns the system (cached per presentation and budget) and the
+    words' letter codes after rewriting.  Equal codes certify equal
+    words under any system, different ones distinct words only when it
+    is Complete.
+    """
+    codes = [encode_word(p, w) for w in words]
+    rs = _completed(p, budget)
+    index = _RuleIndex(dict(enumerate(rs.rules)))
+    return rs, [index.reduce(c) for c in codes]
 
 
 def words_equal(
@@ -309,14 +311,10 @@ def words_equal(
     descendant (valid even under a Partial system), Distinct only by
     distinct normal forms of a Complete one.
     """
-    cu, cv = encode_word(p, u), encode_word(p, v)
-    rs = _completed(p, budget)
-    nu, nv = reduce_letters(rs, cu), reduce_letters(rs, cv)
+    rs, (nu, nv) = normal_forms(p, (u, v), budget)
     if nu == nv:
         return Verdict.EQUAL
-    if rs.complete:
-        return Verdict.DISTINCT
-    return Verdict.UNKNOWN
+    return Verdict.DISTINCT if rs.complete else Verdict.UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +328,12 @@ def confluence_audit(rs: RewritingSystem, max_rules: int = 50) -> bool:
     """
     if len(rs.rules) > max_rules:
         raise ValueError(f"audit limited to {max_rules} rules")
+    index = _RuleIndex(dict(enumerate(rs.rules)))
     for r1 in rs.rules:
         for r2 in rs.rules:
             for k in _overlaps(r1.lhs, r2.lhs):
-                left = reduce_letters(rs, r1.rhs + r2.lhs[k:])
-                right = reduce_letters(rs, r1.lhs[:-k] + r2.rhs)
+                left = index.reduce(r1.rhs + r2.lhs[k:])
+                right = index.reduce(r1.lhs[:-k] + r2.rhs)
                 if left != right:
                     word = r1.lhs[:-k] + r2.lhs
                     raise AssertionError(f"critical pair of {r1} / {r2} at {word} diverges")

@@ -12,8 +12,10 @@ constructions.  They are one loop with two entry points:
 up to a word-length cutoff (distinct words keep distinct images), and
 `collapse_check` asks whether a built presentation falls onto a target,
 running the same loop and then checking that every built generator
-equals a target image, the zero or the identity.  Both run on top of
-the budgeted word-problem oracle and report Pass / Fail-with-witness /
+equals a target image, the zero or the identity.  Both reduce each word
+and each image once against the budgeted completion of its presentation
+(`rewriting.normal_forms`), compare the normal forms with the soundness
+rules of the word-problem oracle, and report Pass / Fail-with-witness /
 Unknown.
 """
 
@@ -27,7 +29,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .presentations import Kind, Presentation, ValidationError, Word
-from .rewriting import Budget, DEFAULT_BUDGET, Verdict, words_equal
+from .rewriting import Budget, DEFAULT_BUDGET, normal_forms
 
 Matrix = list[list[int]]
 
@@ -266,7 +268,9 @@ def _bounded_check(
     No pair of `small`-words up to `cutoff` that is certified Distinct in
     `small` may have images certified Equal in `big`; with `onto`, every
     generator of `big` must also equal an image, the identity or the
-    zero.  Each image is computed once.
+    zero.  Each word and image is reduced once, and every comparison is
+    between normal forms: equal ones are Equal, different ones Distinct
+    only under a Complete system.
     """
     if onto:
         role, lost = "projection", "target words collapse in the built presentation"
@@ -278,7 +282,12 @@ def _bounded_check(
         if bad:
             raise ValidationError(f"{role} image of {g} uses unknown symbol {sorted(bad)[0]}")
     words = enumerate_words(small.generators, cutoff)
-    images = [_image(w, mapping) for w in words]
+    anchors = [_image(w, mapping) for w in words] + [Word()]
+    if big.zero is not None:
+        anchors.append(Word.single(big.zero))
+    gens = [Word.single(g) for g in big.generators]
+    small_rs, small_nf = normal_forms(small, words, budget)
+    big_rs, big_nf = normal_forms(big, anchors + gens, budget)
     comparisons = 0
     blocked = 0
 
@@ -293,38 +302,26 @@ def _bounded_check(
 
     for i, wa in enumerate(words):
         for j in range(i + 1, len(words)):
-            inner = words_equal(small, wa, words[j], budget)
             comparisons += 1
-            if inner is Verdict.UNKNOWN:
+            if small_nf[i] == small_nf[j]:
+                continue
+            if not small_rs.complete:
                 blocked += 1
-                continue
-            if inner is Verdict.EQUAL:
-                continue
-            outer = words_equal(big, images[i], images[j], budget)
-            if outer is Verdict.EQUAL:
+            elif big_nf[i] == big_nf[j]:
                 return fail(f"{wa} | {words[j]}", lost)
-            if outer is Verdict.UNKNOWN:
+            elif not big_rs.complete:
                 blocked += 1
     if onto:
-        anchors = images + [Word()]
-        if big.zero is not None:
-            anchors.append(Word.single(big.zero))
-        for g in big.generators:
-            gw = Word.single(g)
-            matched = False
-            saw_unknown = False
-            for anchor in anchors:
-                verdict = words_equal(big, gw, anchor, budget)
-                comparisons += 1
-                if verdict is Verdict.EQUAL:
-                    matched = True
-                    break
-                if verdict is Verdict.UNKNOWN:
-                    saw_unknown = True
-            if not matched:
-                if not saw_unknown:
-                    return fail(str(g), "generator does not collapse onto the target image")
-                blocked += 1
+        targets = big_nf[:len(anchors)]
+        for g, nf in zip(big.generators, big_nf[len(anchors):]):
+            # one comparison per anchor tried, stopping at the first match
+            if nf in targets:
+                comparisons += targets.index(nf) + 1
+                continue
+            comparisons += len(targets)
+            if big_rs.complete:
+                return fail(g, "generator does not collapse onto the target image")
+            blocked += 1
     if blocked:
         return CheckReport(
             name,

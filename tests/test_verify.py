@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fpkit.constructions import MarkovInstance, XiRange, adjoin_zero, markov_semigroup
 from fpkit.presentations import (
     Kind,
     Presentation,
@@ -15,16 +16,18 @@ from fpkit.presentations import (
     rename_generators,
     tietze_simplify,
 )
-from fpkit.rewriting import Budget
+from fpkit.rewriting import Budget, Verdict, knuth_bendix, words_equal
 from fpkit.verify import (
     AbelianInvariants,
     CheckReport,
     CheckVerdict,
+    _image,
     abelianization,
     assemble_certificate,
     collapse_check,
     diagonal_of,
     embedding_spot_check,
+    enumerate_words,
     smith_normal_form,
 )
 
@@ -179,6 +182,127 @@ def test_check_reports_budget_blocked_is_unknown():
     free = parse_presentation("monoid\ngens: x\nrels:")
     report = embedding_spot_check(free, hostile, {"x": W("a")}, cutoff=2, budget=Budget(2, 4, 1))
     assert report.verdict is CheckVerdict.UNKNOWN
+
+
+# -- the per-pair bounded check, one `words_equal` call per comparison, kept
+#    as the oracle for the loop that compares normal forms reduced once
+
+
+def reference_bounded_check(small, big, mapping, cutoff, budget, name, onto):
+    lost = (
+        "target words collapse in the built presentation"
+        if onto
+        else "distinct words collapse in the big presentation"
+    )
+    words = enumerate_words(small.generators, cutoff)
+    images = [_image(w, mapping) for w in words]
+    comparisons = 0
+    blocked = 0
+
+    def fail(witness, notes):
+        return CheckReport(
+            name, CheckVerdict.FAIL, witness=witness, notes=notes,
+            budget_used={"comparisons": comparisons},
+        )
+
+    for i, wa in enumerate(words):
+        for j in range(i + 1, len(words)):
+            inner = words_equal(small, wa, words[j], budget)
+            comparisons += 1
+            if inner is Verdict.UNKNOWN:
+                blocked += 1
+                continue
+            if inner is Verdict.EQUAL:
+                continue
+            outer = words_equal(big, images[i], images[j], budget)
+            if outer is Verdict.EQUAL:
+                return fail(f"{wa} | {words[j]}", lost)
+            if outer is Verdict.UNKNOWN:
+                blocked += 1
+    if onto:
+        anchors = images + [Word()]
+        if big.zero is not None:
+            anchors.append(Word.single(big.zero))
+        for g in big.generators:
+            gw = Word.single(g)
+            matched = False
+            saw_unknown = False
+            for anchor in anchors:
+                verdict = words_equal(big, gw, anchor, budget)
+                comparisons += 1
+                if verdict is Verdict.EQUAL:
+                    matched = True
+                    break
+                if verdict is Verdict.UNKNOWN:
+                    saw_unknown = True
+            if not matched:
+                if not saw_unknown:
+                    return fail(str(g), "generator does not collapse onto the target image")
+                blocked += 1
+    if blocked:
+        return CheckReport(
+            name, CheckVerdict.UNKNOWN, notes=f"{blocked} comparisons exhausted the budget",
+            budget_used={"comparisons": comparisons, "blocked": blocked},
+        )
+    return CheckReport(name, CheckVerdict.PASS, budget_used={"comparisons": comparisons})
+
+
+def _random_positive_word(rng, gens, max_len):
+    return Word(tuple((rng.choice(gens), 1) for _ in range(rng.randint(0, max_len))))
+
+
+def _random_monoid(rng, gens):
+    gens = gens[:rng.randint(1, 2)]
+    rels = tuple(
+        Relation(_random_positive_word(rng, gens, 3), _random_positive_word(rng, gens, 3))
+        for _ in range(rng.randint(0, 2))
+    )
+    p = Presentation(Kind.MONOID, gens, rels)
+    return adjoin_zero(p, "z") if rng.random() < 0.3 else p
+
+
+def test_bounded_checks_match_the_per_pair_reference():
+    rng = random.Random(6151)
+    budgets = (Budget(2, 4, 1), Budget(3, 5, 4), Budget(8, 8, 30), Budget(60, 12, 600))
+    blocked_by_small = blocked_by_big = 0
+    verdicts = set()
+    for trial in range(400):
+        small = _random_monoid(rng, ("x", "y"))
+        big = _random_monoid(rng, ("a", "b"))
+        mapping = {g: _random_positive_word(rng, big.generators, 2) for g in small.generators}
+        cutoff = rng.randint(1, 3)
+        budget = rng.choice(budgets)
+        args = (mapping, cutoff, budget)
+        embed = embedding_spot_check(small, big, *args)
+        collapse = collapse_check(big, small, *args)
+        for got, onto in ((embed, False), (collapse, True)):
+            want = reference_bounded_check(small, big, *args, got.name, onto)
+            assert got.as_dict() == want.as_dict(), (trial, small, big, mapping, cutoff, budget)
+            verdicts.add(got.verdict)
+        if embed.verdict is CheckVerdict.UNKNOWN:
+            small_complete = knuth_bendix(small, budget).complete
+            big_complete = knuth_bendix(big, budget).complete
+            blocked_by_small += not small_complete and big_complete
+            blocked_by_big += small_complete and not big_complete
+    # the sample reaches every verdict, and comparisons blocked on either side alone
+    assert verdicts == set(CheckVerdict)
+    assert blocked_by_small >= 10 and blocked_by_big >= 10
+
+
+def test_roadmap_timing_instance_counts_are_pinned():
+    # free x, w into the Markov monoid with G = s t, H = t s over free s, t
+    s0 = Presentation(Kind.MONOID, ("x", "w"))
+    s1 = Presentation(Kind.MONOID, ("s", "t"))
+    inst = MarkovInstance(
+        s0, s1, Presentation(Kind.MONOID, ()), W("s t"), W("t s"),
+        xi_range=XiRange.ALL_GENERATORS,
+    )
+    build = markov_semigroup(inst)
+    inclusion = {g: Word.single(img) for g, img in build.maps["s0"].items()}
+    for cutoff, comparisons in ((6, 8001), (7, 32385), (8, 130305)):
+        report = embedding_spot_check(s0, build.presentation, inclusion, cutoff=cutoff)
+        assert report.verdict is CheckVerdict.PASS
+        assert report.budget_used == {"comparisons": comparisons}
 
 
 def test_fail_requires_witness():
