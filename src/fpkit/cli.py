@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .coset import EnumLimits, is_trivial
+from .coset import EnumLimits, Triviality, is_trivial
 from .constructions import (
     GroupTestInstance,
     MarkovInstance,
@@ -176,6 +176,15 @@ def _word_problem_report(name: str, pair: str, inner: Verdict) -> CheckReport:
     )
 
 
+def _triviality_report(name: str, triv: Triviality) -> CheckReport:
+    """Pass when the triviality test decided, Unknown when it did not."""
+    return CheckReport(
+        name,
+        CheckVerdict.PASS if triv.definite else CheckVerdict.UNKNOWN,
+        notes=f"{triv.status}" + (f" ({triv.reason})" if triv.reason else ""),
+    )
+
+
 def verify_markov(
     job: MarkovJob, config: RunConfig, built: Presentation | None = None
 ) -> Certificate:
@@ -239,11 +248,7 @@ def verify_test_group(
 
     reports = [
         _word_problem_report("base-word-problem", "A vs B in the base", inner),
-        CheckReport(
-            "test-group-triviality",
-            CheckVerdict.PASS if triv.definite else CheckVerdict.UNKNOWN,
-            notes=f"{triv.status}" + (f" ({triv.reason})" if triv.reason else ""),
-        ),
+        _triviality_report("test-group-triviality", triv),
     ]
     if inner is Verdict.UNKNOWN or not triv.definite:
         reports.append(
@@ -301,13 +306,7 @@ def verify_property(job: PropertyJob, config: RunConfig) -> Certificate:
     build = markov_property_reduction(spec, test)
     triv = is_trivial(test, config.enum_limits)
 
-    reports = [
-        CheckReport(
-            "test-triviality",
-            CheckVerdict.PASS if triv.definite else CheckVerdict.UNKNOWN,
-            notes=f"{triv.status}" + (f" ({triv.reason})" if triv.reason else ""),
-        )
-    ]
+    reports = [_triviality_report("test-triviality", triv)]
     mandatory = ["test-triviality"]
     if triv.is_trivial:
         reduced = tietze_simplify(build.presentation)

@@ -141,7 +141,7 @@ class CosetTable:
         if self.debug_checks:
             self.check_consistency()
 
-    def scan_and_fill(self, alpha: int, relator: tuple[int, ...]):
+    def scan_and_fill(self, alpha: int, relator: bytes):
         """Trace a relator at a coset, filling gaps with new cosets (HLT)."""
         if not relator:
             return
@@ -208,21 +208,6 @@ class CosetTable:
             if self.is_live(c)
             for col in range(self.ncols)
         )
-
-    def dump(self) -> str:
-        """One line per live coset: tab-separated targets in column order."""
-        remap = {}
-        for c in range(len(self.rows)):
-            if self.is_live(c):
-                remap[c] = len(remap)
-        lines = []
-        for c in sorted(remap):
-            cells = []
-            for col in range(self.ncols):
-                e = self.rows[c][col]
-                cells.append("-" if e == UNDEF else str(remap[self.find(e)]))
-            lines.append("\t".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

@@ -201,13 +201,18 @@ class Presentation:
 # letter codes
 
 
-def encode_word(p: Presentation, w: Word) -> tuple[int, ...]:
-    """`w` as a flat tuple of letter codes over `p`.
+def encode_word(p: Presentation, w: Word) -> bytes:
+    """`w` as the bytes of its letter codes over `p`.
 
     Generator i is code 2i and its inverse 2i+1, so ``c ^ 1`` inverts a
     letter and code order is generator order with each inverse right after
-    its generator.  Knuth-Bendix and Todd-Coxeter both work on these codes.
+    its generator.  Knuth-Bendix and Todd-Coxeter both work on these codes,
+    which fit in a byte for up to 128 generators.
     """
+    if len(p.generators) > 128:
+        raise ValidationError(
+            f"{len(p.generators)} generators: letter codes fit in a byte only up to 128"
+        )
     codes: list[int] = []
     for s, e in w.letters:
         if s not in p.generators:
@@ -216,7 +221,7 @@ def encode_word(p: Presentation, w: Word) -> tuple[int, ...]:
             raise ValidationError(f"negative exponent in monoid word {w}")
         i = p.generators.index(s)
         codes.extend([2 * i if e > 0 else 2 * i + 1] * abs(e))
-    return tuple(codes)
+    return bytes(codes)
 
 
 def decode_word(p: Presentation, codes) -> Word:

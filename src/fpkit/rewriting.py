@@ -1,13 +1,14 @@
 """Shortlex string rewriting and Knuth-Bendix completion.
 
-Words are tuples of the letter codes of `presentations.encode_word`:
+Words are `bytes` of the letter codes of `presentations.encode_word`:
 generator i is 2i and its inverse 2i+1.  A group is completed as the
 monoid on all these letters, starting from the two cancellation rules of
 each generator; a monoid uses only the even codes.  Shortlex compares
 length, then the codes themselves, so each inverse sorts right after its
 generator.  Completion orients the relations into length-reducing shortlex
 rules, resolves critical pairs in a FIFO queue keyed by combined rule
-length, and interreduces after every rule insertion.
+length, and interreduces after every rule insertion.  Because words are
+`bytes`, factor tests, slicing and concatenation run in C.
 
 Because the word problem is undecidable in general, completion is always
 budgeted and ``Unknown`` is a first-class verdict: a Partial system can
@@ -21,12 +22,21 @@ results: a Partial system is not confluent, so its normal forms, and with
 them ``Equal`` versus ``Unknown``, depend on which redex goes first; and
 the rule table met mid-interreduction is not reduced, so one left-hand
 side can contain another.
+
+Critical pairs are found from the same trie, walked from each proper
+suffix of a new left-hand side, and from a second trie over the reversed
+left-hand sides for overlaps the other way round.  They are queued by
+other rule id, then direction, then overlap width, and a pair whose rule
+was interreduced away stays queued and still counts toward
+``max_iterations`` when popped.  Both are fixed for the same reason: they
+decide which rules a Partial system holds.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +45,7 @@ from typing import Iterable
 
 from .presentations import Presentation, Word, decode_word, encode_word
 
-Letters = tuple[int, ...]
+Letters = bytes
 
 
 @dataclass(frozen=True)
@@ -96,52 +106,72 @@ class RewritingSystem:
 
 
 _END = None  # trie key under which a node records the rule whose lhs ends there
+_IDS = -1  # trie key under which a node records every rule whose key passes through it
 
 
-class _RuleIndex:
-    """Letter trie over the left-hand sides of a rule table.
+class _Trie:
+    """Letter trie over the left-hand sides of a rule table, each spelled by `key`.
 
-    Reduction rewrites the leftmost redex, taking the lowest rule id when
-    several left-hand sides start at that position.  The table is shared
-    with its owner, which reports every added or removed rule; a rule may
-    get a new rhs without notice.  Of rules sharing one lhs only the first
-    added is indexed, so only tables with distinct lhs may remove rules.
+    The table is shared with its owner, which reports every added or
+    removed rule; a rule may get a new rhs without notice.  Of rules
+    sharing one key only the first added ends a path, so only tables with
+    distinct lhs may remove rules or look up the rules below a node.
     """
 
-    def __init__(self, rules: dict[int, RewriteRule]):
+    def __init__(self, rules: dict[int, RewriteRule], key=lambda lhs: lhs):
         self.rules = rules
+        self.key = key
         self.root: dict = {}
-        self.depth = 0  # longest lhs ever added
         for rid in sorted(rules):
             self.add(rid)
 
     def add(self, rid: int):
-        lhs = self.rules[rid].lhs
         node = self.root
-        for s in lhs:
-            node = node.setdefault(s, {})
+        for s in self.key(self.rules[rid].lhs):
+            child = node.get(s)
+            if child is None:
+                child = node[s] = {_IDS: set()}
+            child[_IDS].add(rid)
+            node = child
         node.setdefault(_END, rid)
-        self.depth = max(self.depth, len(lhs))
 
     def remove(self, rid: int):
         """Forget `rid`; call before deleting it from the table."""
-        lhs = self.rules[rid].lhs
-        path = [self.root]
-        for s in lhs:
-            path.append(path[-1][s])
-        del path[-1][_END]
-        for s, parent, node in zip(reversed(lhs), reversed(path[:-1]), reversed(path)):
-            if node:
-                break
-            del parent[s]
+        node = self.root
+        for s in self.key(self.rules[rid].lhs):
+            child = node[s]
+            ids = child[_IDS]
+            ids.discard(rid)
+            if not ids:
+                del node[s]  # the branch held only `rid`
+                return
+            node = child
+        del node[_END]
+
+    def longer(self, prefix: Letters) -> list[int]:
+        """Ids of the rules whose key starts with, and is longer than, `prefix`."""
+        node = self.root
+        for s in prefix:
+            node = node.get(s)
+            if node is None:
+                return []
+        end = node.get(_END)
+        return [rid for rid in node[_IDS] if rid != end]
+
+
+class _RuleIndex(_Trie):
+    """Trie over the left-hand sides, for leftmost, lowest-id reduction."""
 
     def reduce(self, word: Letters) -> Letters:
         root, rules = self.root, self.rules
-        # No redex starts left of i.  After a rewrite at i, a new one must
-        # reach into the edit, so it starts at most `back` letters earlier.
-        back = self.depth - 1
-        w = list(word)
+        w = bytearray(word)
         n = len(w)
+        # No redex starts left of i.  reach[p] is the furthest index read by
+        # the walks from positions 0..p (n when one ran off the end).  A
+        # rewrite at i changes only letters from i on, so the walks from
+        # every position whose reach is below i still find no redex.
+        reach: list[int] = []
+        far = -1
         i = 0
         while i < n:
             node, best, j = root, None, i
@@ -154,25 +184,18 @@ class _RuleIndex:
                     best = rid
                 j += 1
             if best is None:
+                if j > far:
+                    far = j
+                reach.append(far)
                 i += 1
                 continue
             rule = rules[best]
             w[i:i + len(rule.lhs)] = rule.rhs
             n = len(w)
-            i = max(0, i - back)
-        return tuple(w)
-
-
-def _contains(word: Letters, factor: Letters) -> bool:
-    k = len(factor)
-    return any(word[i:i + k] == factor for i in range(len(word) - k + 1))
-
-
-def _overlaps(a: Letters, b: Letters):
-    """Proper overlap widths: a nonempty suffix of `a` equals a prefix of `b`."""
-    for k in range(1, min(len(a), len(b))):
-        if a[-k:] == b[:k]:
-            yield k
+            i = bisect_left(reach, i)
+            del reach[i:]
+            far = reach[-1] if reach else -1
+        return bytes(w)
 
 
 class _Completion:
@@ -180,6 +203,7 @@ class _Completion:
         self.budget = budget
         self.rules: dict[int, RewriteRule] = {}
         self.index = _RuleIndex(self.rules)
+        self.suffixes = _Trie(self.rules, key=lambda lhs: lhs[::-1])
         self.next_id = 0
         self.pairs: list[tuple[int, int, int, int, int]] = []  # (key, seq, id1, id2, olen)
         self.eqs: deque[tuple[Letters, Letters]] = deque()
@@ -194,14 +218,23 @@ class _Completion:
         heapq.heappush(self.pairs, (key, next(self.seq), a_id, b_id, olen))
 
     def _queue_pairs(self, rid: int):
-        rule = self.rules[rid]
-        for oid in sorted(self.rules):
-            other = self.rules[oid]
-            for k in _overlaps(rule.lhs, other.lhs):
+        """Queue every proper overlap of the new rule with itself and the others.
+
+        Direction 0 is a suffix of the new lhs that starts another lhs,
+        direction 1 another lhs that ends with a prefix of the new one.
+        """
+        lhs = self.rules[rid].lhs
+        n = len(lhs)
+        found = []
+        for k in range(1, n):
+            found += [(oid, 0, k) for oid in self.index.longer(lhs[n - k:])]
+            found += [(oid, 1, k) for oid in self.suffixes.longer(lhs[k - 1::-1]) if oid != rid]
+        found.sort()  # by other id, then direction, then width
+        for oid, direction, k in found:
+            if direction:
+                self._push_pair(oid, rid, k)
+            else:
                 self._push_pair(rid, oid, k)
-            if oid != rid:
-                for k in _overlaps(other.lhs, rule.lhs):
-                    self._push_pair(oid, rid, k)
 
     def add_rule(self, u: Letters, v: Letters):
         u = self.index.reduce(u)
@@ -218,6 +251,7 @@ class _Completion:
         self.next_id += 1
         self.rules[rid] = RewriteRule(lhs, rhs)
         self.index.add(rid)
+        self.suffixes.add(rid)
         self._queue_pairs(rid)
         # Interreduce: requeue rules whose lhs contains the new lhs, rewrite
         # in place rules whose rhs does.
@@ -225,11 +259,12 @@ class _Completion:
             if oid == rid:
                 continue
             other = self.rules[oid]
-            if _contains(other.lhs, lhs):
+            if lhs in other.lhs:
                 self.index.remove(oid)
+                self.suffixes.remove(oid)
                 del self.rules[oid]
                 self.push_equation(other.lhs, other.rhs)
-            elif _contains(other.rhs, lhs):
+            elif lhs in other.rhs:
                 self.rules[oid] = RewriteRule(other.lhs, self.index.reduce(other.rhs))
 
     def run(self) -> Completeness:
@@ -265,9 +300,10 @@ def knuth_bendix(p: Presentation, budget: Budget = DEFAULT_BUDGET) -> RewritingS
     """
     comp = _Completion(budget)
     if p.is_group:
-        for i in range(len(p.generators)):
-            comp.push_equation((2 * i, 2 * i + 1), ())
-            comp.push_equation((2 * i + 1, 2 * i), ())
+        # encoded, so that the generator count is checked even with no relations
+        for c in encode_word(p, Word(tuple((g, 1) for g in p.generators))):
+            comp.push_equation(bytes((c, c ^ 1)), b"")
+            comp.push_equation(bytes((c ^ 1, c)), b"")
     for rel in p.relations:
         comp.push_equation(encode_word(p, rel.lhs), encode_word(p, rel.rhs))
     status = comp.run()
@@ -331,14 +367,16 @@ def confluence_audit(rs: RewritingSystem, max_rules: int = 50) -> bool:
     index = _RuleIndex(dict(enumerate(rs.rules)))
     for r1 in rs.rules:
         for r2 in rs.rules:
-            for k in _overlaps(r1.lhs, r2.lhs):
+            for k in range(1, min(len(r1.lhs), len(r2.lhs))):
+                if not r2.lhs.startswith(r1.lhs[-k:]):
+                    continue
                 left = index.reduce(r1.rhs + r2.lhs[k:])
                 right = index.reduce(r1.lhs[:-k] + r2.rhs)
                 if left != right:
                     word = r1.lhs[:-k] + r2.lhs
                     raise AssertionError(f"critical pair of {r1} / {r2} at {word} diverges")
             # containment: a reduced system has none
-            if r1 is not r2 and _contains(r2.lhs, r1.lhs):
+            if r1 is not r2 and r1.lhs in r2.lhs:
                 raise AssertionError(f"rule {r2} is reducible by {r1}")
     return True
 
@@ -350,11 +388,11 @@ def irreducible_words(rs: RewritingSystem, limit: int):
     prefix of an irreducible word is irreducible, so a breadth-first
     prefix walk enumerates them all.
     """
-    lhss = {r.lhs for r in rs.rules}
+    lhss = tuple(r.lhs for r in rs.rules)
     p = rs.presentation
-    alphabet = range(0, 2 * len(p.generators), 1 if p.is_group else 2)
+    alphabet = [bytes((s,)) for s in range(0, 2 * len(p.generators), 1 if p.is_group else 2)]
     count = 0
-    frontier: list[Letters] = [()]
+    frontier: list[Letters] = [b""]
     while frontier:
         nxt: list[Letters] = []
         for w in frontier:
@@ -363,9 +401,8 @@ def irreducible_words(rs: RewritingSystem, limit: int):
             if count >= limit:
                 return
             for s in alphabet:
-                cand = w + (s,)
+                cand = w + s
                 # a new redex would have to end at the appended letter
-                if any(cand[-len(l):] == l for l in lhss if len(l) <= len(cand)):
-                    continue
-                nxt.append(cand)
+                if not cand.endswith(lhss):
+                    nxt.append(cand)
         frontier = nxt

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fpkit.coset import CosetTable, EnumLimits, is_trivial, todd_coxeter
+from fpkit.coset import UNDEF, CosetTable, EnumLimits, is_trivial, todd_coxeter
 from fpkit.presentations import (
     Kind,
     Presentation,
@@ -134,10 +134,26 @@ def test_corrupted_entry_fails_the_consistency_check():
         r.table.check_consistency()
 
 
+def dump(table: CosetTable) -> str:
+    """One line per live coset: tab-separated targets in column order."""
+    remap = {}
+    for c in range(len(table.rows)):
+        if table.is_live(c):
+            remap[c] = len(remap)
+    lines = []
+    for c in sorted(remap):
+        cells = []
+        for col in range(table.ncols):
+            e = table.rows[c][col]
+            cells.append("-" if e == UNDEF else str(remap[table.find(e)]))
+        lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def test_table_dump_golden_klein():
     r = todd_coxeter(parse_presentation(KLEIN), (), LIMITS)
     # columns: a, a^-1, b, b^-1; rows are the four cosets
-    assert r.table.dump() == (
+    assert dump(r.table) == (
         "1\t1\t2\t2\n"
         "0\t0\t3\t3\n"
         "3\t3\t0\t0\n"

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from fpkit.coset import todd_coxeter
 from fpkit.presentations import (
     Kind,
     ParseError,
@@ -17,6 +18,7 @@ from fpkit.presentations import (
     serialize_word,
     tietze_simplify,
 )
+from fpkit.rewriting import knuth_bendix
 
 W = parse_word
 
@@ -117,14 +119,14 @@ def test_encode_decode_round_trip(w):
     assert len(codes) == w.length()
     assert decode_word(GROUP_ABC, codes) == w
     # the inverse word is the reversed codes with each letter's low bit flipped
-    assert encode_word(GROUP_ABC, w.inverse()) == tuple(c ^ 1 for c in reversed(codes))
+    assert encode_word(GROUP_ABC, w.inverse()) == bytes(c ^ 1 for c in reversed(codes))
 
 
 def test_encode_examples():
-    assert encode_word(GROUP_ABC, W("a b^-2 c")) == (0, 3, 3, 4)
+    assert encode_word(GROUP_ABC, W("a b^-2 c")) == bytes((0, 3, 3, 4))
     monoid = Presentation(Kind.MONOID, ("x", "y"))
-    assert encode_word(monoid, W("y x^2")) == (2, 0, 0)
-    assert decode_word(monoid, (2, 0, 0)) == W("y x^2")
+    assert encode_word(monoid, W("y x^2")) == bytes((2, 0, 0))
+    assert decode_word(monoid, bytes((2, 0, 0))) == W("y x^2")
 
 
 def test_encoder_rejects_undeclared_symbols_and_monoid_inverses():
@@ -133,6 +135,20 @@ def test_encoder_rejects_undeclared_symbols_and_monoid_inverses():
     monoid = Presentation(Kind.MONOID, ("a",))
     with pytest.raises(ValidationError, match=r"negative exponent in monoid word a\^-1"):
         encode_word(monoid, W("a^-1"))
+
+
+def test_letter_codes_fit_a_byte_up_to_128_generators():
+    gens = tuple(f"g{i}" for i in range(129))
+    widest = Presentation(Kind.GROUP, gens[:128])
+    assert encode_word(widest, W("g127^-1 g0")) == b"\xff\x00"
+    assert decode_word(widest, b"\xff\x00") == W("g127^-1 g0")
+    too_wide = Presentation(Kind.GROUP, gens)
+    with pytest.raises(ValidationError, match="129 generators"):
+        encode_word(too_wide, W("g0"))
+    with pytest.raises(ValidationError, match="129 generators"):
+        knuth_bendix(too_wide)  # no relations: the cancellation rules are encoded too
+    with pytest.raises(ValidationError, match="129 generators"):
+        todd_coxeter(Presentation(Kind.GROUP, gens, (Relation(W("g0"), Word()),)))
 
 
 def test_rename_generators():

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fpkit import rewriting
 from fpkit.presentations import (
@@ -123,15 +123,15 @@ def test_knuth_bendix_starts_groups_from_cancellation_rules():
     free = knuth_bendix(parse_presentation("group\ngens: a, b\nrels:"))
     assert free.status is Completeness.COMPLETE
     assert [(r.lhs, r.rhs) for r in free.rules] == [
-        ((0, 1), ()), ((1, 0), ()), ((2, 3), ()), ((3, 2), ())
+        (b"\x00\x01", b""), (b"\x01\x00", b""), (b"\x02\x03", b""), (b"\x03\x02", b"")
     ]
 
 
 def test_knuth_bendix_keeps_monoids_on_even_codes():
     # a monoid starts from its own relations, with no inverse letters
     idem = knuth_bendix(parse_presentation("monoid\ngens: g\nrels: g^2 = g"))
-    assert idem.rules == (RewriteRule((0, 0), (0,)),)
-    assert list(irreducible_words(idem, 10)) == [(), (0,)]
+    assert idem.rules == (RewriteRule(b"\x00\x00", b"\x00"),)
+    assert list(irreducible_words(idem, 10)) == [b"", b"\x00"]
 
 
 def test_normal_form_of_group_word_uses_the_presentations_generators():
@@ -144,7 +144,7 @@ def test_normal_form_of_group_word_uses_the_presentations_generators():
 
 def test_generator_named_like_an_inverse_is_its_own_letter():
     p = Presentation(Kind.GROUP, ("a", "a_inv"))
-    assert encode_word(p, W("a^-1 a_inv")) == (1, 2)
+    assert encode_word(p, W("a^-1 a_inv")) == b"\x01\x02"
     assert words_equal(p, W("a_inv"), W("a^-1")) is Verdict.DISTINCT
     assert words_equal(p, W("a a^-1 a_inv"), W("a_inv")) is Verdict.EQUAL
 
@@ -239,7 +239,7 @@ def test_partial_system_still_certifies_equality():
 # -- the rule index must rewrite exactly as the plain scan it replaced:
 #    leftmost redex, lowest rule id at that position.  Partial systems, and
 #    so `equal` versus `unknown`, depend on that order.  The index never
-#    looks inside a letter, so these tables spell letters as characters.
+#    looks inside a letter, so these tables spell letters as ASCII bytes.
 
 
 def reference_reduce(word, rules):
@@ -252,17 +252,17 @@ def reference_reduce(word, rules):
     while i < len(w):
         for _, rule in items:
             L = len(rule.lhs)
-            if i + L <= len(w) and tuple(w[i:i + L]) == rule.lhs:
+            if i + L <= len(w) and bytes(w[i:i + L]) == rule.lhs:
                 w[i:i + L] = rule.rhs
                 i = max(0, i - maxlhs + 1)
                 break
         else:
             i += 1
-    return tuple(w)
+    return bytes(w)
 
 
-letters3 = st.lists(st.sampled_from("abc"), max_size=4).map(tuple)
-words3 = st.lists(st.sampled_from("abc"), max_size=14).map(tuple)
+letters3 = st.lists(st.sampled_from(b"abc"), max_size=4).map(bytes)
+words3 = st.lists(st.sampled_from(b"abc"), max_size=14).map(bytes)
 
 
 @st.composite
@@ -272,7 +272,7 @@ def rule_tables(draw):
     ids = draw(st.lists(st.integers(0, 50), min_size=len(lhss), max_size=len(lhss), unique=True))
     table = {}
     for rid, lhs in zip(ids, lhss):
-        rhs = draw(st.lists(st.sampled_from("abc"), max_size=len(lhs)).map(tuple))
+        rhs = draw(st.lists(st.sampled_from(b"abc"), max_size=len(lhs)).map(bytes))
         if not shortlex(rhs) < shortlex(lhs):
             rhs = rhs[1:]
         table[rid] = RewriteRule(lhs, rhs)
@@ -301,21 +301,21 @@ def test_rule_index_tracks_added_and_removed_rules(table, extra, data):
 
 
 def R(lhs: str, rhs: str) -> RewriteRule:
-    return RewriteRule(tuple(lhs), tuple(rhs))
+    return RewriteRule(lhs.encode(), rhs.encode())
 
 
 def test_rule_index_prefers_leftmost_start_then_lowest_id():
     # `b` ends first, but `abc` starts further left
-    assert _RuleIndex({0: R("b", "a"), 1: R("abc", "")}).reduce(tuple("abc")) == ()
+    assert _RuleIndex({0: R("b", "a"), 1: R("abc", "")}).reduce(b"abc") == b""
     # a prefix and its extension both start at 0: the lower id wins, either way round
-    assert _RuleIndex({3: R("ab", "c"), 5: R("abb", "")}).reduce(tuple("abb")) == tuple("cb")
-    assert _RuleIndex({3: R("abb", ""), 5: R("ab", "c")}).reduce(tuple("abb")) == ()
+    assert _RuleIndex({3: R("ab", "c"), 5: R("abb", "")}).reduce(b"abb") == b"cb"
+    assert _RuleIndex({3: R("abb", ""), 5: R("ab", "c")}).reduce(b"abb") == b""
     for table in (
         {0: R("b", "a"), 1: R("abc", "")},
         {3: R("ab", "c"), 5: R("abb", "")},
         {2: R("cc", "a"), 7: R("acc", "b"), 9: R("c", "")},
     ):
-        for word in map(tuple, ("abc", "abb", "aacc", "cacc", "ababbcc")):
+        for word in (b"abc", b"abb", b"aacc", b"cacc", b"ababbcc"):
             assert _RuleIndex(table).reduce(word) == reference_reduce(word, table)
 
 
@@ -337,6 +337,61 @@ def test_budgeted_one_relator_partial_system_is_pinned():
     )
 
 
+def test_budgeted_baumslag_solitar_partial_system_is_pinned():
+    # the exhaust workload's BS(2,3) base at its budget: completion stops at
+    # max_iterations, so the dead pairs it popped, which count toward that
+    # bound, are pinned along with the rules
+    p = parse_presentation("group\ngens: b, a\nrels: a^-1 b^2 a = b^3")
+    rs = knuth_bendix(p, Budget(100, 20, 1000))
+    assert rs.status is Completeness.PARTIAL
+    assert len(rs.rules) == 100
+    names = ("b", "b_inv", "a", "a_inv")
+
+    def spell(codes):
+        return " ".join(names[c] for c in codes) or "1"
+
+    text = "\n".join(f"{spell(r.lhs)} -> {spell(r.rhs)}" for r in rs.rules)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8f07a5c26f8eea44d1eda7db99f8324bf58eedbfe4f6d6f23609ab9f77f51dc6"
+    )
+
+
+# -- critical pairs come from the tries, in the order of the plain scan they
+#    replaced: other rule id, then direction, then overlap width.
+
+
+def reference_overlaps(a, b):
+    """Proper overlap widths: a nonempty suffix of `a` equals a prefix of `b`."""
+    for k in range(1, min(len(a), len(b))):
+        if a[-k:] == b[:k]:
+            yield k
+
+
+@given(rule_tables(), st.sets(st.integers(0, 50)))
+@example({0: R("aba", "b"), 1: R("aa", "a"), 2: R("ba", ""), 3: R("cab", "c")}, set())
+def test_trie_overlaps_match_reference_scan(table, gone):
+    comp = _Completion(Budget())
+    comp.rules.update(table)
+    for rid in sorted(table):
+        comp.index.add(rid)
+        comp.suffixes.add(rid)
+    for rid in gone & set(table):
+        comp.index.remove(rid)
+        comp.suffixes.remove(rid)
+        del comp.rules[rid]
+    for rid, rule in comp.rules.items():
+        comp.pairs.clear()
+        comp._queue_pairs(rid)
+        pushed = [(a, b, k) for _, _, a, b, k in sorted(comp.pairs, key=lambda t: t[1])]
+        expected = []
+        for oid in sorted(comp.rules):
+            other = comp.rules[oid]
+            expected += [(rid, oid, k) for k in reference_overlaps(rule.lhs, other.lhs)]
+            if oid != rid:
+                expected += [(oid, rid, k) for k in reference_overlaps(other.lhs, rule.lhs)]
+        assert pushed == expected
+
+
 def test_confluence_audit_raises_on_divergence_and_containment():
     ab = parse_presentation("monoid\ngens: a, b\nrels:")
     diverging = RewritingSystem((R("ab", "a"), R("ba", "b")), ab, Completeness.COMPLETE)
@@ -351,4 +406,4 @@ def test_completion_refuses_a_rule_that_does_not_decrease(monkeypatch):
     monkeypatch.setattr(rewriting, "shortlex", lambda w: 0)  # a broken order
     comp = _Completion(Budget())
     with pytest.raises(RuntimeError, match="strictly decreasing"):
-        comp.add_rule((0,), (2,))
+        comp.add_rule(b"\x00", b"\x02")
