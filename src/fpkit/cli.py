@@ -475,8 +475,20 @@ def parse_manifest(path: Path) -> list[ManifestRow]:
     return rows
 
 
+# manifest key of each build setting a row may state
+_ROW_SETTINGS = {"xi_range": "xi", "recipe": "recipe"}
+
+
+def _input_keys(kind: _Kind) -> list[str]:
+    return [options.get("dest", flag.lstrip("-")) for flag, options in kind.inputs]
+
+
 def _job_from_row(row: ManifestRow, base_dir: Path, config: RunConfig):
     kind = KINDS[row.kind]
+    known = _input_keys(kind) + [_ROW_SETTINGS[s] for s in kind.build_settings]
+    for key in row.inputs:
+        if key not in known:
+            raise PresentationError(f"instance {row.name}: unknown input {key}")
     try:
         return kind.job.from_inputs(row.name, row.inputs, base_dir, config)
     except KeyError as exc:
@@ -600,8 +612,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_corpus(manifest, config)
 
         kind = KINDS[args.kind]
-        keys = [options.get("dest", flag.lstrip("-")) for flag, options in kind.inputs]
-        inputs = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+        inputs = {k: getattr(args, k) for k in _input_keys(kind) if getattr(args, k) is not None}
         job = _job_from_row(ManifestRow(args.name, args.kind, inputs, ""), Path(), config)
         if args.command == "build":
             build = kind.build(job)

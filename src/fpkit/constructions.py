@@ -359,7 +359,6 @@ def default_stable_letters(n: int) -> tuple[str, ...]:
 @dataclass
 class GroupTestBuild:
     presentation: Presentation
-    spreader: str
     trail: AuditTrail
 
 
@@ -421,7 +420,7 @@ def _rabin_ladder(inst: GroupTestInstance, trail: AuditTrail) -> GroupTestBuild:
     welds.append(Relation(cw, conj(2 * n + 3)))
     out = Presentation(Kind.GROUP, laddered.generators, laddered.relations + tuple(welds))
     trail.add("welds", f"{len(welds)} welding relations (stable letters and {c})", out)
-    return GroupTestBuild(out, d, trail)
+    return GroupTestBuild(out, trail)
 
 
 RECIPES: dict[str, Callable[[GroupTestInstance, AuditTrail], GroupTestBuild]] = {

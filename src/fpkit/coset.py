@@ -4,11 +4,14 @@ HLT-style (relator tracing) enumeration over a finitely generated
 subgroup.  Table columns are the letter codes of
 `presentations.encode_word`: column 2i is generator i and 2i+1 its
 inverse, so ``col ^ 1`` is the inverse column.  Entries are mutually
-inverse at all times.  Coincidences are merged to transitive closure
-immediately through a union-find over coset ids, replaying the deleted
-coset's edges onto the survivor.  When the table hits the coset limit and
-enough rows are dead, the table is compacted in place (ids renumbered in
-order) and enumeration resumes; otherwise the run ends Exhausted.
+inverse, and outside `CosetTable.coincide` every entry of a live row names
+a live coset, so the table is read directly.  Coincidences are merged to
+transitive closure at once: the higher id dies, its edges move to the
+survivor and the edges into it are deleted.  The union-find over coset ids
+only resolves queued coincidences, whose cosets may die while queued.
+When the table hits the coset limit and enough rows are dead, the table is
+compacted in place (ids renumbered in order) and enumeration resumes;
+otherwise the run ends Exhausted.
 
 A closed table certifies the subgroup index.  Triviality testing first
 consults the abelianization (the cheap certificate for nontriviality,
@@ -62,10 +65,6 @@ class CosetTable:
         self.debug_checks = False
         self.new_coset()
 
-    @staticmethod
-    def inv(col: int) -> int:
-        return col ^ 1
-
     # -- core mutations
 
     def new_coset(self) -> int:
@@ -88,42 +87,21 @@ class CosetTable:
     def is_live(self, c: int) -> bool:
         return self.parent[c] == c
 
-    def entry(self, c: int, col: int) -> int:
-        e = self.rows[self.find(c)][col]
-        return UNDEF if e == UNDEF else self.find(e)
-
     def set_entry(self, c: int, col: int, d: int):
-        c, d = self.find(c), self.find(d)
         self.rows[c][col] = d
-        self.rows[d][self.inv(col)] = c
+        self.rows[d][col ^ 1] = c
         self.deductions += 1
         if self.deductions > self.limits.max_deductions:
             raise _WorkExceeded
 
-    def _insert_edge(self, c: int, col: int, d: int, queue: list[tuple[int, int]]):
-        """Record the edge c --col--> d between live reps, queueing clashes.
-
-        Edges are always written as mutually inverse pairs; when a slot is
-        already taken the two claimed targets are queued for coincidence
-        instead of overwriting.
-        """
-        ex = self.rows[c][col]
-        if ex != UNDEF:
-            queue.append((self.find(ex), d))
-            return
-        ed = self.rows[d][self.inv(col)]
-        if ed != UNDEF:
-            if self.find(ed) == c:
-                self.rows[c][col] = d  # complete the half of the pair we lack
-            else:
-                queue.append((self.find(ed), c))
-            return
-        self.rows[c][col] = d
-        self.rows[d][self.inv(col)] = c
-
     def coincide(self, a: int, b: int):
-        """Merge two cosets and propagate to transitive closure."""
-        queue = [(a, b)]
+        """Merge two cosets and propagate to transitive closure.
+
+        Each edge y --col--> d of the dying coset y loses its inverse half
+        and moves to the survivor x, or queues a coincidence where x already
+        has an edge in that column (or, for a loop at y, the inverse column).
+        """
+        rows, queue = self.rows, [(a, b)]
         while queue:
             x, y = queue.pop()
             x, y = self.find(x), self.find(y)
@@ -134,29 +112,39 @@ class CosetTable:
             self.parent[y] = x
             self.live -= 1
             for col in range(self.ncols):
-                d = self.rows[y][col]
+                d = rows[y][col]
                 if d == UNDEF:
                     continue
-                self._insert_edge(self.find(x), col, self.find(d), queue)
+                rows[d][col ^ 1] = UNDEF
+                if d == y:
+                    d = x
+                if rows[x][col] != UNDEF:
+                    queue.append((rows[x][col], d))
+                elif rows[d][col ^ 1] != UNDEF:
+                    queue.append((rows[d][col ^ 1], x))
+                else:
+                    rows[x][col] = d
+                    rows[d][col ^ 1] = x
         if self.debug_checks:
             self.check_consistency()
 
     def scan_and_fill(self, alpha: int, relator: bytes):
-        """Trace a relator at a coset, filling gaps with new cosets (HLT)."""
+        """Trace a relator at a live coset, filling gaps with new cosets (HLT)."""
         if not relator:
             return
-        f, i = self.find(alpha), 0
-        b, j = self.find(alpha), len(relator) - 1
+        rows = self.rows
+        f, i = alpha, 0
+        b, j = alpha, len(relator) - 1
         while True:
-            while i <= j and self.entry(f, relator[i]) != UNDEF:
-                f = self.entry(f, relator[i])
+            while i <= j and rows[f][relator[i]] != UNDEF:
+                f = rows[f][relator[i]]
                 i += 1
             if i > j:
                 if f != b:
                     self.coincide(f, b)
                 return
-            while j >= i and self.entry(b, self.inv(relator[j])) != UNDEF:
-                b = self.entry(b, self.inv(relator[j]))
+            while j >= i and rows[b][relator[j] ^ 1] != UNDEF:
+                b = rows[b][relator[j] ^ 1]
                 j -= 1
             if j < i:
                 self.coincide(f, b)
@@ -183,13 +171,14 @@ class CosetTable:
         for row in new_rows:
             for col in range(self.ncols):
                 if row[col] != UNDEF:
-                    row[col] = remap[self.find(row[col])]
+                    row[col] = remap[row[col]]
         self.rows = new_rows
         self.parent = list(range(len(new_rows)))
         self.live = len(new_rows)
         return remap
 
     def check_consistency(self):
+        """Raise unless live rows name live cosets through mutually inverse edges."""
         for c in range(len(self.rows)):
             if not self.is_live(c):
                 continue
@@ -197,8 +186,9 @@ class CosetTable:
                 d = self.rows[c][col]
                 if d == UNDEF:
                     continue
-                back = self.rows[self.find(d)][self.inv(col)]
-                if back == UNDEF or self.find(back) != c:
+                if not self.is_live(d):
+                    raise RuntimeError(f"coset {c}, column {col} names dead coset {d}")
+                if self.rows[d][col ^ 1] != c:
                     raise RuntimeError(f"inverse consistency broken at coset {c}, column {col}")
 
     def is_closed(self) -> bool:
@@ -215,10 +205,6 @@ class TcResult:
     closed: bool
     index: int | None
     table: CosetTable
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.closed
 
 
 def todd_coxeter(
@@ -255,15 +241,13 @@ def todd_coxeter(
                         break
                 if table.is_live(alpha):
                     for col in range(table.ncols):
-                        if table.entry(alpha, col) == UNDEF:
+                        if table.rows[alpha][col] == UNDEF:
                             n = table.new_coset()
                             table.set_entry(alpha, col, n)
             except _TableFull:
                 # lookahead compaction: drop dead rows if there are enough
                 if table.live <= 0.75 * len(table.rows):
-                    rep = table.find(alpha)
-                    remap = table.compact()
-                    alpha = remap[rep]
+                    alpha = table.compact()[alpha]
                     continue  # rescan the same coset; prior fills are kept
                 return TcResult(False, None, table)
             alpha += 1

@@ -78,6 +78,18 @@ def test_corpus_mismatch_flagged(tmp_path):
     assert "MISMATCH" in buf.getvalue()
 
 
+def test_manifest_rejects_inputs_its_kind_does_not_read(tmp_path, capsys):
+    # `W=b` is a typo for `b=b`, and `xi` and `cutoff` are not test-group inputs
+    manifest = tmp_path / "m.tsv"
+    base = CORPUS / "base_z.pres"
+    for extra in ("W=b", "xi=all", "cutoff=3"):
+        row = f"typo\ttest-group\tbase={base};w=a;{extra}\tproved\n"
+        manifest.write_text(row, encoding="utf-8")
+        assert main(["corpus", str(manifest)]) == EXIT_USAGE
+        key = extra.partition("=")[0]
+        assert f"error: instance typo: unknown input {key}\n" in capsys.readouterr().err
+
+
 def test_verify_markov_equal_instance_proved():
     job = MarkovJob(
         "t",

@@ -97,7 +97,7 @@ def test_enumeration_agrees_with_rewriting_on_corpus_groups():
         if len(forms) <= 200:
             assert result.closed and result.index == len(forms), path.name
         else:
-            assert result.exhausted, path.name
+            assert not result.closed, path.name
 
 
 def test_abelian_corpus_groups_index_matches_invariant_factors():
@@ -106,7 +106,7 @@ def test_abelian_corpus_groups_index_matches_invariant_factors():
         inv = abelianization(p)
         result = todd_coxeter(p, (), LIMITS)
         if inv.free_rank > 0:
-            assert result.exhausted, name
+            assert not result.closed, name
         else:
             order = 1
             for t in inv.torsion:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -7,7 +8,9 @@ from fpkit.coset import UNDEF, CosetTable, EnumLimits, is_trivial, todd_coxeter
 from fpkit.presentations import (
     Kind,
     Presentation,
+    Relation,
     ValidationError,
+    Word,
     parse_presentation,
     parse_word,
     rename_generators,
@@ -43,7 +46,7 @@ def test_unclosed_table_raises_even_without_asserts(monkeypatch):
 
 def test_free_group_exhausts():
     r = todd_coxeter(parse_presentation("group\ngens: a, b\nrels:"), (), EnumLimits(40, 4000))
-    assert r.exhausted
+    assert not r.closed
 
 
 def test_classic_trivial_presentation_closes_at_one():
@@ -109,8 +112,6 @@ def test_abelian_index_equals_product_of_invariant_factors():
 
 
 def test_inverse_consistency_after_randomized_runs():
-    from fpkit.presentations import Relation, Word
-
     rng = random.Random(11)
     gens = ("a", "b")
     for _ in range(25):
@@ -125,6 +126,56 @@ def test_inverse_consistency_after_randomized_runs():
         r.table.check_consistency()
 
 
+def random_enumerations(seed: int, count: int):
+    """Seeded presentations on 1-3 generators, some with subgroup generators.
+
+    The limits mix closed runs, runs that stop at the coset cap or the
+    deduction cap, and runs that compact mid-enumeration.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        gens = ("a", "b", "c")[: rng.randint(1, 3)]
+
+        def word(lo: int, hi: int) -> Word:
+            return Word(
+                tuple(
+                    (rng.choice(gens), rng.choice((-2, -1, 1, 2)))
+                    for _ in range(rng.randint(lo, hi))
+                )
+            )
+
+        rels = tuple(Relation(word(1, 5), Word()) for _ in range(rng.randint(1, 4)))
+        subgens = tuple(word(1, 3) for _ in range(rng.choice((0, 0, 1, 2))))
+        limits = EnumLimits(rng.choice((20, 60, 200, 1000)), rng.choice((2_000, 20_000)))
+        yield Presentation(Kind.GROUP, gens, rels), subgens, limits
+
+
+def test_randomized_enumerations_are_pinned(monkeypatch):
+    # the same work on every run: verdict, index, deduction count, rows
+    # allocated, live count and every live row, entries read through find
+    compactions = []
+    compact = CosetTable.compact
+    monkeypatch.setattr(CosetTable, "compact", lambda t: compactions.append(1) or compact(t))
+    digest = hashlib.sha256()
+    closed = 0
+    for p, subgens, limits in random_enumerations(8, 200):
+        r = todd_coxeter(p, subgens, limits)
+        t = r.table
+        live_rows = tuple(
+            tuple(UNDEF if e == UNDEF else t.find(e) for e in t.rows[c])
+            for c in range(len(t.rows))
+            if t.is_live(c)
+        )
+        record = (r.closed, r.index, t.deductions, len(t.rows), t.live, live_rows)
+        digest.update(repr(record).encode())
+        closed += r.closed
+    # every closed run compacts once at the end; the rest compacted mid-run
+    assert (closed, len(compactions) - closed) == (145, 27)
+    assert digest.hexdigest() == (
+        "3f443b8a17e1036993363e5fb6bd4ac6bde3bf5250b695b3cdbd4978d9aae896"
+    )
+
+
 def test_corrupted_entry_fails_the_consistency_check():
     # a real exception, so python -O keeps the check
     r = todd_coxeter(parse_presentation(KLEIN), (), LIMITS)
@@ -132,6 +183,22 @@ def test_corrupted_entry_fails_the_consistency_check():
     r.table.rows[0][0] = 2  # column a of coset 0 now points where a^-1 does not lead back
     with pytest.raises(RuntimeError, match="inverse consistency broken at coset 0, column 0"):
         r.table.check_consistency()
+
+
+def test_live_row_naming_a_dead_coset_fails_the_consistency_check():
+    # coset 2 died into 1 and coset 1 took over the inverse entry, but
+    # coset 0 still names 2: consistent only if entries were read through
+    # find, which the table no longer does
+    table = CosetTable(("a",), LIMITS)
+    for _ in range(2):
+        table.new_coset()
+    table.set_entry(0, 0, 2)
+    table.check_consistency()
+    table.parent[2] = 1
+    table.live -= 1
+    table.rows[1][1] = 0
+    with pytest.raises(RuntimeError, match="coset 0, column 0 names dead coset 2"):
+        table.check_consistency()
 
 
 def dump(table: CosetTable) -> str:
@@ -145,7 +212,7 @@ def dump(table: CosetTable) -> str:
         cells = []
         for col in range(table.ncols):
             e = table.rows[c][col]
-            cells.append("-" if e == UNDEF else str(remap[table.find(e)]))
+            cells.append("-" if e == UNDEF else str(remap[e]))
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -171,11 +238,13 @@ def test_is_trivial_examples():
 
 
 def test_is_trivial_unknown_on_starved_limits():
-    # perfect group with no small quotient: abelianization is blind and
-    # enumeration cannot close inside 20 cosets
+    # a trivial group, so abelianization is blind; enumeration needs 9
+    # cosets to close with index 1 and cannot inside 3
     p = parse_presentation(CLASSIC_TRIVIAL)
+    assert not todd_coxeter(p, (), EnumLimits(8, 1_000_000)).closed
+    assert todd_coxeter(p, (), EnumLimits(9, 1_000_000)).index == 1
     verdict = is_trivial(p, EnumLimits(3, 50))
-    assert verdict.status in ("unknown", "trivial")
+    assert verdict.status == "unknown"
 
 
 def test_lookahead_compaction_recovers_space():
@@ -221,4 +290,4 @@ def test_compaction_under_tight_coset_cap():
     r = todd_coxeter(p, (), EnumLimits(500, 10_000_000))
     assert r.closed and r.index == 168
     tight = todd_coxeter(p, (), EnumLimits(200, 10_000_000))
-    assert tight.exhausted
+    assert not tight.closed
