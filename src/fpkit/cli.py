@@ -511,8 +511,10 @@ def cmd_corpus(manifest: Path, config: RunConfig, out=sys.stdout) -> int:
     base_dir = manifest.parent
     tasks = [(row, base_dir, config) for row in rows]
     results: list[tuple[str, str]] = []
-    if config.jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        # under fork every worker starts at once, so start no more than rows
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_row, tasks))
     else:
         results = [_run_row(t) for t in tasks]

@@ -11,16 +11,27 @@ survivor and the edges into it are deleted.  The union-find over coset ids
 only resolves queued coincidences, whose cosets may die while queued.
 When the table hits the coset limit and enough rows are dead, the table is
 compacted in place (ids renumbered in order) and enumeration resumes;
-otherwise the run ends Exhausted.
+otherwise the run ends Exhausted.  The table after a coincidence depends
+only on the merged partition, so `coincide` may visit a dying row's edges
+in any way that moves each of them.  An enumeration runs with the cyclic
+garbage collector paused (see `_gc_paused`).
 
 A closed table certifies the subgroup index.  Triviality testing first
 consults the abelianization (the cheap certificate for nontriviality,
 since enumeration can never certify an infinite group nontrivial) and
-then enumerates over the empty subgroup.
+then enumerates over the empty subgroup.  `is_trivial` keeps its last 128
+verdicts per process, keyed on the generator count, the relators' letter
+codes in relation order and the limits, so presentations that differ only
+by a renaming share a verdict.  Only the frozen `Triviality` is kept, never
+a table: whatever a certificate reads from an enumeration must be part of
+that record, or a cached verdict and a fresh one would certify differently.
 """
 
 from __future__ import annotations
 
+import gc
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,51 +112,75 @@ class CosetTable:
         and moves to the survivor x, or queues a coincidence where x already
         has an edge in that column (or, for a loop at y, the inverse column).
         """
-        rows, queue = self.rows, [(a, b)]
+        rows, parent, queue = self.rows, self.parent, [(a, b)]
+        merged = 0
         while queue:
             x, y = queue.pop()
-            x, y = self.find(x), self.find(y)
+            while parent[x] != x:  # path halving: roots are what count
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
             if x == y:
                 continue
             if x > y:
                 x, y = y, x
-            self.parent[y] = x
-            self.live -= 1
-            for col in range(self.ncols):
-                d = rows[y][col]
+            parent[y] = x
+            merged += 1
+            row_x, row_y = rows[x], rows[y]
+            # the loop reads entries as it reaches them, since a loop at y
+            # loses its inverse half on the way; it stops after y's last edge
+            edges = len(row_y) - row_y.count(UNDEF)
+            for col, d in enumerate(row_y):
                 if d == UNDEF:
                     continue
-                rows[d][col ^ 1] = UNDEF
+                inv = col ^ 1
+                row_d = rows[d]
+                row_d[inv] = UNDEF
                 if d == y:
-                    d = x
-                if rows[x][col] != UNDEF:
-                    queue.append((rows[x][col], d))
-                elif rows[d][col ^ 1] != UNDEF:
-                    queue.append((rows[d][col ^ 1], x))
+                    d, row_d = x, row_x
+                    edges -= inv > col
+                if row_x[col] != UNDEF:
+                    queue.append((row_x[col], d))
+                elif row_d[inv] != UNDEF:
+                    queue.append((row_d[inv], x))
                 else:
-                    rows[x][col] = d
-                    rows[d][col ^ 1] = x
+                    row_x[col] = d
+                    row_d[inv] = x
+                edges -= 1
+                if not edges:
+                    break
+        self.live -= merged
         if self.debug_checks:
             self.check_consistency()
 
     def scan_and_fill(self, alpha: int, relator: bytes):
-        """Trace a relator at a live coset, filling gaps with new cosets (HLT)."""
+        """Trace a relator at a live coset, filling gaps with new cosets (HLT).
+
+        Nearly every coset is made here, so the definition loop does the
+        work of `new_coset` and `set_entry` in place and counts its cosets
+        toward `live` and `deductions` once, on whatever way it exits.
+        """
         if not relator:
             return
-        rows = self.rows
+        rows, parent, blank = self.rows, self.parent, [UNDEF] * self.ncols
+        max_cosets, max_deductions = self.limits.max_cosets, self.limits.max_deductions
         f, i = alpha, 0
         b, j = alpha, len(relator) - 1
         while True:
-            while i <= j and rows[f][relator[i]] != UNDEF:
-                f = rows[f][relator[i]]
-                i += 1
+            while i <= j:
+                d = rows[f][relator[i]]
+                if d == UNDEF:
+                    break
+                f, i = d, i + 1
             if i > j:
                 if f != b:
                     self.coincide(f, b)
                 return
-            while j >= i and rows[b][relator[j] ^ 1] != UNDEF:
-                b = rows[b][relator[j] ^ 1]
-                j -= 1
+            while j >= i:
+                d = rows[b][relator[j] ^ 1]
+                if d == UNDEF:
+                    break
+                b, j = d, j - 1
             if j < i:
                 self.coincide(f, b)
                 return
@@ -154,27 +189,46 @@ class CosetTable:
                 if self.debug_checks:
                     self.check_consistency()
                 return
-            n = self.new_coset()
-            self.set_entry(f, relator[i], n)
-            f, i = n, i + 1
+            # define f . relator[i] = n and step to n, while neither scan
+            # could move and the gap stays wider than one letter
+            first = n = len(rows)
+            spare = max_deductions - self.deductions
+            try:
+                while True:
+                    if n >= max_cosets:
+                        raise _TableFull
+                    col = relator[i]
+                    row = blank.copy()
+                    row[col ^ 1] = f
+                    rows.append(row)
+                    parent.append(n)
+                    rows[f][col] = n
+                    f, n, i = n, n + 1, i + 1
+                    if n - first > spare:
+                        raise _WorkExceeded
+                    if i == j or row[relator[i]] != UNDEF or rows[b][relator[j] ^ 1] != UNDEF:
+                        break
+            finally:
+                self.live += n - first
+                self.deductions += n - first
 
     # -- maintenance
 
     def compact(self) -> list[int]:
         """Drop dead rows, renumbering live cosets in id order."""
         remap = [UNDEF] * len(self.rows)
-        new_rows: list[list[int]] = []
-        for c in range(len(self.rows)):
-            if self.is_live(c):
-                remap[c] = len(new_rows)
-                new_rows.append(self.rows[c])
-        for row in new_rows:
-            for col in range(self.ncols):
-                if row[col] != UNDEF:
-                    row[col] = remap[row[col]]
-        self.rows = new_rows
-        self.parent = list(range(len(new_rows)))
-        self.live = len(new_rows)
+        rows: list[list[int]] = []
+        for c, row in enumerate(self.rows):
+            if self.parent[c] == c:
+                remap[c] = len(rows)
+                rows.append(row)
+        # drop the dead rows before renumbering, and renumber in place, so
+        # that a compaction never holds more rows than the table had
+        self.rows = rows
+        for row in rows:
+            row[:] = [UNDEF if d == UNDEF else remap[d] for d in row]
+        self.parent = list(range(len(rows)))
+        self.live = len(rows)
         return remap
 
     def check_consistency(self):
@@ -223,25 +277,50 @@ def todd_coxeter(
     table = CosetTable(p.generators, limits)
     table.debug_checks = debug_checks
     relators = [encode_word(p, rel.lhs * rel.rhs.inverse()) for rel in p.relations]
+    with _gc_paused():
+        return _enumerate(table, relators, [encode_word(p, w) for w in subgens])
+
+
+@contextmanager
+def _gc_paused():
+    """Hold off the cyclic garbage collector while a coset table grows.
+
+    Rows are lists of ints, so a table holds no reference cycles, yet every
+    row is a tracked container: collections during an enumeration would
+    only walk its rows, and a full collection walks every object the
+    process holds.  Freed tables go by reference counting.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _enumerate(table: CosetTable, relators: list[bytes], subgens: list[bytes]) -> TcResult:
     try:
         try:
             for w in subgens:
-                table.scan_and_fill(0, encode_word(p, w))
+                table.scan_and_fill(0, w)
         except _TableFull:
             return TcResult(False, None, table)
-        alpha = 0
+        scan, alpha = table.scan_and_fill, 0
         while alpha < len(table.rows):
-            if not table.is_live(alpha):
+            parent = table.parent  # compaction replaces it
+            if parent[alpha] != alpha:
                 alpha += 1
                 continue
             try:
                 for rel in relators:
-                    table.scan_and_fill(alpha, rel)
-                    if not table.is_live(alpha):
+                    scan(alpha, rel)
+                    if parent[alpha] != alpha:
                         break
-                if table.is_live(alpha):
+                else:
+                    row = table.rows[alpha]
                     for col in range(table.ncols):
-                        if table.rows[alpha][col] == UNDEF:
+                        if row[col] == UNDEF:
                             n = table.new_coset()
                             table.set_entry(alpha, col, n)
             except _TableFull:
@@ -254,7 +333,7 @@ def todd_coxeter(
     except _WorkExceeded:
         return TcResult(False, None, table)
     table.compact()
-    if debug_checks:
+    if table.debug_checks:
         table.check_consistency()
     if not table.is_closed():
         raise RuntimeError("coset enumeration stopped with an incomplete table")
@@ -279,10 +358,37 @@ class Triviality:
         return self.status != "unknown"
 
 
+# (generator count, relator letter codes, limits) -> verdict, least recent first
+_verdicts: OrderedDict[tuple, Triviality] = OrderedDict()
+_MAX_VERDICTS = 128
+
+
 def is_trivial(p: Presentation, limits: EnumLimits = DEFAULT_LIMITS) -> Triviality:
-    """Three-valued triviality test: abelianization first, then enumeration."""
+    """Three-valued triviality test: abelianization first, then enumeration.
+
+    The verdict depends only on the generator count, the relators' letter
+    codes in relation order (the order steers a budgeted enumeration) and
+    `limits`, so the last 128 are kept under that key and a repeated or
+    renamed presentation is not enumerated again.
+    """
     if p.kind is not Kind.GROUP:
         raise ValidationError("is_trivial expects a group presentation")
+    try:
+        relators = tuple(encode_word(p, rel.lhs * rel.rhs.inverse()) for rel in p.relations)
+    except ValidationError:  # too many generators for letter codes: decide uncached
+        return _decide(p, limits)
+    key = (len(p.generators), relators, limits)
+    verdict = _verdicts.get(key)
+    if verdict is not None:
+        _verdicts.move_to_end(key)
+        return verdict
+    verdict = _verdicts[key] = _decide(p, limits)
+    if len(_verdicts) > _MAX_VERDICTS:
+        _verdicts.popitem(last=False)
+    return verdict
+
+
+def _decide(p: Presentation, limits: EnumLimits) -> Triviality:
     inv = abelianization(p)
     if not inv.is_trivial:
         return Triviality("nontrivial", f"abelianization is {inv}")

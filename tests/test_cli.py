@@ -354,3 +354,34 @@ def test_manifest_property_name_defaults_to_unnamed(tmp_path):
 def test_run_config_is_serial_by_default():
     assert RunConfig().jobs == 1
     assert _build_parser().parse_args(["corpus"]).jobs == 1
+
+
+def test_corpus_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Recording:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    manifest = tmp_path / "m.tsv"
+    rows = [f"r{i}\ttest-group\t{ROW_INPUTS['test-group']}\tproved\n" for i in range(3)]
+    manifest.write_text("".join(rows), encoding="utf-8")
+    assert cmd_corpus(manifest, RunConfig(jobs=32), out=io.StringIO()) == EXIT_PROVED
+    manifest.write_text(rows[0], encoding="utf-8")
+    assert cmd_corpus(manifest, RunConfig(jobs=32), out=io.StringIO()) == EXIT_PROVED
+    # three rows start three workers; one row runs in this process
+    assert started == [3]

@@ -5,7 +5,7 @@ import io
 import itertools
 import json
 
-from fpkit.cli import RunConfig, cmd_corpus, parse_manifest
+from fpkit.cli import EXIT_PROVED, RunConfig, cmd_corpus, parse_manifest
 from fpkit.constructions import MarkovInstance, XiRange, markov_semigroup
 from fpkit.corpus import bundled_manifest, corpus_dir
 from fpkit.coset import EnumLimits, todd_coxeter
@@ -159,3 +159,17 @@ def test_bundled_certificates_are_pinned(tmp_path):
     }
     assert len(got) == 20
     assert got == CERTIFICATE_DIGESTS
+
+
+def test_pool_writes_the_certificates_a_serial_run_writes(tmp_path):
+    # each pool worker has its own caches, so this also checks that a
+    # worker's cold caches certify what one warm process does
+    for jobs in (1, 2):
+        config = RunConfig(jobs=jobs, out_dir=tmp_path / str(jobs))
+        assert cmd_corpus(bundled_manifest(), config, out=io.StringIO()) == EXIT_PROVED
+    serial, pooled = (
+        {path.name: masked_digest(path.read_text(encoding="utf-8")) for path in d.iterdir()}
+        for d in (tmp_path / "1", tmp_path / "2")
+    )
+    assert len(serial) == 20
+    assert pooled == serial

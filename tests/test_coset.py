@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import itertools
 import random
+from collections import OrderedDict
 
 import pytest
 
-from fpkit.coset import UNDEF, CosetTable, EnumLimits, is_trivial, todd_coxeter
+from fpkit import coset
+from fpkit.coset import UNDEF, CosetTable, EnumLimits, Triviality, is_trivial, todd_coxeter
 from fpkit.presentations import (
     Kind,
     Presentation,
@@ -176,6 +179,84 @@ def test_randomized_enumerations_are_pinned(monkeypatch):
     )
 
 
+def reference_scan_and_fill(table: CosetTable, alpha: int, relator: bytes):
+    """Relator tracing that defines one coset per pass of both scans."""
+    if not relator:
+        return
+    rows = table.rows
+    f, i = alpha, 0
+    b, j = alpha, len(relator) - 1
+    while True:
+        while i <= j and rows[f][relator[i]] != UNDEF:
+            f = rows[f][relator[i]]
+            i += 1
+        if i > j:
+            if f != b:
+                table.coincide(f, b)
+            return
+        while j >= i and rows[b][relator[j] ^ 1] != UNDEF:
+            b = rows[b][relator[j] ^ 1]
+            j -= 1
+        if j < i:
+            table.coincide(f, b)
+            return
+        if j == i:
+            table.set_entry(f, relator[i], b)
+            return
+        n = table.new_coset()
+        table.set_entry(f, relator[i], n)
+        f, i = n, i + 1
+
+
+def test_scan_and_fill_matches_reference_scans():
+    # random relators, unreduced ones included, so that a scan can move
+    # again right after a definition; tiny limits stop scans mid-gap
+    rng = random.Random(5)
+    stopped = 0
+    for _ in range(400):
+        gens = ("a", "b", "c")[: rng.randint(1, 3)]
+        limits = EnumLimits(rng.choice((3, 8, 30)), rng.choice((3, 10, 100)))
+        got, want = CosetTable(gens, limits), CosetTable(gens, limits)
+        for _ in range(rng.randint(1, 12)):
+            alpha = rng.choice([c for c in range(len(want.rows)) if want.is_live(c)])
+            relator = bytes(rng.randrange(2 * len(gens)) for _ in range(rng.randint(0, 9)))
+            outcomes = []
+            for table, scan in ((got, CosetTable.scan_and_fill), (want, reference_scan_and_fill)):
+                try:
+                    scan(table, alpha, relator)
+                    outcomes.append(None)
+                except (coset._TableFull, coset._WorkExceeded) as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
+            assert (got.rows, got.deductions, got.live) == (want.rows, want.deductions, want.live)
+            assert [got.find(c) for c in range(len(got.rows))] == [
+                want.find(c) for c in range(len(want.rows))
+            ]
+            if outcomes[0] is not None:
+                stopped += 1
+                break
+    assert stopped > 100
+
+
+def test_enumeration_pauses_the_garbage_collector(monkeypatch):
+    # rows hold no cycles, so no collection runs while a table grows; a
+    # collector the caller disabled stays disabled
+    seen = []
+    scan = CosetTable.scan_and_fill
+    monkeypatch.setattr(
+        CosetTable, "scan_and_fill", lambda t, c, rel: seen.append(gc.isenabled()) or scan(t, c, rel)
+    )
+    assert gc.isenabled()
+    assert todd_coxeter(parse_presentation(KLEIN), (), LIMITS).index == 4
+    assert gc.isenabled() and seen and not any(seen)
+    gc.disable()
+    try:
+        todd_coxeter(parse_presentation(C5), (), EnumLimits(2, 100))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_corrupted_entry_fails_the_consistency_check():
     # a real exception, so python -O keeps the check
     r = todd_coxeter(parse_presentation(KLEIN), (), LIMITS)
@@ -245,6 +326,79 @@ def test_is_trivial_unknown_on_starved_limits():
     assert todd_coxeter(p, (), EnumLimits(9, 1_000_000)).index == 1
     verdict = is_trivial(p, EnumLimits(3, 50))
     assert verdict.status == "unknown"
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Clear the verdict cache and count the enumerations `is_trivial` runs."""
+    monkeypatch.setattr(coset, "_verdicts", OrderedDict())
+    calls = []
+    enumerate_cosets = coset.todd_coxeter
+    monkeypatch.setattr(
+        coset, "todd_coxeter", lambda *args: calls.append(args) or enumerate_cosets(*args)
+    )
+    return calls
+
+
+def test_equal_and_renamed_presentations_enumerate_once(enumerations):
+    p = parse_presentation(CLASSIC_TRIVIAL)
+    again = parse_presentation(CLASSIC_TRIVIAL)
+    renamed = rename_generators(p, {"a": "u", "b": "v"})
+    verdicts = [is_trivial(q, LIMITS) for q in (p, again, renamed)]
+    assert verdicts == [verdicts[0]] * 3 and verdicts[0].is_trivial
+    assert len(enumerations) == 1
+
+
+def test_extra_generator_gives_its_own_verdict(enumerations):
+    p = parse_presentation(CLASSIC_TRIVIAL)
+    wider = Presentation(Kind.GROUP, (*p.generators, "c"), p.relations)
+    assert is_trivial(p, LIMITS).is_trivial
+    # the same relator codes, but c is free: Z in the abelianization
+    assert is_trivial(wider, LIMITS).status == "nontrivial"
+    assert is_trivial(p, LIMITS).is_trivial
+
+
+def test_groups_too_wide_for_letter_codes_are_still_decided(enumerations):
+    # no key can be made, but the abelianization needs no letter codes
+    gens = tuple(f"g{i}" for i in range(129))
+    wide = Presentation(Kind.GROUP, gens, (Relation(W("g0"), Word()),))
+    assert is_trivial(wide, LIMITS).status == "nontrivial"
+    assert not coset._verdicts
+
+
+def test_limits_are_part_of_the_key(enumerations):
+    p = parse_presentation(CLASSIC_TRIVIAL)
+    starved = EnumLimits(3, 50)
+    assert is_trivial(p, starved).status == "unknown"
+    assert is_trivial(p, LIMITS).is_trivial
+    assert is_trivial(p, starved).status == "unknown"
+    assert len(enumerations) == 2
+
+
+def test_cached_verdicts_equal_fresh_ones(enumerations):
+    a5 = "group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, a b a b a b a b a b = 1"  # perfect
+    cases = [
+        (parse_presentation(a5), LIMITS),
+        (parse_presentation(CLASSIC_TRIVIAL), EnumLimits(3, 50)),
+    ]
+    cases += [(p, limits) for p, _, limits in random_enumerations(3, 200)]
+    # repeats, renamings and more distinct keys than the cache holds
+    cases += [(rename_generators(p, {"a": "x"}), limits) for p, limits in cases[:100:3]]
+    cases += cases[::2]
+    cached = [is_trivial(p, limits) for p, limits in cases]
+    assert len(coset._verdicts) == 128
+    assert all(type(v) is Triviality for v in coset._verdicts.values())
+    # without the cache, every case with a trivial abelianization enumerates
+    blind = sum(abelianization(p).is_trivial for p, _ in cases)
+    cached_calls = len(enumerations)
+    assert cached_calls < blind
+    fresh = []
+    for p, limits in cases:
+        coset._verdicts.clear()
+        fresh.append(is_trivial(p, limits))
+    assert cached == fresh
+    assert len(enumerations) - cached_calls == blind
+    assert {v.status for v in fresh} == {"trivial", "nontrivial", "unknown"}
 
 
 def test_lookahead_compaction_recovers_space():
