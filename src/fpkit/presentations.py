@@ -81,6 +81,13 @@ def _merge(pairs) -> tuple[tuple[str, int], ...]:
     return tuple((s, e) for s, e in out)
 
 
+def power_letters(letters: tuple[tuple[str, int], ...], k: int) -> tuple[tuple[str, int], ...]:
+    # unmerged; one `_merge` of the whole equals merging factor by factor
+    if k < 0:
+        letters = tuple((s, -e) for s, e in reversed(letters))
+    return letters * abs(k)
+
+
 @dataclass(frozen=True)
 class Word:
     """A word over generator symbols, kept in merged (freely reduced) form."""
@@ -115,13 +122,7 @@ class Word:
         return Word(self.letters + other.letters)
 
     def pow(self, k: int) -> "Word":
-        if k == 0:
-            return Word()
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        return Word(power_letters(self.letters, k))
 
     def __str__(self) -> str:
         return serialize_word(self)
@@ -371,10 +372,10 @@ def rename_generators(p: Presentation, mapping: Mapping[str, str]) -> Presentati
 
 
 def _substitute(w: Word, sym: str, image: Word) -> Word:
-    out = Word()
+    letters: list[tuple[str, int]] = []
     for s, e in w.letters:
-        out = out * (image.pow(e) if s == sym else Word.single(s, e))
-    return out
+        letters += power_letters(image.letters, e) if s == sym else ((s, e),)
+    return Word(tuple(letters))
 
 
 def tietze_simplify(p: Presentation, max_moves: int = 1000) -> Presentation:

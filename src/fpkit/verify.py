@@ -7,28 +7,29 @@ certify nontriviality, and the cross-check for every construction that
 claims to preserve or compose group structure.
 
 The bounded checks mirror the defining lemma dichotomy of the test
-constructions.  They are one loop with two entry points:
+constructions.  They are one pass with two entry points:
 `embedding_spot_check` asks whether a factor stays faithfully embedded
 up to a word-length cutoff (distinct words keep distinct images), and
 `collapse_check` asks whether a built presentation falls onto a target,
-running the same loop and then checking that every built generator
+running the same pass and then checking that every built generator
 equals a target image, the zero or the identity.  Both reduce each word
 and each image once against the budgeted completion of its presentation
-(`rewriting.normal_forms`), compare the normal forms with the soundness
-rules of the word-problem oracle, and report Pass / Fail-with-witness /
-Unknown.
+(`rewriting.normal_forms`), group the words by normal form under the
+soundness rules of the word-problem oracle instead of comparing pairs,
+and report Pass / Fail-with-witness / Unknown.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .presentations import Kind, Presentation, ValidationError, Word
+from .presentations import Kind, Presentation, ValidationError, Word, power_letters
 from .rewriting import Budget, DEFAULT_BUDGET, normal_forms
 
 Matrix = list[list[int]]
@@ -246,12 +247,12 @@ def enumerate_words(generators: Sequence[str], max_length: int) -> list[Word]:
 
 
 def _image(w: Word, mapping: Mapping[str, Word]) -> Word:
-    out = Word()
+    letters: list[tuple[str, int]] = []
     for s, e in w.letters:
         if s not in mapping:
             raise ValidationError(f"no image for generator {s}")
-        out = out * mapping[s].pow(e)
-    return out
+        letters += power_letters(mapping[s].letters, e)
+    return Word(tuple(letters))
 
 
 def _bounded_check(
@@ -263,14 +264,17 @@ def _bounded_check(
     name: str,
     onto: bool,
 ) -> CheckReport:
-    """The loop behind both bounded checks.
+    """The pass behind both bounded checks.
 
     No pair of `small`-words up to `cutoff` that is certified Distinct in
     `small` may have images certified Equal in `big`; with `onto`, every
     generator of `big` must also equal an image, the identity or the
-    zero.  Each word and image is reduced once, and every comparison is
-    between normal forms: equal ones are Equal, different ones Distinct
-    only under a Complete system.
+    zero.  Each word and image is reduced once, and the words are grouped
+    by normal form, not compared in pairs: equal normal forms are Equal,
+    different ones Distinct only under a Complete system.  The counts are
+    those of the pairs taken in word order up to the first Fail (least i,
+    then j); a pair whose words' `small` normal forms differ is blocked
+    unless both systems are Complete.
     """
     if onto:
         role, lost = "projection", "target words collapse in the built presentation"
@@ -288,37 +292,42 @@ def _bounded_check(
     gens = [Word.single(g) for g in big.generators]
     small_rs, small_nf = normal_forms(small, words, budget)
     big_rs, big_nf = normal_forms(big, anchors + gens, budget)
-    comparisons = 0
+    n = len(words)
+    comparisons = n * (n - 1) // 2
     blocked = 0
 
     def fail(witness: str, notes: str) -> CheckReport:
-        return CheckReport(
-            name,
-            CheckVerdict.FAIL,
-            witness=witness,
-            notes=notes,
-            budget_used={"comparisons": comparisons},
-        )
+        used = {"comparisons": comparisons}
+        return CheckReport(name, CheckVerdict.FAIL, witness=witness, notes=notes, budget_used=used)
 
-    for i, wa in enumerate(words):
-        for j in range(i + 1, len(words)):
-            comparisons += 1
-            if small_nf[i] == small_nf[j]:
-                continue
-            if not small_rs.complete:
-                blocked += 1
-            elif big_nf[i] == big_nf[j]:
-                return fail(f"{wa} | {words[j]}", lost)
-            elif not big_rs.complete:
-                blocked += 1
+    if small_rs.complete:
+        # scanning back, each big normal form keeps its next member and
+        # that member's next one with another small normal form
+        after = {}
+        hit = None
+        for i in range(n - 1, -1, -1):
+            nxt, differ = after.get(big_nf[i], (i, None))
+            if small_nf[nxt] != small_nf[i]:
+                differ = nxt
+            after[big_nf[i]] = (i, differ)
+            if differ is not None:
+                hit = (i, differ)
+        if hit is not None:
+            i, j = hit
+            comparisons = i * (n - 1) - i * (i - 1) // 2 + j - i
+            return fail(f"{words[i]} | {words[j]}", lost)
+    if not (small_rs.complete and big_rs.complete):
+        blocked = comparisons - sum(c * (c - 1) // 2 for c in Counter(small_nf).values())
     if onto:
-        targets = big_nf[:len(anchors)]
+        first = {}
+        for k, nf in enumerate(big_nf[:len(anchors)]):
+            first.setdefault(nf, k)
         for g, nf in zip(big.generators, big_nf[len(anchors):]):
             # one comparison per anchor tried, stopping at the first match
-            if nf in targets:
-                comparisons += targets.index(nf) + 1
+            if nf in first:
+                comparisons += first[nf] + 1
                 continue
-            comparisons += len(targets)
+            comparisons += len(anchors)
             if big_rs.complete:
                 return fail(g, "generator does not collapse onto the target image")
             blocked += 1

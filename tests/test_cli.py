@@ -222,6 +222,37 @@ def test_cli_exit_codes():
     assert usage.returncode == EXIT_USAGE
 
 
+def test_cli_verify_markov_at_cutoff_10_counts_every_pair(tmp_path):
+    # free x, w into the Markov monoid with G = s t, H = t s over free s, t:
+    # 2047 words up to length 10, so 2047 * 2046 / 2 pairs
+    s0 = tmp_path / "s0_free_xw.pres"
+    s0.write_text("monoid\ngens: x, w\nrels:\n", encoding="utf-8")
+    r = run_cli(
+        "verify",
+        "markov",
+        str(s0),
+        str(CORPUS / "s1_free_pair.pres"),
+        str(CORPUS / "s4_trivial.pres"),
+        "--G",
+        "s t",
+        "--H",
+        "t s",
+        "--xi-range",
+        "all",
+        "--cutoff",
+        "10",
+        "--name",
+        "wide",
+        "--out",
+        str(tmp_path),
+    )
+    assert r.returncode == EXIT_PROVED, r.stdout + r.stderr
+    cert = json.loads((tmp_path / "wide.cert.json").read_text(encoding="utf-8"))
+    checks = {c["name"]: c for c in cert["checks"]}
+    assert checks["s0-embedding"]["verdict"] == "pass"
+    assert checks["s0-embedding"]["budget_used"] == {"comparisons": 2094081}
+
+
 def test_cli_build_writes_presentation_and_audit(tmp_path):
     r = run_cli(
         "build",

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from fpkit.presentations import (
     Relation,
     ValidationError,
     Word,
+    _substitute,
     decode_word,
     encode_word,
     parse_presentation,
@@ -149,6 +152,37 @@ def test_letter_codes_fit_a_byte_up_to_128_generators():
         knuth_bendix(too_wide)  # no relations: the cancellation rules are encoded too
     with pytest.raises(ValidationError, match="129 generators"):
         todd_coxeter(Presentation(Kind.GROUP, gens, (Relation(W("g0"), Word()),)))
+
+
+def stepwise_pow(w, k):
+    """w^k multiplied one factor at a time, each product merged."""
+    base = w if k > 0 else w.inverse()
+    out = Word()
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def random_group_word(rng, gens):
+    exponents = (-3, -2, -1, 1, 2, 3)
+    return Word(tuple((rng.choice(gens), rng.choice(exponents)) for _ in range(rng.randint(0, 4))))
+
+
+def test_pow_and_substitute_match_the_stepwise_product():
+    rng = random.Random(8117)
+    cancelled = 0
+    for _ in range(500):
+        w = random_group_word(rng, ("a", "b"))
+        k = rng.randint(-4, 4)
+        want = stepwise_pow(w, k)
+        assert w.pow(k) == want, (w, k)
+        cancelled += want.length() < abs(k) * w.length()
+        image = random_group_word(rng, ("a", "b", "c"))
+        stepwise = Word()
+        for s, e in w.letters:
+            stepwise = stepwise * (stepwise_pow(image, e) if s == "a" else Word.single(s, e))
+        assert _substitute(w, "a", image) == stepwise, (w, image)
+    assert cancelled >= 10
 
 
 def test_rename_generators():

@@ -177,6 +177,23 @@ def test_collapse_check_free_generator_fails():
     assert report.witness == "x"
 
 
+def test_image_matches_the_stepwise_product():
+    rng = random.Random(5903)
+    letter = lambda: (rng.choice("abc"), rng.choice((-3, -2, -1, 1, 2, 3)))
+    cancelled = 0
+    for _ in range(500):
+        w = Word(tuple((rng.choice("xy"), rng.randint(-4, 4)) for _ in range(rng.randint(0, 4))))
+        mapping = {g: Word(tuple(letter() for _ in range(rng.randint(0, 3)))) for g in "xy"}
+        stepwise = Word()
+        for s, e in w.letters:
+            base = mapping[s] if e > 0 else mapping[s].inverse()
+            for _ in range(abs(e)):
+                stepwise = stepwise * base
+        assert _image(w, mapping) == stepwise, (w, mapping)
+        cancelled += stepwise.length() < sum(abs(e) * mapping[s].length() for s, e in w.letters)
+    assert cancelled >= 10
+
+
 def test_check_reports_budget_blocked_is_unknown():
     hostile = parse_presentation("monoid\ngens: a, b\nrels: b a = a b, b b b = a a")
     free = parse_presentation("monoid\ngens: x\nrels:")
@@ -289,6 +306,50 @@ def test_bounded_checks_match_the_per_pair_reference():
     assert blocked_by_small >= 10 and blocked_by_big >= 10
 
 
+def _random_pair_monoid(rng, gens, fewest, most):
+    rels = tuple(
+        Relation(_random_positive_word(rng, gens, 4), _random_positive_word(rng, gens, 4))
+        for _ in range(rng.randint(fewest, most))
+    )
+    return Presentation(Kind.MONOID, gens, rels)
+
+
+def test_grouped_checks_match_the_per_pair_reference_at_cutoffs_4_and_5():
+    # 2-letter monoids, so the reference compares 465 (cutoff 4) or 1953
+    # (cutoff 5) pairs; the small side has fewer relations, so that it is
+    # Complete while the big side is Partial often enough
+    rng = random.Random(4099)
+    budgets = (Budget(2, 4, 1), Budget(3, 5, 4), Budget(8, 8, 30), Budget(60, 12, 600))
+    late_fails = blocked_by_small = blocked_by_big = 0
+    for trial in range(40):
+        small = _random_pair_monoid(rng, ("x", "y"), 0, 1)
+        big = _random_pair_monoid(rng, ("a", "b"), 1, 2)
+        mapping = {
+            g: Word(tuple((rng.choice(big.generators), 1) for _ in range(rng.randint(1, 2))))
+            for g in small.generators
+        }
+        cutoff = rng.randint(4, 5)
+        budget = rng.choice(budgets)
+        args = (mapping, cutoff, budget)
+        position = {str(w): k for k, w in enumerate(enumerate_words(small.generators, cutoff))}
+        small_complete = knuth_bendix(small, budget).complete
+        big_complete = knuth_bendix(big, budget).complete
+        embed = embedding_spot_check(small, big, *args)
+        collapse = collapse_check(big, small, *args)
+        for got, onto in ((embed, False), (collapse, True)):
+            want = reference_bounded_check(small, big, *args, got.name, onto)
+            assert got.as_dict() == want.as_dict(), (trial, small, big, mapping, cutoff, budget)
+            if got.verdict is CheckVerdict.FAIL and " | " in got.witness:
+                i, j = (position[w] for w in got.witness.split(" | "))
+                late_fails += i > 0 and j > i + 1
+            if got.verdict is CheckVerdict.UNKNOWN:
+                blocked_by_small += not small_complete and big_complete
+                blocked_by_big += small_complete and not big_complete
+    # a Fail at neither the empty word nor its first partner, and Unknowns
+    # blocked on either side alone
+    assert late_fails and blocked_by_small and blocked_by_big, (late_fails, blocked_by_small, blocked_by_big)
+
+
 def test_roadmap_timing_instance_counts_are_pinned():
     # free x, w into the Markov monoid with G = s t, H = t s over free s, t
     s0 = Presentation(Kind.MONOID, ("x", "w"))
@@ -299,7 +360,7 @@ def test_roadmap_timing_instance_counts_are_pinned():
     )
     build = markov_semigroup(inst)
     inclusion = {g: Word.single(img) for g, img in build.maps["s0"].items()}
-    for cutoff, comparisons in ((6, 8001), (7, 32385), (8, 130305)):
+    for cutoff, comparisons in ((6, 8001), (7, 32385), (8, 130305), (10, 2094081)):
         report = embedding_spot_check(s0, build.presentation, inclusion, cutoff=cutoff)
         assert report.verdict is CheckVerdict.PASS
         assert report.budget_used == {"comparisons": comparisons}
