@@ -446,6 +446,7 @@ class ManifestRow:
 
 def parse_manifest(path: Path) -> list[ManifestRow]:
     rows = []
+    line_of: dict[str, int] = {}  # instance name -> line that named it
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -459,6 +460,12 @@ def parse_manifest(path: Path) -> list[ManifestRow]:
                 f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
             )
         name, kind, inputs_field, expected = (p.strip() for p in parts)
+        if name in line_of:
+            # both would write NAME.cert.json, and the second would overwrite the first
+            raise PresentationError(
+                f"{path}:{lineno}: instance name {name!r} already used on line {line_of[name]}"
+            )
+        line_of[name] = lineno
         if kind not in KINDS:
             raise PresentationError(f"{path}:{lineno}: unknown instance type {kind!r}")
         if expected not in ("proved", "refuted", "unknown"):
@@ -509,17 +516,25 @@ def _run_row(args) -> tuple[str, str]:
 def cmd_corpus(manifest: Path, config: RunConfig, out=sys.stdout) -> int:
     rows = parse_manifest(manifest)
     base_dir = manifest.parent
-    tasks = [(row, base_dir, config) for row in rows]
-    results: list[tuple[str, str]] = []
-    workers = min(config.jobs, len(tasks))
+    workers = min(config.jobs, len(rows))
     if workers > 1:
-        # under fork every worker starts at once, so start no more than rows
+        # Send the rows sorted by inputs, in at least 25 chunks per worker:
+        # rows that share presentations then reach one worker and its caches,
+        # and a chunk costs one round trip.  Under fork every worker starts at
+        # once, so start no more than rows.
+        ordered = sorted(rows, key=lambda row: (row.kind, tuple(row.inputs.items())))
+        tasks = [(row, base_dir, config) for row in ordered]
+        chunksize = max(1, len(rows) // (25 * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_row, tasks))
+            done = dict(pool.map(_run_row, tasks, chunksize=chunksize))
+        # names are unique (parse_manifest checks), so they restore manifest order
+        results = [(row.name, done[row.name]) for row in rows]
     else:
-        results = [_run_row(t) for t in tasks]
+        results = [_run_row((row, base_dir, config)) for row in rows]
 
     all_match = True
+    if config.out_dir is not None:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
     print(f"{'instance':<28}{'expected':<10}{'got':<10}{'ms':>8}", file=out)
     for row, (name, cert_json) in zip(rows, results):
         payload = json.loads(cert_json)
@@ -530,7 +545,6 @@ def cmd_corpus(manifest: Path, config: RunConfig, out=sys.stdout) -> int:
             all_match = False
         print(f"{name:<28}{row.expected:<10}{got:<10}{elapsed:>8}{flag}", file=out)
         if config.out_dir is not None:
-            config.out_dir.mkdir(parents=True, exist_ok=True)
             (config.out_dir / f"{name}.cert.json").write_text(cert_json, encoding="utf-8")
     return EXIT_PROVED if all_match else EXIT_REFUTED
 

@@ -1,11 +1,14 @@
+import ast
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fpkit
 from fpkit.cli import (
     EXIT_PROVED,
     EXIT_REFUTED,
@@ -27,7 +30,12 @@ from fpkit.cli import (
 )
 from fpkit.constructions import XiRange, Mode
 from fpkit.corpus import bundled_manifest, corpus_dir
-from fpkit.presentations import parse_presentation, serialize_presentation, Presentation
+from fpkit.presentations import (
+    Presentation,
+    PresentationError,
+    parse_presentation,
+    serialize_presentation,
+)
 
 CORPUS = corpus_dir()
 
@@ -76,6 +84,20 @@ def test_corpus_mismatch_flagged(tmp_path):
     buf = io.StringIO()
     assert cmd_corpus(wrong, RunConfig(jobs=1), out=buf) == EXIT_REFUTED
     assert "MISMATCH" in buf.getvalue()
+
+
+def test_manifest_rejects_a_repeated_instance_name(tmp_path, capsys):
+    # both rows would write one.cert.json, the second over the first
+    manifest = tmp_path / "m.tsv"
+    row = f"one\tmarkov\t{ROW_INPUTS['markov']}\tproved\n"
+    manifest.write_text("# two rows named one\n" + row + row, encoding="utf-8")
+    message = r"m\.tsv:3: instance name 'one' already used on line 2"
+    with pytest.raises(PresentationError, match=message):
+        parse_manifest(manifest)
+    out_dir = tmp_path / "certs"
+    assert main(["corpus", str(manifest), "--out", str(out_dir)]) == EXIT_USAGE
+    assert "already used on line 2" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_manifest_rejects_inputs_its_kind_does_not_read(tmp_path, capsys):
@@ -297,6 +319,20 @@ def test_cli_corpus_passes_under_python_optimize():
     assert r.returncode == 0, r.stdout + r.stderr
 
 
+def test_no_assert_statements_in_src():
+    # the same rule as above, checked on every module rather than on one run
+    src = Path(fpkit.__file__).parent
+    files = sorted(src.rglob("*.py"))
+    assert {"cli.py", "coset.py", "rewriting.py", "verify.py"} <= {path.name for path in files}
+    found = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 # -- the per-kind table: each subcommand takes only the settings it reads
 
 SETTING_FLAGS = {
@@ -387,16 +423,19 @@ def test_run_config_is_serial_by_default():
     assert _build_parser().parse_args(["corpus"]).jobs == 1
 
 
-def test_corpus_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Puts a double in for ProcessPoolExecutor that starts no process and
+    runs `map` in this one; returns, per pool, its workers, its chunksize
+    and the names of the rows in the order they were sent."""
     import concurrent.futures
 
-    started = []
+    calls = []
 
     class Recording:
-        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
-
         def __init__(self, max_workers):
-            started.append(max_workers)
+            self.call = {"max_workers": max_workers}
+            calls.append(self.call)
 
         def __enter__(self):
             return self
@@ -404,10 +443,16 @@ def test_corpus_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            self.call.update(chunksize=chunksize, sent=[row.name for row, *_ in items])
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return calls
+
+
+def test_corpus_starts_no_more_workers_than_rows(tmp_path, pool_calls):
     manifest = tmp_path / "m.tsv"
     rows = [f"r{i}\ttest-group\t{ROW_INPUTS['test-group']}\tproved\n" for i in range(3)]
     manifest.write_text("".join(rows), encoding="utf-8")
@@ -415,4 +460,57 @@ def test_corpus_starts_no_more_workers_than_rows(tmp_path, monkeypatch):
     manifest.write_text(rows[0], encoding="utf-8")
     assert cmd_corpus(manifest, RunConfig(jobs=32), out=io.StringIO()) == EXIT_PROVED
     # three rows start three workers; one row runs in this process
-    assert started == [3]
+    assert [(c["max_workers"], c["chunksize"]) for c in pool_calls] == [(3, 1)]
+
+
+# cheap instances and their verdicts, repeated by the chunked-pool tests
+CHEAP_ROWS = [
+    ("markov", ROW_INPUTS["markov"], "proved"),
+    ("markov", ROW_INPUTS["markov"].replace("H=g^2", "H=g^4"), "proved"),
+    ("test-group", ROW_INPUTS["test-group"], "proved"),
+    ("test-group", f"base={CORPUS}/base_c5.pres;w=a", "unknown"),
+    ("test-group", f"base={CORPUS}/base_killed.pres;w=a", "proved"),
+    ("property", ROW_INPUTS["property"], "proved"),
+]
+
+
+def _repeating_manifest(path: Path, n: int) -> Path:
+    """A manifest of n rows drawn from CHEAP_ROWS, equal inputs scattered."""
+    rng = random.Random(n)
+    drawn = [rng.choice(CHEAP_ROWS) for _ in range(n)]
+    lines = [f"r{i:03d}\t{k}\t{inputs}\t{verdict}\n" for i, (k, inputs, verdict) in enumerate(drawn)]
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def test_pool_reports_chunked_rows_in_manifest_order(tmp_path):
+    manifest = _repeating_manifest(tmp_path / "m.tsv", 120)  # chunks of 2 rows on 2 workers
+    names = [row.name for row in parse_manifest(manifest)]
+    tables, certs = {}, {}
+    for jobs in (1, 2):
+        out = io.StringIO()
+        config = RunConfig(jobs=jobs, out_dir=tmp_path / str(jobs))
+        assert cmd_corpus(manifest, config, out=out) == EXIT_PROVED
+        # instance, expected and got; the ms column differs between runs
+        tables[jobs] = [line.split()[:3] for line in out.getvalue().splitlines()]
+        certs[jobs] = {
+            path.name: _stable_json(path.read_text(encoding="utf-8"))
+            for path in config.out_dir.iterdir()
+        }
+    assert [row[0] for row in tables[2][1:]] == names
+    assert tables[2] == tables[1]
+    assert len(certs[2]) == 120
+    assert certs[2] == certs[1]
+
+
+def test_pool_sends_rows_sorted_by_inputs_in_chunks(tmp_path, pool_calls):
+    for n, chunksize in ((48, 1), (400, 8)):
+        manifest = _repeating_manifest(tmp_path / f"{n}.tsv", n)
+        rows = {row.name: row for row in parse_manifest(manifest)}
+        assert cmd_corpus(manifest, RunConfig(jobs=2), out=io.StringIO()) == EXIT_PROVED
+        call = pool_calls[-1]
+        assert (call["max_workers"], call["chunksize"]) == (2, chunksize)
+        # by kind and inputs, and rows with equal inputs in manifest order
+        sent = [(rows[name].kind, tuple(rows[name].inputs.items()), name) for name in call["sent"]]
+        assert len(sent) == n
+        assert sent == sorted(sent)

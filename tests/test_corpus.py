@@ -13,12 +13,12 @@ from fpkit.presentations import Kind, Word, parse_presentation, parse_word
 from fpkit.rewriting import (
     Completeness,
     Verdict,
-    confluence_audit,
     irreducible_words,
     knuth_bendix,
     words_equal,
 )
 from fpkit.verify import CheckVerdict, abelianization, collapse_check, embedding_spot_check
+from test_rewriting import confluence_audit
 
 W = parse_word
 CORPUS = corpus_dir()

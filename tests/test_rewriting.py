@@ -23,7 +23,6 @@ from fpkit.rewriting import (
     Verdict,
     _Completion,
     _RuleIndex,
-    confluence_audit,
     irreducible_words,
     knuth_bendix,
     normal_form,
@@ -57,6 +56,30 @@ def brute_confluent(rules: list[tuple[str, str]]) -> bool:
             two = naive_rewrite(l1[:-k] + r2, rules)
             if one != two:
                 return False
+    return True
+
+
+def confluence_audit(rs: RewritingSystem, max_rules: int = 50) -> bool:
+    """Exhaustively check that every critical pair joins; Complete systems only.
+
+    Raises AssertionError with a witness on the first unresolved pair.
+    """
+    if len(rs.rules) > max_rules:
+        raise ValueError(f"audit limited to {max_rules} rules")
+    index = _RuleIndex(dict(enumerate(rs.rules)))
+    for r1 in rs.rules:
+        for r2 in rs.rules:
+            for k in range(1, min(len(r1.lhs), len(r2.lhs))):
+                if not r2.lhs.startswith(r1.lhs[-k:]):
+                    continue
+                left = index.reduce(r1.rhs + r2.lhs[k:])
+                right = index.reduce(r1.lhs[:-k] + r2.rhs)
+                if left != right:
+                    word = r1.lhs[:-k] + r2.lhs
+                    raise AssertionError(f"critical pair of {r1} / {r2} at {word} diverges")
+            # containment: a reduced system has none
+            if r1 is not r2 and r1.lhs in r2.lhs:
+                raise AssertionError(f"rule {r2} is reducible by {r1}")
     return True
 
 
