@@ -52,6 +52,7 @@ from .verify import (
     abelianization,
     assemble_certificate,
     collapse_check,
+    embedding_by_rewriting,
     embedding_spot_check,
 )
 
@@ -208,7 +209,8 @@ def verify_markov(
     elif inner is Verdict.DISTINCT:
         inclusion = {g: Word.single(img) for g, img in build.maps["s0"].items()}
         reports.append(
-            embedding_spot_check(
+            embedding_by_rewriting(inst.s0, target, inclusion, budget, name="s0-embedding")
+            or embedding_spot_check(
                 inst.s0, target, inclusion, config.cutoff, budget, name="s0-embedding"
             )
         )

@@ -1,22 +1,21 @@
-"""Independent oracles and bounded empirical checks.
+"""Independent oracles, embedding proofs and bounded empirical checks.
 
-The abelianization of a group presentation is computed from the integer
-relation matrix (one row per relation, exponent sums per generator) via
-an exact Smith normal form.  It is the cheap decidable shadow used to
-certify nontriviality, and the cross-check for every construction that
-claims to preserve or compose group structure.
+Abelianization takes the Smith normal form of the integer relation
+matrix (one row per relation, exponent sums per generator): the cheap
+decidable shadow that certifies nontriviality and cross-checks every
+construction that claims to preserve or compose group structure.
 
-The bounded checks mirror the defining lemma dichotomy of the test
-constructions.  They are one pass with two entry points:
-`embedding_spot_check` asks whether a factor stays faithfully embedded
-up to a word-length cutoff (distinct words keep distinct images), and
-`collapse_check` asks whether a built presentation falls onto a target,
-running the same pass and then checking that every built generator
-equals a target image, the zero or the identity.  Both reduce each word
-and each image once against the budgeted completion of its presentation
-(`rewriting.normal_forms`), group the words by normal form under the
-soundness rules of the word-problem oracle instead of comparing pairs,
-and report Pass / Fail-with-witness / Unknown.
+`embedding_by_rewriting` proves a monoid embedding at every word length
+when both systems are Complete and letters map to distinct letters (see
+its hypotheses).  Otherwise, and for the collapse side of a dichotomy,
+the bounded checks decide words up to a length cutoff in one pass with
+two entry points: `embedding_spot_check` asks whether distinct words
+keep distinct images, `collapse_check` also whether every built
+generator equals a target image, the zero or the identity.  Both reduce
+each word and image once against the budgeted completion of its
+presentation (`rewriting.normal_forms`), group the words by normal form
+under the soundness rules of the word-problem oracle instead of
+comparing pairs, and report Pass / Fail-with-witness / Unknown.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .presentations import Kind, Presentation, ValidationError, Word, power_letters
+from .presentations import Kind, Presentation, ValidationError, Word, decode_word, power_letters
 from .rewriting import Budget, DEFAULT_BUDGET, normal_forms
 
 Matrix = list[list[int]]
@@ -163,16 +162,6 @@ class AbelianInvariants:
     @property
     def is_trivial(self) -> bool:
         return not self.torsion and self.free_rank == 0
-
-    def merge(self, other: "AbelianInvariants") -> "AbelianInvariants":
-        """Invariants of the direct sum, re-canonicalized via SNF."""
-        ts = list(self.torsion) + list(other.torsion)
-        if not ts:
-            return AbelianInvariants((), self.free_rank + other.free_rank)
-        diag = [[ts[i] if i == j else 0 for j in range(len(ts))] for i in range(len(ts))]
-        d, _, _ = smith_normal_form(diag)
-        torsion = tuple(x for x in diagonal_of(d) if x > 1)
-        return AbelianInvariants(torsion, self.free_rank + other.free_rank)
 
     def __str__(self) -> str:
         parts = [f"Z/{t}" for t in self.torsion] + ["Z"] * self.free_rank
@@ -373,6 +362,35 @@ def collapse_check(
     zero, or the identity.
     """
     return _bounded_check(target, built, projection, cutoff, budget, name, onto=True)
+
+
+def embedding_by_rewriting(
+    sub: Presentation, big: Presentation, inclusion: Mapping[str, Word], budget: Budget, name: str
+) -> CheckReport | None:
+    """Prove that monoid `sub` embeds in monoid `big` at every length, or return None.
+
+    It does when (a) the generators map to distinct generators, (b) both
+    systems are Complete, (c) no lhs of `big` in image letters pulls back
+    to a `sub`-irreducible word and (d) the relations of `sub` hold among
+    the images: irreducible words then map to irreducible words (Book &
+    Otto, String-Rewriting Systems, 1993, ch. 2).
+    """
+    letters = {Word.single(s): 2 * j for j, s in enumerate(big.generators)}
+    back = {letters.get(inclusion.get(g)): 2 * i for i, g in enumerate(sub.generators)}
+    if None in back or len(back) < len(sub.generators) or sub.is_group or big.is_group:
+        return None
+    sides = [_image(w, inclusion) for rel in sub.relations for w in (rel.lhs, rel.rhs)]
+    big_rs, nfs = normal_forms(big, sides, budget)
+    pulled = [bytes(back[c] for c in r.lhs) for r in big_rs.rules if set(r.lhs) <= back.keys()]
+    sub_rs, reduced = normal_forms(sub, [decode_word(sub, w) for w in pulled], budget)
+    proved = sub_rs.complete and big_rs.complete and nfs[::2] == nfs[1::2]
+    if not proved or any(map(bytes.__eq__, pulled, reduced)):
+        return None
+    notes = (
+        f"letters to distinct letters map irreducible words to irreducible words of Complete"
+        f" systems ({len(sub_rs.rules)} and {len(big_rs.rules)} rules): distinct at every length"
+    )
+    return CheckReport(name, CheckVerdict.PASS, notes=notes)
 
 
 # ---------------------------------------------------------------------------

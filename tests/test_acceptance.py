@@ -58,6 +58,7 @@ from fpkit.verify import (
     embedding_spot_check,
     smith_normal_form,
 )
+from test_verify import merge_invariants
 
 W = parse_word
 CORPUS = corpus_dir()
@@ -323,7 +324,9 @@ def test_criterion_8_determinism_and_structural_invariants():
         p, q = rng.choice(groups), rng.choice(groups)
         from fpkit.constructions import free_product
 
-        assert abelianization(free_product(p, q)) == abelianization(p).merge(abelianization(q))
+        assert abelianization(free_product(p, q)) == merge_invariants(
+            abelianization(p), abelianization(q)
+        )
 
     # tietze / renaming invariance on every corpus presentation that
     # abelianization is defined for (the group ones)

@@ -244,9 +244,8 @@ def test_cli_exit_codes():
     assert usage.returncode == EXIT_USAGE
 
 
-def test_cli_verify_markov_at_cutoff_10_counts_every_pair(tmp_path):
-    # free x, w into the Markov monoid with G = s t, H = t s over free s, t:
-    # 2047 words up to length 10, so 2047 * 2046 / 2 pairs
+def _verify_wide_markov(tmp_path, *options):
+    # free x, w into the Markov monoid with G = s t, H = t s over free s, t
     s0 = tmp_path / "s0_free_xw.pres"
     s0.write_text("monoid\ngens: x, w\nrels:\n", encoding="utf-8")
     r = run_cli(
@@ -261,18 +260,39 @@ def test_cli_verify_markov_at_cutoff_10_counts_every_pair(tmp_path):
         "t s",
         "--xi-range",
         "all",
-        "--cutoff",
-        "10",
         "--name",
         "wide",
         "--out",
         str(tmp_path),
+        *options,
     )
-    assert r.returncode == EXIT_PROVED, r.stdout + r.stderr
     cert = json.loads((tmp_path / "wide.cert.json").read_text(encoding="utf-8"))
-    checks = {c["name"]: c for c in cert["checks"]}
-    assert checks["s0-embedding"]["verdict"] == "pass"
-    assert checks["s0-embedding"]["budget_used"] == {"comparisons": 2094081}
+    return r, {c["name"]: c for c in cert["checks"]}
+
+
+def test_cli_verify_markov_at_cutoff_10_counts_every_pair(tmp_path):
+    # both systems complete and x, w go to letters, so the embedding is
+    # proved at every length and the cutoff enumerates nothing; the
+    # 2047 * 2046 / 2 pairs of the spot check stay pinned in test_verify
+    r, checks = _verify_wide_markov(tmp_path, "--cutoff", "10")
+    assert r.returncode == EXIT_PROVED, r.stdout + r.stderr
+    embedding = checks["s0-embedding"]
+    assert embedding["verdict"] == "pass"
+    assert embedding["notes"] == (
+        "letters to distinct letters map irreducible words to irreducible words of Complete"
+        " systems (0 and 26 rules): distinct at every length"
+    )
+    assert embedding["budget_used"] == {}
+
+
+def test_cli_verify_markov_falls_back_to_the_spot_check_on_a_partial_system(tmp_path):
+    # 10 rules leave the built system Partial, so the proof does not apply
+    # and the words up to length 3 are compared as before
+    r, checks = _verify_wide_markov(tmp_path, "--cutoff", "3", "--budget-rules", "10")
+    assert r.returncode == EXIT_UNKNOWN, r.stdout + r.stderr
+    embedding = checks["s0-embedding"]
+    assert embedding["verdict"] == "unknown"
+    assert embedding["budget_used"] == {"comparisons": 105, "blocked": 105}
 
 
 def test_cli_build_writes_presentation_and_audit(tmp_path):

@@ -29,6 +29,7 @@ from fpkit.presentations import (
 )
 from fpkit.rewriting import Budget, Verdict, words_equal
 from fpkit.verify import abelianization
+from test_verify import merge_invariants
 
 W = parse_word
 LIMITS = EnumLimits(10_000, 1_000_000)
@@ -74,7 +75,7 @@ def test_free_product_counts_additive_and_abelianization_merges():
     q = P("group\ngens: b, c\nrels: b^6 = 1")
     out = free_product(p, q)
     assert len(out.generators) == 3 and len(out.relations) == 2
-    assert abelianization(out) == abelianization(p).merge(abelianization(q))
+    assert abelianization(out) == merge_invariants(abelianization(p), abelianization(q))
 
 
 # -- zero adjunction

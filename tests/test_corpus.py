@@ -128,11 +128,11 @@ CERTIFICATE_DIGESTS = {
     "group-equal-killed": "50dee7a3c6d8c5ae10467901d622fc0f7f47f1bb4f84d122eb70a0b9c2ce75ea",
     "group-equal-klein": "146da4dad192d15217e6abdf10029345dfc7b58df8fe35196f2c60e86a2777c4",
     "group-equal-z2": "f7c390e9617d192118e0ed038eeac56c74d34d77a41a82fa558583849075707a",
-    "markov-distinct-commute": "79832ff8e29da516ba3ef3886c692d63a397ba993cd655a654f5cb7735e0fb8d",
-    "markov-distinct-cubed": "886787d3a9fb4fd7563aef0c13a9ecf6fda626a38f35e19970283bc45d0d9ec8",
-    "markov-distinct-free": "d9496b9abc09b163e732ff7f2172a3d7cab21153b22320edfcde1b61cfec3b59",
-    "markov-distinct-pair": "006dc687d7ffd8b021d8058ce20cd461bfdc256f21e4d1ba327f852ad5c92403",
-    "markov-distinct-period": "bdbdf8ac956a2528d4dfdcc19bb76a9ea8fa4809bd644e2eca19a3783b6beb35",
+    "markov-distinct-commute": "8a81118d8d2593f484aa5cb95d6d9443af750c5b0cdb24409cb55772338ed2c4",
+    "markov-distinct-cubed": "f5f2675793ed8ef5da97942af7eeffea92ad7f00a306e2ee1f389f0549e4337b",
+    "markov-distinct-free": "99880b365f9f2a420dfd76bd7983a0aa371a59ef60f8e59c41199fc82025c8b7",
+    "markov-distinct-pair": "ae8ffaf808cb3d94931968ae5a8bafb6775c8a84dff12d6b555199d2583b33cb",
+    "markov-distinct-period": "62657dbc5e50b5b5169eb0375bfa3a9d9cf8968d3eecf386c55c677d4b24ca32",
     "markov-equal-absorb": "fbc3f118343e183d658bac38c982506a5e0ddab5aa5b23f80cb36736cc39cca4",
     "markov-equal-commute": "9a6f2a1866a12aa90f38d5fb082b2790c147f161309087f931134397494d235f",
     "markov-equal-cubed": "3354e7b8508cf17f77c1198e32bf68de681c07d99af6c610c3c6941004748b59",

@@ -26,6 +26,7 @@ from fpkit.verify import (
     assemble_certificate,
     collapse_check,
     diagonal_of,
+    embedding_by_rewriting,
     embedding_spot_check,
     enumerate_words,
     smith_normal_form,
@@ -134,12 +135,23 @@ def test_abelianization_invariance_under_tietze_and_renaming():
     assert abelianization(shuffled) == inv
 
 
+def merge_invariants(a, b):
+    """Invariants of the direct sum of two abelian groups, re-canonicalized via SNF."""
+    ts = list(a.torsion) + list(b.torsion)
+    if not ts:
+        return AbelianInvariants((), a.free_rank + b.free_rank)
+    diag = [[ts[i] if i == j else 0 for j in range(len(ts))] for i in range(len(ts))]
+    d, _, _ = smith_normal_form(diag)
+    torsion = tuple(x for x in diagonal_of(d) if x > 1)
+    return AbelianInvariants(torsion, a.free_rank + b.free_rank)
+
+
 def test_invariants_merge_is_canonical():
     a = AbelianInvariants((2,), 1)
     b = AbelianInvariants((3,), 0)
-    assert a.merge(b) == AbelianInvariants((6,), 1)
+    assert merge_invariants(a, b) == AbelianInvariants((6,), 1)
     c = AbelianInvariants((2, 4), 0)
-    assert c.merge(AbelianInvariants((2,), 0)) == AbelianInvariants((2, 2, 4), 0)
+    assert merge_invariants(c, AbelianInvariants((2,), 0)) == AbelianInvariants((2, 2, 4), 0)
 
 
 def test_invariants_validation():
@@ -364,6 +376,108 @@ def test_roadmap_timing_instance_counts_are_pinned():
         report = embedding_spot_check(s0, build.presentation, inclusion, cutoff=cutoff)
         assert report.verdict is CheckVerdict.PASS
         assert report.budget_used == {"comparisons": comparisons}
+
+
+# -- the embedding proof: it may only pass where the bounded check cannot fail
+
+
+def _prove(small, big, mapping, budget=Budget()):
+    return embedding_by_rewriting(small, big, mapping, budget, "embedding")
+
+
+def test_embedding_proof_passes_only_where_the_reference_passes():
+    # letter-to-letter maps from 2-letter monoids, some with a zero, into
+    # 3-letter ones that mostly carry the small relations over the images
+    rng = random.Random(7727)
+    budgets = (Budget(3, 5, 4), Budget(60, 12, 600))
+    proved = proved_non_free = proved_with_zero = declined_fails = 0
+    for trial in range(40):
+        small = _random_pair_monoid(rng, ("x", "y"), 0, 1)
+        letters = dict(zip(small.generators, rng.sample(("a", "b", "c"), 2)))
+        carried = rename_generators(Presentation(Kind.MONOID, ("x", "y"), small.relations), letters)
+        extra = _random_pair_monoid(rng, ("a", "b", "c"), 0, 1).relations
+        kept = carried.relations if rng.random() < 0.8 else ()
+        big = Presentation(Kind.MONOID, ("a", "b", "c"), kept + extra)
+        if rng.random() < 0.4:
+            small = adjoin_zero(small, "z")
+            big = adjoin_zero(big, "o") if rng.random() < 0.8 else big
+            letters["z"] = big.zero or "c"
+        mapping = {g: W(s) for g, s in letters.items()}
+        budget = rng.choice(budgets)
+        cutoff = 4 if small.zero else rng.randint(4, 5)
+        got = _prove(small, big, mapping, budget)
+        if got is None:
+            spot = embedding_spot_check(small, big, mapping, cutoff, budget)
+            declined_fails += spot.verdict is CheckVerdict.FAIL
+            continue
+        assert got.verdict is CheckVerdict.PASS
+        want = reference_bounded_check(small, big, mapping, cutoff, budget, "embedding", False)
+        assert want.verdict is CheckVerdict.PASS, (trial, small, big, mapping, cutoff, budget)
+        proved += 1
+        proved_non_free += bool(carried.relations)
+        proved_with_zero += small.zero is not None
+    # the proof applies to free and non-free small sides, with a zero too,
+    # and declines some maps that do collapse words
+    assert proved >= 10 and proved_non_free >= 3 and proved_with_zero >= 2, proved
+    assert declined_fails >= 3
+
+
+def test_embedding_proof_of_a_non_free_monoid():
+    small = parse_presentation("monoid\ngens: x, w\nrels: x w = w x")
+    big = parse_presentation("monoid\ngens: a, b, c\nrels: a b = b a, c a = c")
+    mapping = {"x": W("a"), "w": W("b")}
+    report = _prove(small, big, mapping)
+    assert report.verdict is CheckVerdict.PASS
+    assert report.notes == (
+        "letters to distinct letters map irreducible words to irreducible words of Complete"
+        " systems (1 and 2 rules): distinct at every length"
+    )
+    assert report.budget_used == {}
+    assert embedding_spot_check(small, big, mapping, cutoff=5).verdict is CheckVerdict.PASS
+
+
+FREE_XW = "monoid\ngens: x, w\nrels:"
+FREE_AB = "monoid\ngens: a, b\nrels:"
+PASS, FAIL, UNKNOWN = CheckVerdict
+
+
+@pytest.mark.parametrize(
+    "small, big, mapping, budget, spot",
+    [
+        # (a) not injective: x and w both go to a
+        (FREE_XW, FREE_AB, {"x": "a", "w": "a"}, Budget(), FAIL),
+        # (a) an image of two letters: an embedding all the same
+        (FREE_XW, FREE_AB, {"x": "a b", "w": "b"}, Budget(), PASS),
+        # (a) an image equal to the zero
+        (FREE_XW, "monoid\ngens: a, z\nzero: z\nrels: a z = z, z a = z, z z = z",
+         {"x": "a", "w": "z"}, Budget(), FAIL),
+        # (b) one rule is too few for the big system
+        (FREE_XW, "monoid\ngens: a, b, c\nrels: c a = a c, c b = b c",
+         {"x": "a", "w": "b"}, Budget(max_rules=1), UNKNOWN),
+        # (c) a big lhs over the images pulls back to an irreducible word
+        (FREE_XW, "monoid\ngens: a, b\nrels: a b = b a", {"x": "a", "w": "b"}, Budget(), FAIL),
+        # (d) a relation of small fails among the images: x and x w are
+        # distinct in small, a and a b equal in big, yet the lhs a b pulls
+        # back to the reducible x w
+        ("monoid\ngens: x, w\nrels: x w = w", "monoid\ngens: a, b\nrels: a b = a",
+         {"x": "a", "w": "b"}, Budget(), FAIL),
+    ],
+)
+def test_embedding_proof_declines_unless_every_hypothesis_holds(small, big, mapping, budget, spot):
+    small, big = parse_presentation(small), parse_presentation(big)
+    mapping = {g: W(img) for g, img in mapping.items()}
+    assert _prove(small, big, mapping, budget) is None
+    # the spot check then decides, and finds the collapses
+    assert embedding_spot_check(small, big, mapping, 4, budget).verdict is spot
+
+
+def test_embedding_proof_leaves_an_unknown_image_symbol_to_the_spot_check():
+    free = parse_presentation(FREE_XW)
+    big = parse_presentation("monoid\ngens: a, b\nrels:")
+    mapping = {"x": W("a"), "w": W("q")}
+    assert _prove(free, big, mapping) is None
+    with pytest.raises(ValidationError, match="inclusion image of w uses unknown symbol q"):
+        embedding_spot_check(free, big, mapping)
 
 
 def test_fail_requires_witness():
