@@ -10,55 +10,7 @@ and machine-readable certificates.
 
 __version__ = "0.1.0"
 
-from .presentations import (
-    Kind,
-    ParseError,
-    Presentation,
-    PresentationError,
-    Relation,
-    ValidationError,
-    Word,
-    parse_presentation,
-    parse_word,
-    rename_generators,
-    serialize_presentation,
-    serialize_word,
-    tietze_simplify,
-)
-from .rewriting import (
-    Budget,
-    Completeness,
-    RewriteRule,
-    RewritingSystem,
-    Verdict,
-    knuth_bendix,
-    normal_form,
-    words_equal,
-)
-from .coset import EnumLimits, TcResult, Triviality, is_trivial, todd_coxeter
-from .verify import (
-    AbelianInvariants,
-    Certificate,
-    CheckReport,
-    CheckVerdict,
-    abelianization,
-    assemble_certificate,
-    collapse_check,
-    embedding_spot_check,
-    smith_normal_form,
-)
-from .constructions import (
-    AuditTrail,
-    GroupTestInstance,
-    MarkovInstance,
-    Mode,
-    PropertySpec,
-    XiRange,
-    adjoin_zero,
-    free_product,
-    hnn_extension,
-    hnn_ladder,
-    markov_property_reduction,
-    markov_semigroup,
-    triviality_test_group,
-)
+from .presentations import parse_presentation, parse_word
+from .rewriting import words_equal
+from .coset import EnumLimits, is_trivial
+from .constructions import GroupTestInstance, triviality_test_group

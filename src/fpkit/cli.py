@@ -23,6 +23,7 @@ from typing import Callable
 
 from .coset import EnumLimits, Triviality, is_trivial
 from .constructions import (
+    RECIPE,
     GroupTestInstance,
     MarkovInstance,
     Mode,
@@ -74,7 +75,6 @@ class RunConfig:
     enum_limits: EnumLimits = EnumLimits()
     cutoff: int = 6
     xi_range: XiRange = XiRange.ALL_GENERATORS
-    recipe: str = "rabin-ladder"
     out_dir: Path | None = None
     jobs: int = 1
 
@@ -120,12 +120,10 @@ class GroupTestJob:
     base: Path
     a_text: str
     b_text: str | None
-    recipe: str
 
     @classmethod
     def from_inputs(cls, name: str, inp: dict, root: Path, config: RunConfig) -> GroupTestJob:
-        recipe = inp.get("recipe", config.recipe)
-        return cls(name, root / inp["base"], inp["w"], inp.get("b"), recipe)
+        return cls(name, root / inp["base"], inp["w"], inp.get("b"))
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,6 @@ def _group_instance(job: GroupTestJob) -> GroupTestInstance:
         base=_load_presentation(job.base),
         a_word=parse_word(job.a_text),
         b_word=parse_word(job.b_text) if job.b_text is not None else None,
-        recipe=job.recipe,
     )
 
 
@@ -287,7 +284,7 @@ def verify_test_group(
         "triviality-test-group",
         reports,
         ["base-word-problem", "test-group-triviality", "dichotomy"],
-        recipe=job.recipe,
+        recipe=RECIPE,
         elapsed_ms=watch.ms(),
     )
 
@@ -408,7 +405,7 @@ KINDS = {
     "test-group": _Kind(
         GroupTestJob,
         (("base", {}), ("--w", _REQUIRED), ("--b", {})),
-        ("recipe",),
+        (),
         ("budget_rules", "budget_cosets"),
         lambda job: triviality_test_group(_group_instance(job)),
         verify_test_group,
@@ -421,7 +418,7 @@ KINDS = {
             ("--g-plus", {"dest": "gplus", **_REQUIRED}),
             ("--g-minus", {"dest": "gminus", **_REQUIRED}),
             ("--test", _REQUIRED),
-            ("--property-name", {"dest": "property", "default": "being the trivial group"}),
+            ("--property-name", {"dest": "property"}),
             ("--mode", {"choices": [m.value for m in Mode], "default": Mode.MARKOV.value}),
         ),
         (),
@@ -485,7 +482,7 @@ def parse_manifest(path: Path) -> list[ManifestRow]:
 
 
 # manifest key of each build setting a row may state
-_ROW_SETTINGS = {"xi_range": "xi", "recipe": "recipe"}
+_ROW_SETTINGS = {"xi_range": "xi"}
 
 
 def _input_keys(kind: _Kind) -> list[str]:
@@ -560,7 +557,6 @@ _SETTINGS = {
     "budget_cosets": {"type": int, "default": EnumLimits().max_cosets},
     "cutoff": {"type": int, "default": RunConfig.cutoff},
     "xi_range": {"choices": [x.value for x in XiRange], "default": RunConfig.xi_range.value},
-    "recipe": {"default": RunConfig.recipe},
     "out": {"type": Path, "default": None},
     "jobs": {"type": int, "default": RunConfig.jobs},
 }
@@ -581,7 +577,6 @@ def _config(args) -> RunConfig:
         enum_limits=EnumLimits(max_cosets=s["budget_cosets"]),
         cutoff=s["cutoff"],
         xi_range=XiRange(s["xi_range"]),
-        recipe=s["recipe"],
         out_dir=s["out"],
         jobs=s["jobs"],
     )

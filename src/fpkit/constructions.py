@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from .presentations import (
     Kind,
@@ -171,9 +171,6 @@ def hnn_ladder(
     trail: AuditTrail | None = None,
 ) -> Presentation:
     """Left fold of HNN extensions; step i may use earlier stable letters."""
-    letters = [s for s, _ in steps]
-    if len(set(letters)) != len(letters):
-        raise ValidationError("stable letters must be pairwise distinct")
     current = base
     for stable, assoc in steps:
         current = hnn_extension(current, stable, assoc, trail)
@@ -202,9 +199,7 @@ class MarkovInstance:
     s4: Presentation
     g: Word
     h: Word
-    letters: tuple[str, str, str, str] = ("a", "b", "c", "d")
     xi_range: XiRange = XiRange.ALL_GENERATORS
-    zero: str = "z"
 
     def __post_init__(self):
         for name, p in (("s0", self.s0), ("s1", self.s1), ("s4", self.s4)):
@@ -212,10 +207,6 @@ class MarkovInstance:
                 raise ValidationError(f"{name} must be a monoid presentation")
             if p.zero is not None:
                 raise ValidationError(f"{name} must not carry a zero")
-        if len(set(self.letters)) != 4 or not all(is_identifier(x) for x in self.letters):
-            raise ValidationError("the four adjoined letters must be distinct identifiers")
-        if not is_identifier(self.zero):
-            raise ValidationError(f"invalid zero name {self.zero!r}")
         for name, w in (("G", self.g), ("H", self.h)):
             if w.is_empty:
                 raise ValidationError(f"word {name} must be nonempty")
@@ -230,8 +221,6 @@ class MarkovInstance:
 class MarkovBuild:
     presentation: Presentation
     maps: dict[str, dict[str, str]]  # factor name -> generator renaming into the build
-    letters: tuple[str, str, str, str]
-    zero: str
     trail: AuditTrail
 
 
@@ -261,12 +250,12 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
     p014 = free_product(p01, inst.s4, trail)
     map4 = _offset_map(inst.s4, p014.generators, len(p01.generators))
 
-    letter_base = Presentation(Kind.MONOID, inst.letters)
+    letter_base = Presentation(Kind.MONOID, ("a", "b", "c", "d"))
     with_letters = free_product(p014, letter_base, trail)
     lmap = _offset_map(letter_base, with_letters.generators, len(p014.generators))
-    a, b, c, d = (lmap[x] for x in inst.letters)
+    a, b, c, d = lmap.values()
 
-    zname = fresh_symbol(inst.zero, with_letters.generators)
+    zname = fresh_symbol("z", with_letters.generators)
     built = adjoin_zero(with_letters, zname, trail)
 
     def translate(w: Word) -> Word:
@@ -296,8 +285,6 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
     return MarkovBuild(
         presentation=built,
         maps={"s0": map0, "s1": map1, "s4": map4, "letters": lmap},
-        letters=(a, b, c, d),
-        zero=zname,
         trail=trail,
     )
 
@@ -305,10 +292,13 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
 # ---------------------------------------------------------------------------
 # the triviality test group
 
+# the one test-group construction; certificates and audit trails name it
+RECIPE = "rabin-ladder"
+
 
 @dataclass(frozen=True)
 class GroupTestInstance:
-    """A base group with one or two test words and a ladder recipe.
+    """A base group with one or two test words.
 
     The test group is trivial exactly when a_word equals b_word (or the
     identity, in the one-word form) in the base group.
@@ -317,8 +307,6 @@ class GroupTestInstance:
     base: Presentation
     a_word: Word
     b_word: Word | None = None
-    stable_letters: tuple[str, ...] = ()
-    recipe: str = "rabin-ladder"
 
     def __post_init__(self):
         if self.base.kind is not Kind.GROUP:
@@ -330,20 +318,6 @@ class GroupTestInstance:
             bad = w.symbols() - gens
             if bad:
                 raise ValidationError(f"{name} uses symbol {sorted(bad)[0]} outside the base")
-        if self.recipe not in RECIPES:
-            raise ValidationError(f"unknown recipe {self.recipe!r}")
-        n = len(self.base.generators)
-        letters = self.stable_letters or default_stable_letters(n)
-        object.__setattr__(self, "stable_letters", tuple(letters))
-        if len(self.stable_letters) != n + 1:
-            raise ValidationError(
-                f"recipe {self.recipe} needs {n + 1} stable letters, got {len(self.stable_letters)}"
-            )
-        if len(set(self.stable_letters)) != len(self.stable_letters):
-            raise ValidationError("stable letters must be distinct")
-        clash = set(self.stable_letters) & gens
-        if clash:
-            raise ValidationError(f"stable letter {sorted(clash)[0]} is not fresh")
 
     @property
     def test_word(self) -> Word:
@@ -352,18 +326,15 @@ class GroupTestInstance:
         return self.a_word * self.b_word.inverse()
 
 
-def default_stable_letters(n: int) -> tuple[str, ...]:
-    return tuple(f"q{i}" for i in range(1, n + 1)) + ("q",)
-
-
 @dataclass
 class GroupTestBuild:
     presentation: Presentation
     trail: AuditTrail
 
 
-def _rabin_ladder(inst: GroupTestInstance, trail: AuditTrail) -> GroupTestBuild:
-    """Iterated-HNN test group with a final welding relation per stable letter.
+def triviality_test_group(inst: GroupTestInstance) -> GroupTestBuild:
+    """The Rabin-ladder test group of `inst`: iterated HNN extensions with a
+    final welding relation per stable letter.
 
     Working over B * <c> * <d>, the alternating square
 
@@ -387,13 +358,19 @@ def _rabin_ladder(inst: GroupTestInstance, trail: AuditTrail) -> GroupTestBuild:
     its last stable letter, so a quotienting step is unavoidable for a
     test group).
     """
+    trail = AuditTrail()
+    b_desc = str(inst.b_word) if inst.b_word is not None else "(identity)"
+    trail.add(
+        "ingredients",
+        f"A = {inst.a_word}, B = {b_desc}, test word = {inst.test_word}, recipe = {RECIPE}",
+    )
     base = inst.base
     n = len(base.generators)
     w = inst.test_word
-    used = set(base.generators) | set(inst.stable_letters)
-    c = fresh_symbol("c", used)
-    used.add(c)
-    d = fresh_symbol("d", used)
+    picked: list[str] = []  # each letter fresh for the base and the letters before it
+    for name in [f"q{i}" for i in range(1, n + 1)] + ["q", "c", "d"]:
+        picked.append(fresh_symbol(name, [*base.generators, *picked]))
+    *stable, c, d = picked
     cw, dw = Word.single(c), Word.single(d)
     alt_square = w * cw.inverse() * w * cw
 
@@ -407,36 +384,18 @@ def _rabin_ladder(inst: GroupTestInstance, trail: AuditTrail) -> GroupTestBuild:
     )
     steps = []
     for i, x in enumerate(base.generators, start=1):
-        steps.append(
-            (inst.stable_letters[i - 1], [(conj(i), Word.single(x) * dw.pow(i + 1))])
-        )
-    steps.append((inst.stable_letters[n], [(conj(n + 1), dw)]))
+        steps.append((stable[i - 1], [(conj(i), Word.single(x) * dw.pow(i + 1))]))
+    steps.append((stable[n], [(conj(n + 1), dw)]))
     laddered = hnn_ladder(p0, steps, trail)
 
     welds = []
     for i in range(1, n + 1):
-        welds.append(Relation(Word.single(inst.stable_letters[i - 1]), conj(n + 1 + i)))
-    welds.append(Relation(Word.single(inst.stable_letters[n]), conj(2 * n + 2)))
+        welds.append(Relation(Word.single(stable[i - 1]), conj(n + 1 + i)))
+    welds.append(Relation(Word.single(stable[n]), conj(2 * n + 2)))
     welds.append(Relation(cw, conj(2 * n + 3)))
     out = Presentation(Kind.GROUP, laddered.generators, laddered.relations + tuple(welds))
     trail.add("welds", f"{len(welds)} welding relations (stable letters and {c})", out)
     return GroupTestBuild(out, trail)
-
-
-RECIPES: dict[str, Callable[[GroupTestInstance, AuditTrail], GroupTestBuild]] = {
-    "rabin-ladder": _rabin_ladder,
-}
-
-
-def triviality_test_group(inst: GroupTestInstance) -> GroupTestBuild:
-    """Emit the test group for `inst` under its registered recipe."""
-    trail = AuditTrail()
-    b_desc = str(inst.b_word) if inst.b_word is not None else "(identity)"
-    trail.add(
-        "ingredients",
-        f"A = {inst.a_word}, B = {b_desc}, test word = {inst.test_word}, recipe = {inst.recipe}",
-    )
-    return RECIPES[inst.recipe](inst, trail)
 
 
 # ---------------------------------------------------------------------------

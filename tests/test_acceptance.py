@@ -307,7 +307,7 @@ def test_criterion_8_determinism_and_structural_invariants():
         payload["version"] = "X"
         return json.dumps(payload, indent=2)
 
-    job = GroupTestJob("det", CORPUS / "base_c5.pres", "a^2", "a^7", "rabin-ladder")
+    job = GroupTestJob("det", CORPUS / "base_c5.pres", "a^2", "a^7")
     one = verify_test_group(job, RunConfig()).to_json()
     two = verify_test_group(job, RunConfig()).to_json()
     assert masked(one) == masked(two)

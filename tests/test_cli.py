@@ -101,10 +101,11 @@ def test_manifest_rejects_a_repeated_instance_name(tmp_path, capsys):
 
 
 def test_manifest_rejects_inputs_its_kind_does_not_read(tmp_path, capsys):
-    # `W=b` is a typo for `b=b`, and `xi` and `cutoff` are not test-group inputs
+    # `W=b` is a typo for `b=b`, `xi` and `cutoff` are not test-group inputs,
+    # and the test group has one construction, so no row names a recipe
     manifest = tmp_path / "m.tsv"
     base = CORPUS / "base_z.pres"
-    for extra in ("W=b", "xi=all", "cutoff=3"):
+    for extra in ("W=b", "xi=all", "cutoff=3", "recipe=rabin-ladder"):
         row = f"typo\ttest-group\tbase={base};w=a;{extra}\tproved\n"
         manifest.write_text(row, encoding="utf-8")
         assert main(["corpus", str(manifest)]) == EXIT_USAGE
@@ -163,7 +164,7 @@ def test_verify_markov_corrupted_construction_refuted(tmp_path):
 
 def test_verify_test_group_dichotomy_certificates():
     proved = verify_test_group(
-        GroupTestJob("t", CORPUS / "base_killed.pres", "a", None, "rabin-ladder"),
+        GroupTestJob("t", CORPUS / "base_killed.pres", "a", None),
         RunConfig(),
     )
     assert proved.overall.value == "proved"
@@ -208,7 +209,7 @@ def _stable_json(cert_text: str) -> str:
 
 
 def test_certificates_byte_identical_across_runs():
-    job = GroupTestJob("t", CORPUS / "base_c5.pres", "a^2", "a^7", "rabin-ladder")
+    job = GroupTestJob("t", CORPUS / "base_c5.pres", "a^2", "a^7")
     one = verify_test_group(job, RunConfig()).to_json()
     two = verify_test_group(job, RunConfig()).to_json()
     assert _stable_json(one) == _stable_json(two)
@@ -353,6 +354,17 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_readme_library_example_runs(capsys):
+    # the example imports from `fpkit` itself, so it pins the package's exports
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    equal, trivial = capsys.readouterr().out.splitlines()
+    assert equal == "Verdict.EQUAL"
+    assert trivial.startswith("Triviality(status='trivial'")
+
+
 # -- the per-kind table: each subcommand takes only the settings it reads
 
 SETTING_FLAGS = {
@@ -366,10 +378,10 @@ SETTING_FLAGS = {
 }
 ACCEPTED = {
     ("build", "markov"): {"--xi-range", "--out"},
-    ("build", "test-group"): {"--recipe", "--out"},
+    ("build", "test-group"): {"--out"},
     ("build", "property"): {"--out"},
     ("verify", "markov"): {"--budget-rules", "--cutoff", "--xi-range", "--out"},
-    ("verify", "test-group"): {"--budget-rules", "--budget-cosets", "--recipe", "--out"},
+    ("verify", "test-group"): {"--budget-rules", "--budget-cosets", "--out"},
     ("verify", "property"): {"--budget-cosets", "--out"},
 }
 INPUTS = {
@@ -408,14 +420,14 @@ def test_subcommands_take_only_the_settings_they_read(command, kind, flag, capsy
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-# the instances of INPUTS as manifest inputs; the property row states the
-# command line's default property name, which differs from the manifest's
+# the instances of INPUTS as manifest inputs; neither the command line nor
+# the property row names the property, so both take the one default
 ROW_INPUTS = {
     "markov": f"s0={CORPUS}/s0_free_x.pres;s1={CORPUS}/s1_cubed.pres;"
     f"s4={CORPUS}/s4_trivial.pres;G=g;H=g^2",
     "test-group": f"base={CORPUS}/base_c5.pres;w=a^2;b=a^7",
     "property": f"gplus={CORPUS}/gplus_trivial.pres;gminus={CORPUS}/base_z.pres;"
-    f"test={CORPUS}/base_killed.pres;property=being the trivial group",
+    f"test={CORPUS}/base_killed.pres",
 }
 
 
@@ -430,6 +442,14 @@ def test_verify_writes_the_certificate_corpus_writes(kind, tmp_path):
     from_cli = (tmp_path / "cli" / "one.cert.json").read_text(encoding="utf-8")
     from_corpus = (tmp_path / "corpus" / "one.cert.json").read_text(encoding="utf-8")
     assert _stable_json(from_cli) == _stable_json(from_corpus)
+
+
+def test_corpus_takes_no_recipe(capsys):
+    # `--recipe` is in SETTING_FLAGS and no build or verify subcommand accepts it
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--recipe", "x"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_manifest_property_name_defaults_to_unnamed(tmp_path):

@@ -24,6 +24,7 @@ from fpkit.presentations import (
     Word,
     parse_presentation,
     parse_word,
+    rename_generators,
     serialize_presentation,
     tietze_simplify,
 )
@@ -180,7 +181,7 @@ def test_markov_verbatim_adds_exactly_five_schema_relations():
     build = markov_semigroup(inst)
     before = free_product(
         free_product(free_product(inst.s0, inst.s1), inst.s4),
-        Presentation(Kind.MONOID, inst.letters),
+        Presentation(Kind.MONOID, ("a", "b", "c", "d")),
     )
     zeroed = adjoin_zero(before, "z")
     assert len(build.presentation.relations) == len(zeroed.relations) + 5
@@ -224,7 +225,7 @@ def test_markov_collision_renaming_keeps_letters_apart():
     gens = build.presentation.generators
     assert len(set(gens)) == len(gens) == 1 + 2 + 0 + 4 + 1
     # the schema relations refer to the renamed copies
-    c_letter = build.letters[2]
+    c_letter = build.maps["letters"]["c"]
     assert c_letter not in ("c",)  # collided, so it was suffixed
 
 
@@ -255,22 +256,32 @@ def test_test_group_empty_word_behaves_as_identity():
     assert is_trivial(build.presentation, LIMITS).is_trivial
 
 
-def test_test_group_stable_letters_shape():
-    base = P("group\ngens: a, b\nrels:")
-    inst = GroupTestInstance(base, W("a b"))
-    assert inst.stable_letters == ("q1", "q2", "q")
-    build = triviality_test_group(inst)
-    assert set(inst.stable_letters) < set(build.presentation.generators)
+def _test_group_over(x, rels, a, b):
+    """The test group of the base <x | rels> and words a, b, spelled in {x}."""
+    base = P(f"group\ngens: {x}\nrels: {rels.format(x=x)}")
+    inst = GroupTestInstance(base, W(a.format(x=x)), W(b.format(x=x)) if b else None)
+    return triviality_test_group(inst).presentation
+
+
+@pytest.mark.parametrize(
+    "x,rels,a,b", [("q1", "{x}^5 = 1", "{x}^2", "{x}^7"), ("q", "", "{x}", None)]
+)
+def test_test_group_over_a_generator_named_like_a_stable_letter(x, rels, a, b):
+    # the stable letter named x steps aside to x_1, so the group is the one
+    # built over a generator named a, renamed
+    built = _test_group_over(x, rels, a, b)
+    assert len(set(built.generators)) == len(built.generators) == 5
+    over_a = _test_group_over("a", rels, a, b)
+    assert rename_generators(over_a, {"a": x, x: f"{x}_1"}) == built
+    verdict = is_trivial(built, LIMITS)
+    assert verdict.definite
+    assert verdict == is_trivial(over_a, LIMITS)
 
 
 def test_test_group_validation():
     base = P("group\ngens: a\nrels:")
-    with pytest.raises(ValidationError, match="unknown recipe"):
-        GroupTestInstance(base, W("a"), recipe="nonsense")
     with pytest.raises(ValidationError, match="outside the base"):
         GroupTestInstance(base, W("b"))
-    with pytest.raises(ValidationError, match="not fresh"):
-        GroupTestInstance(base, W("a"), stable_letters=("a", "q"))
 
 
 def test_test_group_dichotomy_matches_word_problem_on_corpus_bases():
@@ -357,8 +368,3 @@ def test_markov_build_serializes_and_reparses_with_zero():
     assert "zero: z" in text
     assert parse_presentation(text) == built
 
-
-def test_former_recipe_alias_is_unknown():
-    base = P("group\ngens: a\nrels: a^5 = 1")
-    with pytest.raises(ValidationError, match="unknown recipe"):
-        GroupTestInstance(base, W("a^2"), W("a^7"), recipe="adian-iterated-hnn")

@@ -5,11 +5,17 @@ import io
 import itertools
 import json
 
-from fpkit.cli import EXIT_PROVED, RunConfig, cmd_corpus, parse_manifest
+from fpkit.cli import KINDS, EXIT_PROVED, RunConfig, _job_from_row, cmd_corpus, parse_manifest
 from fpkit.constructions import MarkovInstance, XiRange, markov_semigroup
 from fpkit.corpus import bundled_manifest, corpus_dir
 from fpkit.coset import EnumLimits, todd_coxeter
-from fpkit.presentations import Kind, Word, parse_presentation, parse_word
+from fpkit.presentations import (
+    Kind,
+    Word,
+    parse_presentation,
+    parse_word,
+    serialize_presentation,
+)
 from fpkit.rewriting import (
     Completeness,
     Verdict,
@@ -45,8 +51,6 @@ def _instance(row):
 
 
 def test_every_corpus_file_roundtrips():
-    from fpkit.presentations import serialize_presentation
-
     files = sorted(CORPUS.glob("*.pres"))
     assert files
     for path in files:
@@ -159,6 +163,47 @@ def test_bundled_certificates_are_pinned(tmp_path):
     }
     assert len(got) == 20
     assert got == CERTIFICATE_DIGESTS
+
+
+# sha256 of each built presentation and of its audit trail, for the bundled
+# markov and test-group rows.  Certificates do not show a renaming of the
+# built generators or a changed trail line; these do.  Update them only with
+# a change that means to alter a construction's output, and say why.
+BUILD_DIGESTS = {
+    "markov-equal-idempotent": ("69fe5ccf5319ff54902ed05920da8e7fcdf82dd40996f271072899344cf72b23", "295315e765d530eaaa1c31a58c9ac7a378de99240f62b62cf9abdaf7fdec0c57"),
+    "markov-equal-cubed": ("399eb18dd9f4b008c5f9ff62cd374de6d8196b1d883f221d37383649a5515855", "04cec349946ae86dcec48d99a6978dd0877ddca5087cd8af013bd3135040cbad"),
+    "markov-equal-commute": ("eb197ee6632b4378cd0eb85abada1971fc4b4f78a328a83520c981147db41239", "3975cda9d2076db2faf8db9fe0ed4e72b585b44608719564105d2bac7761dfe7"),
+    "markov-equal-absorb": ("bfa790eec646dc7ac3d134c9a6e6ca936f2cebabfe81944fb957d3421a53f9e4", "0e47c642074b27c4f6faedba9c7c696c5e14a743f6551f74949641d0d7dfb0c2"),
+    "markov-equal-period": ("e428d7e2cc662de90e0d59b28a908efa1e92b5d784d4b3d51107ac353a994269", "5368016f044f33a80370260b0283f6f16cc14c40d25b1224f161faf4d1c7d542"),
+    "markov-distinct-free": ("135f36147ffbff575b8a3cefbfc37bb1a7ca20ba73bfe8261cf7fe24b6715a60", "1351562e4d091119f599b7445b7083e2b2ec697b3337f6fc1f2193d0f9848880"),
+    "markov-distinct-cubed": ("80aa451bdcda5ecd007f84940d3d472961c4d1462ab7d9466ce5153ae6424909", "6c90eab861a0100c30ca9c5994229736581d692b07b57bae3de627876fe0ce8b"),
+    "markov-distinct-commute": ("8257089072bfa332b8da4f342a742158e440e3540f6ab7696b30841a794fc8de", "8aac34e7a0e0e84e41a836d063c83c60613bf659dac7b3fcb859a314794c98c8"),
+    "markov-distinct-pair": ("211314c9b2bfb445c0c1d251fa94f1eda5c02a7bc30081e9f1f59e7584f6aa50", "c7c73db8c10d18604aa7af3324d2d6a9a3e551577eee7aa3421c9a6a98cb366e"),
+    "markov-distinct-period": ("b08363ebe571be1339122b5bab633b5644de14d54827f1b1d34acb08bcf6fba2", "f6c61f014ffb859a09a43cdecd7787dad20726fea5a5287b00a5c1a85def02dc"),
+    "group-equal-killed": ("56acf1dfa25f2f6d91044c02219e1f509c76297ffad454ce7f8ce7c0fc285ca0", "54b2090a606db27fe9abbb589ea7d771dae9bdc3280109a8c74573778971456c"),
+    "group-equal-c5": ("fb2af3ee0492e547f3e8286c73ccee7891a9a5b20b3a34ffab1f1150519832c2", "66af648bf260afd5a96f2493ee033d7a5771b3eff77ef94d10d52879b657b8b3"),
+    "group-equal-klein": ("32f72babee3b43e3124113aa3ae9781a6302b0985aaa16b90061d4fcd03f87fd", "c96d00a2bc0204cb1aa19624f211bdc81f38836543db93ce39854dea4b412771"),
+    "group-equal-z2": ("66e08b6f742a2a9f899333e6f8b47db09fb8a98da90f5bec07203c4b30e29af9", "89eb798810546b05e6ed2d7c3d19230f920bbb7a36643a9e2e66de4020e55773"),
+    "group-distinct-z": ("c43956643f9ad38070d7bd26cc129c72b3f94253540412e7afe6c6d17b6eac66", "80f337b89b0dc3894ae09673eb860b230e0d842801c25580cf49194907a13e31"),
+    "group-distinct-f2": ("0ffe7588ec558d9702b24db820a05818a88ca0e0640eeb2d108ccce05508d95e", "ec9565bdd89372d56cf704e17cb5c751fce973c357f9828f1b8102374201a898"),
+    "group-distinct-z6": ("a421c47274d749613651885e9f708932e3822ae9289c8dbde1640ab755b115d7", "6b59527693f59663047817db2762f3c8ddc9bc9c10c2e7538b2e14f65eedf203"),
+    "group-distinct-z2": ("f9d270b96503b072c2b23688d555cfa5e97ab17bb80ed12ef6ee777a7b2c18a5", "b6827b3eca0e4dbf86bb0a967faf397889db246f631bb928c8108ed2f808085f"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_bundled_constructions_are_pinned():
+    got = {}
+    for row in parse_manifest(bundled_manifest()):
+        if row.kind in ("markov", "test-group"):
+            build = KINDS[row.kind].build(_job_from_row(row, CORPUS, RunConfig()))
+            pres, trail = serialize_presentation(build.presentation), build.trail.to_text()
+            got[row.name] = (_sha256(pres), _sha256(trail))
+    assert len(got) == 18
+    assert got == BUILD_DIGESTS
 
 
 def test_pool_writes_the_certificates_a_serial_run_writes(tmp_path):
