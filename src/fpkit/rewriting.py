@@ -15,6 +15,11 @@ budgeted and ``Unknown`` is a first-class verdict: a Partial system can
 still certify equality (every rewrite step is a consequence of the
 relations) but never inequality.
 
+`normal_forms` keeps the last 128 completions keyed on all they read:
+group or monoid, generator count, relation letter codes in order, budget.
+It holds only rules and status, no presentation or trie, so a renamed
+presentation is not completed again and gets them over its own generators.
+
 Reduction finds redexes through a letter trie over the rule left-hand
 sides and always rewrites the leftmost one, taking the lowest rule id when
 several start at the same position.  The order is fixed because it shapes
@@ -37,10 +42,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable
 
 from .presentations import Presentation, Word, decode_word, encode_word
@@ -277,6 +281,8 @@ class _Completion:
             if self.eqs:
                 u, v = self.eqs.popleft()
                 self.add_rule(u, v)
+                if self.overflow and len(self.rules) >= self.budget.max_rules:
+                    break  # a full table can neither gain a rule nor lose one
                 continue
             _, _, id1, id2, k = heapq.heappop(self.pairs)
             if id1 not in self.rules or id2 not in self.rules:
@@ -317,9 +323,23 @@ def normal_form(rs: RewritingSystem, w: Word) -> Word:
     return decode_word(p, _RuleIndex(dict(enumerate(rs.rules))).reduce(encode_word(p, w)))
 
 
-@lru_cache(maxsize=128)
+# (kind, generator count, relation codes, budget) -> (rules, status), least recent first
+_systems: OrderedDict[tuple, tuple[tuple[RewriteRule, ...], Completeness]] = OrderedDict()
+_MAX_SYSTEMS = 128
+
+
 def _completed(p: Presentation, budget: Budget) -> RewritingSystem:
-    return knuth_bendix(p, budget)
+    rels = tuple((encode_word(p, rel.lhs), encode_word(p, rel.rhs)) for rel in p.relations)
+    key = (p.kind, len(p.generators), rels, budget)
+    if key in _systems:
+        _systems.move_to_end(key)
+    else:
+        rs = knuth_bendix(p, budget)
+        _systems[key] = (rs.rules, rs.status)
+        if len(_systems) > _MAX_SYSTEMS:
+            _systems.popitem(last=False)
+    rules, status = _systems[key]
+    return RewritingSystem(rules, p, status)
 
 
 def normal_forms(
@@ -327,8 +347,8 @@ def normal_forms(
 ) -> tuple[RewritingSystem, list[Letters]]:
     """Reduce each of `words` once against the budgeted completion of `p`.
 
-    Returns the system (cached per presentation and budget) and the
-    words' letter codes after rewriting.  Equal codes certify equal
+    Returns the system (cached per letter codes and budget, over `p`)
+    and the words' letter codes after rewriting.  Equal codes certify equal
     words under any system, different ones distinct words only when it
     is Complete.
     """

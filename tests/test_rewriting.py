@@ -1,6 +1,8 @@
 import hashlib
+import heapq
 import itertools
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,11 +11,13 @@ from fpkit import rewriting
 from fpkit.presentations import (
     Kind,
     Presentation,
+    Relation,
     ValidationError,
     Word,
     encode_word,
     parse_presentation,
     parse_word,
+    rename_generators,
 )
 from fpkit.rewriting import (
     Budget,
@@ -26,6 +30,7 @@ from fpkit.rewriting import (
     irreducible_words,
     knuth_bendix,
     normal_form,
+    normal_forms,
     shortlex,
     words_equal,
 )
@@ -430,3 +435,180 @@ def test_completion_refuses_a_rule_that_does_not_decrease(monkeypatch):
     comp = _Completion(Budget())
     with pytest.raises(RuntimeError, match="strictly decreasing"):
         comp.add_rule(b"\x00", b"\x02")
+
+
+# -- completion stops once its table is full and an equation is refused:
+#    from then on no rule can be added, so interreduction removes none.
+
+
+def unstopped_run(self) -> Completeness:
+    """`_Completion.run` without the stop at a full table: the reference."""
+    steps = 0
+    while self.eqs or self.pairs:
+        steps += 1
+        if steps > self.budget.max_iterations:
+            self.overflow = True
+            break
+        if self.eqs:
+            u, v = self.eqs.popleft()
+            self.add_rule(u, v)
+            continue
+        _, _, id1, id2, k = heapq.heappop(self.pairs)
+        if id1 not in self.rules or id2 not in self.rules:
+            continue
+        r1, r2 = self.rules[id1], self.rules[id2]
+        left = self.index.reduce(r1.rhs + r2.lhs[k:])
+        right = self.index.reduce(r1.lhs[:-k] + r2.rhs)
+        if left != right:
+            self.push_equation(left, right)
+    if self.eqs or self.pairs:
+        return Completeness.PARTIAL
+    return Completeness.PARTIAL if self.overflow else Completeness.COMPLETE
+
+
+STOPPED_RUN, ADD_RULE = _Completion.run, _Completion.add_rule
+
+
+def completed_both_ways(monkeypatch, p, budget):
+    """(system, add_rule calls) under the current loop, then the reference one."""
+    results = []
+    for run in (STOPPED_RUN, unstopped_run):
+        calls = []
+        monkeypatch.setattr(_Completion, "run", run)
+        monkeypatch.setattr(
+            _Completion, "add_rule", lambda c, u, v: calls.append(u) or ADD_RULE(c, u, v)
+        )
+        results.append((knuth_bendix(p, budget), len(calls)))
+    return results
+
+
+def test_completion_stops_when_its_full_table_refuses_a_rule(monkeypatch):
+    # the Complete system has 6 rules and the table never needs a seventh
+    p = parse_presentation("monoid\ngens: a, b\nrels: a^3 = 1, b^2 = 1, b a = a a b")
+    assert len(knuth_bendix(p).rules) == 6
+    # filled to exactly max_rules and drained without a refusal: still Complete
+    (full, _), (reference, _) = completed_both_ways(monkeypatch, p, Budget(6, 64, 20000))
+    assert full.status is reference.status is Completeness.COMPLETE
+    assert full.rules == reference.rules == knuth_bendix(p).rules
+    # one rule short: Partial with the reference's rules, after fewer equations
+    (short, calls), (reference, unstopped) = completed_both_ways(
+        monkeypatch, p, Budget(5, 64, 20000)
+    )
+    assert short.status is reference.status is Completeness.PARTIAL
+    assert short.rules == reference.rules and len(short.rules) == 5
+    assert calls < unstopped
+
+
+def random_presentations(seed: int, count: int, budget):
+    """Seeded groups and monoids on 1-3 generators, each with `budget(rng)`."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        gens = ("a", "b", "c")[: rng.randint(1, 3)]
+        kind = rng.choice((Kind.GROUP, Kind.MONOID))
+        exps = (-2, -1, 1, 2) if kind is Kind.GROUP else (1, 2)
+
+        def word():
+            length = rng.randint(0, 4)
+            return Word(tuple((rng.choice(gens), rng.choice(exps)) for _ in range(length)))
+
+        rels = tuple(Relation(word(), word()) for _ in range(rng.randint(1, 3)))
+        yield Presentation(kind, gens, rels), budget(rng)
+
+
+def test_stopped_completion_matches_the_unstopped_loop(monkeypatch):
+    stopped = 0
+
+    def tight(rng):
+        return Budget(rng.randint(1, 12), rng.randint(2, 12), rng.randint(5, 300))
+
+    for p, budget in random_presentations(5, 60, tight):
+        (new, calls), (old, unstopped) = completed_both_ways(monkeypatch, p, budget)
+        assert (new.rules, new.status) == (old.rules, old.status)
+        stopped += calls < unstopped
+    assert stopped > 10
+
+
+# -- the completion cache is keyed on letter codes: a repeated or renamed
+#    presentation is completed once, over the caller's generators.
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """Clear the completion cache and count the completions `normal_forms` runs."""
+    monkeypatch.setattr(rewriting, "_systems", OrderedDict())
+    calls = []
+    complete = rewriting.knuth_bendix
+    monkeypatch.setattr(
+        rewriting, "knuth_bendix", lambda *args: calls.append(args) or complete(*args)
+    )
+    return calls
+
+
+COMMUTING = "group\ngens: a, b\nrels: a b = b a"
+
+
+def test_equal_and_renamed_presentations_complete_once(completions):
+    p = parse_presentation(COMMUTING)
+    again = parse_presentation(COMMUTING)
+    renamed = rename_generators(p, {"a": "u", "b": "v"})
+    systems = [normal_forms(q, ())[0] for q in (p, again, renamed)]
+    assert len(completions) == 1
+    assert [rs.presentation for rs in systems] == [p, again, renamed]
+    fresh = knuth_bendix(p)
+    assert fresh.complete
+    assert all((rs.rules, rs.status) == (fresh.rules, fresh.status) for rs in systems)
+
+
+def test_budget_is_part_of_the_completion_key(completions):
+    hostile = parse_presentation("monoid\ngens: a, b\nrels: b a = a b, b b b = a a")
+    starved = Budget(2, 4, 1)
+    assert words_equal(hostile, W("a"), W("b"), starved) is Verdict.UNKNOWN
+    assert words_equal(hostile, W("a"), W("b")) is Verdict.DISTINCT
+    assert words_equal(hostile, W("a"), W("b"), starved) is Verdict.UNKNOWN
+    assert len(completions) == 2
+
+
+def test_kind_and_generator_count_are_part_of_the_completion_key(completions):
+    group = parse_presentation(COMMUTING)
+    monoid = Presentation(Kind.MONOID, group.generators, group.relations)
+    wider = Presentation(Kind.GROUP, (*group.generators, "c"), group.relations)
+    systems = [normal_forms(q, ())[0] for q in (group, monoid, wider, group, monoid, wider)]
+    assert len(completions) == 3
+    assert systems[:3] == systems[3:]
+    assert len({rs.rules for rs in systems}) == 3
+
+
+def test_presentations_too_wide_for_letter_codes_are_not_completed(completions):
+    gens = tuple(f"g{i}" for i in range(129))
+    for rels in ((), (Relation(W("g0"), Word()),)):
+        with pytest.raises(ValidationError, match="129 generators"):
+            normal_forms(Presentation(Kind.GROUP, gens, rels), ())
+    assert not rewriting._systems
+
+
+def test_cached_systems_equal_fresh_ones(completions):
+    cases = list(random_presentations(11, 150, lambda rng: Budget(rng.randint(3, 30), 12, 300)))
+    # repeats, renamings and more distinct keys than the cache holds
+    cases += [(rename_generators(p, {"a": "x"}), budget) for p, budget in cases[:100:3]]
+    cases += cases[::2]
+    cached = [normal_forms(p, (), budget)[0] for p, budget in cases]
+    assert len(rewriting._systems) == 128
+    # the cache holds rules and status, never a presentation or a trie
+    assert all(
+        type(rules) is tuple and all(type(r) is RewriteRule for r in rules)
+        and type(status) is Completeness
+        for rules, status in rewriting._systems.values()
+    )
+    assert len(completions) < len(cases)
+    assert cached == [knuth_bendix(p, budget) for p, budget in cases]
+    assert {rs.status for rs in cached} == set(Completeness)
+
+
+def test_normal_form_over_a_renamed_cache_hit_uses_the_callers_generators(completions):
+    normal_forms(parse_presentation(COMMUTING), ())
+    renamed = rename_generators(parse_presentation(COMMUTING), {"a": "x", "b": "y"})
+    rs, (code,) = normal_forms(renamed, (W("y x^-1 y^-1"),))
+    assert len(completions) == 1
+    assert rs.presentation is renamed
+    assert normal_form(rs, W("y x^-1 y^-1")) == W("x^-1")
+    assert code == encode_word(renamed, W("x^-1"))
