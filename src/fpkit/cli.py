@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from .presentations import (
     serialize_presentation,
     tietze_simplify,
 )
-from .rewriting import Budget, Verdict, words_equal
+from .rewriting import Budget, Verdict, completion_key, words_equal
 from .verify import (
     Certificate,
     CheckReport,
@@ -388,6 +389,7 @@ class _Kind:
     verify: Callable  # (job, config[, built]) -> Certificate
     takes_built: bool  # whether `verify` accepts --built instead of building
     name: str  # default --name of `build`
+    primary: str  # input whose presentation `corpus --jobs` groups rows by
 
 
 _REQUIRED = {"required": True}
@@ -401,6 +403,7 @@ KINDS = {
         verify_markov,
         True,
         "s_gh",
+        "s1",
     ),
     "test-group": _Kind(
         GroupTestJob,
@@ -411,6 +414,7 @@ KINDS = {
         verify_test_group,
         True,
         "t",
+        "base",
     ),
     "property": _Kind(
         PropertyJob,
@@ -427,6 +431,7 @@ KINDS = {
         verify_property,
         False,
         "composite",
+        "test",
     ),
 }
 
@@ -506,45 +511,68 @@ def run_job(job, config: RunConfig) -> Certificate:
     return kind.verify(job, config)
 
 
-def _run_row(args) -> tuple[str, str]:
-    row, base_dir, config = args
-    cert = run_job(_job_from_row(row, base_dir, config), config)
-    return row.name, cert.to_json()
+def _run_rows(rows: list[ManifestRow], base_dir: Path, config: RunConfig) -> list[str]:
+    """Each row's certificate JSON, in order, from one process and its caches."""
+    return [run_job(_job_from_row(row, base_dir, config), config).to_json() for row in rows]
+
+
+def _pool_tasks(rows: list[ManifestRow], base_dir: Path, jobs: int) -> list[list[int]]:
+    """Row indices per pool task, heaviest first.
+
+    Rows whose primary presentations share a `completion_key` (are equal up
+    to renaming) form one task, so one worker completes that system and the
+    task's other rows hit its caches.  A group longer than rows / jobs is
+    cut into pieces in manifest order, so every worker gets work.  A task
+    weighs its distinct inputs, since a repeated row is a cache hit; ties
+    go by manifest position.
+    """
+    groups: dict = {}
+    keys: dict[str, tuple] = {}  # primary input -> completion key
+    for i, row in enumerate(rows):
+        name = row.inputs.get(KINDS[row.kind].primary)
+        if name is not None and name not in keys:
+            try:
+                keys[name] = completion_key(_load_presentation(base_dir / name))
+            except (PresentationError, ValueError, OSError):
+                pass
+        # a row without a readable primary file is a task of its own, which
+        # fails in a worker as it would in a serial run
+        groups.setdefault(keys.get(name, i), []).append(i)
+    size = -(-len(rows) // jobs)
+    tasks = [g[at : at + size] for g in groups.values() for at in range(0, len(g), size)]
+    weight = lambda task: len({(rows[i].kind, frozenset(rows[i].inputs.items())) for i in task})
+    return sorted(tasks, key=lambda task: (-weight(task), task[0]))
 
 
 def cmd_corpus(manifest: Path, config: RunConfig, out=sys.stdout) -> int:
     rows = parse_manifest(manifest)
     base_dir = manifest.parent
-    workers = min(config.jobs, len(rows))
+    tasks = _pool_tasks(rows, base_dir, config.jobs) if config.jobs > 1 else []
+    # under fork every worker starts at once, so start no more than tasks
+    workers = min(config.jobs, len(tasks))
     if workers > 1:
-        # Send the rows sorted by inputs, in at least 25 chunks per worker:
-        # rows that share presentations then reach one worker and its caches,
-        # and a chunk costs one round trip.  Under fork every worker starts at
-        # once, so start no more than rows.
-        ordered = sorted(rows, key=lambda row: (row.kind, tuple(row.inputs.items())))
-        tasks = [(row, base_dir, config) for row in ordered]
-        chunksize = max(1, len(rows) // (25 * workers))
+        run = functools.partial(_run_rows, base_dir=base_dir, config=config)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            done = dict(pool.map(_run_row, tasks, chunksize=chunksize))
-        # names are unique (parse_manifest checks), so they restore manifest order
-        results = [(row.name, done[row.name]) for row in rows]
+            done = pool.map(run, [[rows[i] for i in task] for task in tasks])
+            certs = {i: cert for task, part in zip(tasks, done) for i, cert in zip(task, part)}
+        results = [certs[i] for i in range(len(rows))]
     else:
-        results = [_run_row((row, base_dir, config)) for row in rows]
+        results = _run_rows(rows, base_dir, config)
 
     all_match = True
     if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     print(f"{'instance':<28}{'expected':<10}{'got':<10}{'ms':>8}", file=out)
-    for row, (name, cert_json) in zip(rows, results):
+    for row, cert_json in zip(rows, results):
         payload = json.loads(cert_json)
         got = payload["overall"]
         elapsed = payload["elapsed_ms"]
         flag = "" if got == row.expected else "   << MISMATCH"
         if got != row.expected:
             all_match = False
-        print(f"{name:<28}{row.expected:<10}{got:<10}{elapsed:>8}{flag}", file=out)
+        print(f"{row.name:<28}{row.expected:<10}{got:<10}{elapsed:>8}{flag}", file=out)
         if config.out_dir is not None:
-            (config.out_dir / f"{name}.cert.json").write_text(cert_json, encoding="utf-8")
+            (config.out_dir / f"{row.name}.cert.json").write_text(cert_json, encoding="utf-8")
     return EXIT_PROVED if all_match else EXIT_REFUTED
 
 

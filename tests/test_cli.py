@@ -30,6 +30,7 @@ from fpkit.cli import (
 )
 from fpkit.constructions import XiRange, Mode
 from fpkit.corpus import bundled_manifest, corpus_dir
+from fpkit.rewriting import Budget
 from fpkit.presentations import (
     Presentation,
     PresentationError,
@@ -466,8 +467,8 @@ def test_run_config_is_serial_by_default():
 @pytest.fixture
 def pool_calls(monkeypatch):
     """Puts a double in for ProcessPoolExecutor that starts no process and
-    runs `map` in this one; returns, per pool, its workers, its chunksize
-    and the names of the rows in the order they were sent."""
+    runs `map` in this one; returns, per pool, its workers and the names of
+    the rows of each task in the order the tasks were sent."""
     import concurrent.futures
 
     calls = []
@@ -483,24 +484,25 @@ def pool_calls(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            self.call.update(chunksize=chunksize, sent=[row.name for row, *_ in items])
-            return map(fn, items)
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            self.call["sent"] = [[row.name for row in task] for task in tasks]
+            return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     return calls
 
 
-def test_corpus_starts_no_more_workers_than_rows(tmp_path, pool_calls):
+def test_corpus_starts_no_more_workers_than_tasks(tmp_path, pool_calls):
     manifest = tmp_path / "m.tsv"
     rows = [f"r{i}\ttest-group\t{ROW_INPUTS['test-group']}\tproved\n" for i in range(3)]
     manifest.write_text("".join(rows), encoding="utf-8")
     assert cmd_corpus(manifest, RunConfig(jobs=32), out=io.StringIO()) == EXIT_PROVED
     manifest.write_text(rows[0], encoding="utf-8")
     assert cmd_corpus(manifest, RunConfig(jobs=32), out=io.StringIO()) == EXIT_PROVED
-    # three rows start three workers; one row runs in this process
-    assert [(c["max_workers"], c["chunksize"]) for c in pool_calls] == [(3, 1)]
+    # three equal rows are cut into three tasks of one row, which start
+    # three workers; one row runs in this process
+    assert pool_calls == [{"max_workers": 3, "sent": [["r0"], ["r1"], ["r2"]]}]
 
 
 # cheap instances and their verdicts, repeated by the chunked-pool tests
@@ -524,7 +526,7 @@ def _repeating_manifest(path: Path, n: int) -> Path:
 
 
 def test_pool_reports_chunked_rows_in_manifest_order(tmp_path):
-    manifest = _repeating_manifest(tmp_path / "m.tsv", 120)  # chunks of 2 rows on 2 workers
+    manifest = _repeating_manifest(tmp_path / "m.tsv", 120)  # tasks of up to 60 rows on 2 workers
     names = [row.name for row in parse_manifest(manifest)]
     tables, certs = {}, {}
     for jobs in (1, 2):
@@ -543,14 +545,95 @@ def test_pool_reports_chunked_rows_in_manifest_order(tmp_path):
     assert certs[2] == certs[1]
 
 
-def test_pool_sends_rows_sorted_by_inputs_in_chunks(tmp_path, pool_calls):
-    for n, chunksize in ((48, 1), (400, 8)):
+def _renamed_manifest(path: Path, copies: int) -> Path:
+    """Test groups over renamed copies of BS(1, 2) and of base_c5, each row
+    with its own letters, the two bases alternating."""
+    lines = []
+    for i in range(copies):
+        x, y, c = f"x{i}", f"y{i}", f"c{i}"
+        (path.parent / f"bs_{i}.pres").write_text(
+            f"group\ngens: {y}, {x}\nrels: {x}^-1 {y} {x} = {y}^2\n", encoding="utf-8"
+        )
+        (path.parent / f"c5_{i}.pres").write_text(
+            f"group\ngens: {c}\nrels: {c}^5 = 1\n", encoding="utf-8"
+        )
+        w, verdict = (f"{y}", "unknown") if i % 2 else (f"{x}^-1 {y} {x} {y}^-2", "proved")
+        lines.append(f"bs{i}\ttest-group\tbase=bs_{i}.pres;w={w}\t{verdict}\n")
+        lines.append(f"c5{i}\ttest-group\tbase=c5_{i}.pres;w={c}^2;b={c}^7\tproved\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def _distinct_inputs(rows: list[ManifestRow]) -> int:
+    return len({(row.kind, frozenset(row.inputs.items())) for row in rows})
+
+
+def test_pool_tasks_are_groups_of_renamed_copies(tmp_path, pool_calls):
+    manifest = _renamed_manifest(tmp_path / "m.tsv", 6)
+    bs, c5 = [f"bs{i}" for i in range(6)], [f"c5{i}" for i in range(6)]
+    # only the names matter: the double runs every row in this process
+    cmd_corpus(manifest, RunConfig(jobs=2), out=io.StringIO())
+    cmd_corpus(manifest, RunConfig(jobs=4), out=io.StringIO())
+    # one task per base up to renaming; with 4 jobs, pieces of 12 / 4 rows,
+    # equal in weight, so in manifest order of their first rows
+    assert pool_calls == [
+        {"max_workers": 2, "sent": [bs, c5]},
+        {"max_workers": 4, "sent": [bs[:3], c5[:3], bs[3:], c5[3:]]},
+    ]
+
+
+def test_pool_sends_heaviest_tasks_first_and_none_longer_than_rows_per_job(
+    tmp_path, pool_calls
+):
+    manifest = tmp_path / "m.tsv"
+    repeated = [f"m{i}\tmarkov\t{ROW_INPUTS['markov']}\tproved\n" for i in range(5)]
+    renamed = _renamed_manifest(tmp_path / "renamed.tsv", 3).read_text(encoding="utf-8")
+    manifest.write_text("".join(repeated) + renamed, encoding="utf-8")
+    assert cmd_corpus(manifest, RunConfig(jobs=2), out=io.StringIO()) == EXIT_PROVED
+    # 11 rows on 2 jobs: pieces of at most 6 rows.  The 3 distinct BS
+    # copies outweigh the 5 equal markov rows, which weigh 1 however long
+    assert pool_calls[-1]["sent"] == [
+        ["bs0", "bs1", "bs2"],
+        ["c50", "c51", "c52"],
+        ["m0", "m1", "m2", "m3", "m4"],
+    ]
+    for n, jobs in ((48, 2), (400, 2), (400, 3)):
         manifest = _repeating_manifest(tmp_path / f"{n}.tsv", n)
         rows = {row.name: row for row in parse_manifest(manifest)}
-        assert cmd_corpus(manifest, RunConfig(jobs=2), out=io.StringIO()) == EXIT_PROVED
-        call = pool_calls[-1]
-        assert (call["max_workers"], call["chunksize"]) == (2, chunksize)
-        # by kind and inputs, and rows with equal inputs in manifest order
-        sent = [(rows[name].kind, tuple(rows[name].inputs.items()), name) for name in call["sent"]]
-        assert len(sent) == n
-        assert sent == sorted(sent)
+        assert cmd_corpus(manifest, RunConfig(jobs=jobs), out=io.StringIO()) == EXIT_PROVED
+        sent = pool_calls[-1]["sent"]
+        assert sorted(name for task in sent for name in task) == sorted(rows)
+        assert all(task == sorted(task) for task in sent)  # manifest order
+        assert max(len(task) for task in sent) <= -(-n // jobs)
+        weights = [_distinct_inputs([rows[name] for name in task]) for task in sent]
+        assert weights == sorted(weights, reverse=True)
+
+
+def test_pool_certificates_on_renamed_copies_equal_serial_ones(tmp_path):
+    manifest = _renamed_manifest(tmp_path / "m.tsv", 4)
+    certs = {}
+    for jobs in (1, 2):
+        config = RunConfig(rewrite_budget=Budget(max_rules=100), out_dir=tmp_path / str(jobs), jobs=jobs)
+        assert cmd_corpus(manifest, config, out=io.StringIO()) == EXIT_PROVED
+        certs[jobs] = {
+            path.name: _stable_json(path.read_text(encoding="utf-8"))
+            for path in config.out_dir.iterdir()
+        }
+    assert len(certs[2]) == 8
+    assert certs[2] == certs[1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("problem", ["missing", "unparsable"])
+def test_corpus_names_an_unreadable_primary_file_at_any_job_count(
+    tmp_path, capsys, jobs, problem
+):
+    bad = tmp_path / "bad.pres"
+    if problem == "unparsable":
+        bad.write_text("group\ngens: a\nrels: a^ = 1\n", encoding="utf-8")
+    good = f"ok\ttest-group\t{ROW_INPUTS['test-group']}\tproved\n"
+    (tmp_path / "m.tsv").write_text(
+        good + "bad\ttest-group\tbase=bad.pres;w=a\tproved\n", encoding="utf-8"
+    )
+    assert main(["corpus", str(tmp_path / "m.tsv"), "--jobs", str(jobs)]) == EXIT_USAGE
+    assert f"error: {bad}" in capsys.readouterr().err
