@@ -14,9 +14,10 @@ Exit codes: 0 proved / all expectations matched, 1 refuted / mismatch,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
+import os
+import pickle
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,11 +87,18 @@ class RunConfig:
 
 def _load_presentation(path: Path) -> Presentation:
     try:
-        return parse_presentation(path.read_text(encoding="utf-8"))
+        return _parse(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise PresentationError(f"{path}: no such file") from None
     except ParseError as exc:
         raise PresentationError(f"{path}: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=128)
+def _parse(text: str) -> Presentation:
+    """The parse of a presentation text; the last 128 texts are parsed once
+    per process, since a corpus reads few files many times."""
+    return parse_presentation(text)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +532,8 @@ def _pool_tasks(rows: list[ManifestRow], base_dir: Path, jobs: int) -> list[list
     task's other rows hit its caches.  A group longer than rows / jobs is
     cut into pieces in manifest order, so every worker gets work.  A task
     weighs its distinct inputs, since a repeated row is a cache hit; ties
-    go by manifest position.
+    go by manifest position.  The primary files are parsed here, before
+    any fork, so the workers inherit their parses.
     """
     groups: dict = {}
     keys: dict[str, tuple] = {}  # primary input -> completion key
@@ -544,17 +553,93 @@ def _pool_tasks(rows: list[ManifestRow], base_dir: Path, jobs: int) -> list[list
     return sorted(tasks, key=lambda task: (-weight(task), task[0]))
 
 
+def _take(fn: Callable, items: list, queue: int) -> tuple[dict, tuple | None]:
+    """Run `fn` on each item whose index comes off the `queue` pipe until it
+    is empty: the results by index, and the first (index, exception).  After
+    an exception the rest of the queue is taken and not run, so the other
+    processes stop soon."""
+    done, failure = {}, None
+    while record := os.read(queue, 4):
+        i = int.from_bytes(record, "little")
+        if failure is None:
+            try:
+                done[i] = fn(items[i])
+            except BaseException as exc:
+                failure = (i, exc)
+    return done, failure
+
+
+def _forked_map(fn: Callable, items: list, workers: int) -> list:
+    """`[fn(item) for item in items]`, worked by this process and
+    `workers - 1` forked copies, each taking the next index from one pipe.
+
+    Each child sends its results, or its exception, on a pipe of its own;
+    all are waited for before this returns or raises.  The exception of the
+    lowest index is raised again here, and a child that sends nothing
+    raises a RuntimeError.  Without `os.fork` the items run here.
+    """
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    queue_r, queue_w = os.pipe()
+    children = {}  # pid -> read end of its result pipe
+    replies = []
+    try:
+        try:
+            for _ in range(workers - 1):
+                result_r, result_w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        os.close(queue_w)  # the queue then ends when the parent closes its end
+                        with open(result_w, "wb") as reply:
+                            reply.write(pickle.dumps(_take(fn, items, queue_r)))
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(result_w)
+                children[pid] = result_r
+            # a write of 4 bytes is atomic, so no read gets part of a record;
+            # a queue longer than the pipe holds waits for the children
+            for i in range(len(items)):
+                os.write(queue_w, i.to_bytes(4, "little"))
+        finally:
+            os.close(queue_w)
+        outcomes = [_take(fn, items, queue_r)]
+    finally:
+        for pid, result_r in children.items():
+            with open(result_r, "rb") as reply:
+                replies.append((pid, reply.read(), os.waitpid(pid, 0)[1]))
+        os.close(queue_r)
+    for pid, reply, status in replies:
+        if not reply:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"worker process {pid} exited with status {code}, sending nothing")
+        outcomes.append(pickle.loads(reply))
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    done = {i: result for part, _ in outcomes for i, result in part.items()}
+    return [done[i] for i in range(len(items))]
+
+
 def cmd_corpus(manifest: Path, config: RunConfig, out=sys.stdout) -> int:
+    """Run every row of `manifest`, with jobs > 1 in `_pool_tasks` on this
+    process and up to jobs - 1 forked ones; the output is in manifest order."""
     rows = parse_manifest(manifest)
     base_dir = manifest.parent
     tasks = _pool_tasks(rows, base_dir, config.jobs) if config.jobs > 1 else []
-    # under fork every worker starts at once, so start no more than tasks
+    # this process is a worker too; fork no more workers than there are tasks
     workers = min(config.jobs, len(tasks))
     if workers > 1:
-        run = functools.partial(_run_rows, base_dir=base_dir, config=config)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(run, [[rows[i] for i in task] for task in tasks])
-            certs = {i: cert for task, part in zip(tasks, done) for i, cert in zip(task, part)}
+        parts = _forked_map(
+            lambda task: _run_rows(task, base_dir, config),
+            [[rows[i] for i in task] for task in tasks],
+            workers,
+        )
+        certs = {i: cert for task, part in zip(tasks, parts) for i, cert in zip(task, part)}
         results = [certs[i] for i in range(len(rows))]
     else:
         results = _run_rows(rows, base_dir, config)

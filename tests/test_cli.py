@@ -1,14 +1,18 @@
 import ast
 import io
 import json
+import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import fpkit
+from fpkit import cli
 from fpkit.cli import (
     EXIT_PROVED,
     EXIT_REFUTED,
@@ -20,6 +24,7 @@ from fpkit.cli import (
     GroupTestJob,
     ManifestRow,
     _build_parser,
+    _forked_map,
     _job_from_row,
     cmd_corpus,
     main,
@@ -333,12 +338,13 @@ def test_cli_main_returns_int_for_inprocess_use(capsys):
 
 def test_cli_corpus_passes_under_python_optimize():
     # -O strips assert statements, so no soundness check may rely on one
-    r = subprocess.run(
-        [sys.executable, "-O", "-m", "fpkit.cli", "corpus", "--jobs", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert r.returncode == 0, r.stdout + r.stderr
+    for jobs in ("1", "2"):
+        r = subprocess.run(
+            [sys.executable, "-O", "-m", "fpkit.cli", "corpus", "--jobs", jobs],
+            capture_output=True,
+            text=True,
+        )
+        assert r.returncode == 0, r.stdout + r.stderr
 
 
 def test_no_assert_statements_in_src():
@@ -466,30 +472,16 @@ def test_run_config_is_serial_by_default():
 
 @pytest.fixture
 def pool_calls(monkeypatch):
-    """Puts a double in for ProcessPoolExecutor that starts no process and
-    runs `map` in this one; returns, per pool, its workers and the names of
+    """Puts a double in for `_forked_map` that forks no process and runs
+    every task in this one; returns, per call, its workers and the names of
     the rows of each task in the order the tasks were sent."""
-    import concurrent.futures
-
     calls = []
 
-    class Recording:
-        def __init__(self, max_workers):
-            self.call = {"max_workers": max_workers}
-            calls.append(self.call)
+    def recording(fn, tasks, workers):
+        calls.append({"workers": workers, "sent": [[row.name for row in task] for task in tasks]})
+        return [fn(task) for task in tasks]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            self.call["sent"] = [[row.name for row in task] for task in tasks]
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(cli, "_forked_map", recording)
     return calls
 
 
@@ -500,9 +492,9 @@ def test_corpus_starts_no_more_workers_than_tasks(tmp_path, pool_calls):
     assert cmd_corpus(manifest, RunConfig(jobs=32), out=io.StringIO()) == EXIT_PROVED
     manifest.write_text(rows[0], encoding="utf-8")
     assert cmd_corpus(manifest, RunConfig(jobs=32), out=io.StringIO()) == EXIT_PROVED
-    # three equal rows are cut into three tasks of one row, which start
-    # three workers; one row runs in this process
-    assert pool_calls == [{"max_workers": 3, "sent": [["r0"], ["r1"], ["r2"]]}]
+    # three equal rows are cut into three tasks of one row, which this
+    # process and two forked ones work; one row runs in this process alone
+    assert pool_calls == [{"workers": 3, "sent": [["r0"], ["r1"], ["r2"]]}]
 
 
 # cheap instances and their verdicts, repeated by the chunked-pool tests
@@ -577,8 +569,8 @@ def test_pool_tasks_are_groups_of_renamed_copies(tmp_path, pool_calls):
     # one task per base up to renaming; with 4 jobs, pieces of 12 / 4 rows,
     # equal in weight, so in manifest order of their first rows
     assert pool_calls == [
-        {"max_workers": 2, "sent": [bs, c5]},
-        {"max_workers": 4, "sent": [bs[:3], c5[:3], bs[3:], c5[3:]]},
+        {"workers": 2, "sent": [bs, c5]},
+        {"workers": 4, "sent": [bs[:3], c5[:3], bs[3:], c5[3:]]},
     ]
 
 
@@ -637,3 +629,98 @@ def test_corpus_names_an_unreadable_primary_file_at_any_job_count(
     )
     assert main(["corpus", str(tmp_path / "m.tsv"), "--jobs", str(jobs)]) == EXIT_USAGE
     assert f"error: {bad}" in capsys.readouterr().err
+
+
+@pytest.fixture
+def reaped():
+    """Fails the test if it runs over a minute or leaves a child process."""
+
+    def timeout(signum, frame):
+        raise TimeoutError("over a minute: a process waits for a pipe no one writes")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+class Boom(Exception):
+    pass
+
+
+@forks
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_forked_map_returns_results_in_item_order(workers, reaped):
+    def square(x):
+        time.sleep(0.002)  # long enough for every process to take items
+        return x * x, os.getpid()
+
+    got = _forked_map(square, list(range(60)), workers)
+    assert [value for value, _ in got] == [x * x for x in range(60)]
+    pids = {pid for _, pid in got}
+    assert len(pids) <= workers and (len(pids) > 1) == (workers > 1)
+
+
+@forks
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_forked_map_raises_an_exception_of_any_process_again(where, reaped):
+    parent = os.getpid()
+
+    def fails_in_one_process(x):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise Boom(f"row failed in the {where}")
+        time.sleep(0.005)  # leaves items for the failing process
+        return x
+
+    with pytest.raises(Boom, match=f"^row failed in the {where}$"):
+        _forked_map(fails_in_one_process, list(range(40)), 3)
+
+
+@forks
+def test_forked_map_names_the_status_of_a_child_that_sent_nothing(reaped):
+    parent = os.getpid()
+
+    def child_exits(x):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.005)
+        return x
+
+    with pytest.raises(RuntimeError, match="exited with status 3, sending nothing"):
+        _forked_map(child_exits, list(range(40)), 2)
+
+
+@forks
+def test_corpus_leaves_no_child_process(reaped):
+    assert cmd_corpus(bundled_manifest(), RunConfig(jobs=2), out=io.StringIO()) == EXIT_PROVED
+
+
+@forks
+def test_forked_map_takes_a_queue_longer_than_the_pipe_holds(reaped):
+    # 20,000 records of 4 bytes overflow a 64 KiB pipe buffer
+    assert _forked_map(lambda x: -x, list(range(20_000)), 3) == [-x for x in range(20_000)]
+
+
+@forks
+def test_corpus_runs_in_this_process_without_fork(tmp_path, monkeypatch, reaped):
+    manifest = _repeating_manifest(tmp_path / "m.tsv", 24)
+    certs = {}
+    for jobs in (1, 2):
+        if jobs == 2:
+            monkeypatch.delattr(os, "fork")
+        config = RunConfig(jobs=jobs, out_dir=tmp_path / str(jobs))
+        assert cmd_corpus(manifest, config, out=io.StringIO()) == EXIT_PROVED
+        certs[jobs] = {
+            path.name: _stable_json(path.read_text(encoding="utf-8"))
+            for path in config.out_dir.iterdir()
+        }
+    assert len(certs[2]) == 24
+    assert certs[2] == certs[1]
