@@ -553,25 +553,29 @@ def _pool_tasks(rows: list[ManifestRow], base_dir: Path, jobs: int) -> list[list
     return sorted(tasks, key=lambda task: (-weight(task), task[0]))
 
 
-def _take(fn: Callable, items: list, queue: int) -> tuple[dict, tuple | None]:
-    """Run `fn` on each item whose index comes off the `queue` pipe until it
-    is empty: the results by index, and the first (index, exception).  After
-    an exception the rest of the queue is taken and not run, so the other
-    processes stop soon."""
-    done, failure = {}, None
+def _run(fn: Callable, items: list, i: int, outcome: list):
+    """Put `fn(items[i])` in `outcome`, [the results by index, the first
+    (index, exception)]; after an exception run nothing more."""
+    if outcome[1] is None:
+        try:
+            outcome[0][i] = fn(items[i])
+        except BaseException as exc:
+            outcome[1] = (i, exc)
+
+
+def _take(fn: Callable, items: list, queue: int, outcome: list) -> list:
+    """`_run` each index that comes off the `queue` pipe until it is empty,
+    and return `outcome`.  After an exception the rest of the queue is
+    taken and not run, so the other processes stop soon."""
     while record := os.read(queue, 4):
-        i = int.from_bytes(record, "little")
-        if failure is None:
-            try:
-                done[i] = fn(items[i])
-            except BaseException as exc:
-                failure = (i, exc)
-    return done, failure
+        _run(fn, items, int.from_bytes(record, "little"), outcome)
+    return outcome
 
 
 def _forked_map(fn: Callable, items: list, workers: int) -> list:
     """`[fn(item) for item in items]`, worked by this process and
-    `workers - 1` forked copies, each taking the next index from one pipe.
+    `workers - 1` forked copies, each taking the next index from one pipe
+    (an index that finds the pipe full runs in this process at once).
 
     Each child sends its results, or its exception, on a pipe of its own;
     all are waited for before this returns or raises.  The exception of the
@@ -585,6 +589,7 @@ def _forked_map(fn: Callable, items: list, workers: int) -> list:
     queue_r, queue_w = os.pipe()
     children = {}  # pid -> read end of its result pipe
     replies = []
+    mine = [{}, None]  # this process's results and first failure
     try:
         try:
             for _ in range(workers - 1):
@@ -595,19 +600,24 @@ def _forked_map(fn: Callable, items: list, workers: int) -> list:
                     try:
                         os.close(queue_w)  # the queue then ends when the parent closes its end
                         with open(result_w, "wb") as reply:
-                            reply.write(pickle.dumps(_take(fn, items, queue_r)))
+                            reply.write(pickle.dumps(_take(fn, items, queue_r, [{}, None])))
                         status = 0
                     finally:
                         os._exit(status)
                 os.close(result_w)
                 children[pid] = result_r
             # a write of 4 bytes is atomic, so no read gets part of a record;
-            # a queue longer than the pipe holds waits for the children
+            # an index that finds the pipe full runs here, so the queue never
+            # waits for the children, which may all have died
+            os.set_blocking(queue_w, False)
             for i in range(len(items)):
-                os.write(queue_w, i.to_bytes(4, "little"))
+                try:
+                    os.write(queue_w, i.to_bytes(4, "little"))
+                except BlockingIOError:
+                    _run(fn, items, i, mine)
         finally:
             os.close(queue_w)
-        outcomes = [_take(fn, items, queue_r)]
+        outcomes = [_take(fn, items, queue_r, mine)]
     finally:
         for pid, result_r in children.items():
             with open(result_r, "rb") as reply:

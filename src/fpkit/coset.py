@@ -20,9 +20,10 @@ A closed table certifies the subgroup index.  Triviality testing first
 consults the abelianization (the cheap certificate for nontriviality,
 since enumeration can never certify an infinite group nontrivial) and
 then enumerates over the empty subgroup.  `is_trivial` keeps its last 128
-verdicts per process, keyed on the generator count, the relators' letter
-codes in relation order and the limits, so presentations that differ only
-by a renaming share a verdict.  Only the frozen `Triviality` is kept, never
+verdicts per process, keyed on the limits and `rewriting.completion_key`
+(generator count and relations as runs of generator index and exponent,
+in relation order), so presentations that differ only by a renaming share
+a verdict.  Only the frozen `Triviality` is kept, never
 a table: whatever a certificate reads from an enumeration must be part of
 that record, or a cached verdict and a fresh one would certify differently.
 """
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .presentations import Kind, Presentation, ValidationError, Word, encode_word
+from .rewriting import completion_key
 from .verify import abelianization
 
 UNDEF = -1
@@ -358,7 +360,7 @@ class Triviality:
         return self.status != "unknown"
 
 
-# (generator count, relator letter codes, limits) -> verdict, least recent first
+# (completion key, limits) -> verdict, least recent first
 _verdicts: OrderedDict[tuple, Triviality] = OrderedDict()
 _MAX_VERDICTS = 128
 
@@ -366,18 +368,17 @@ _MAX_VERDICTS = 128
 def is_trivial(p: Presentation, limits: EnumLimits = DEFAULT_LIMITS) -> Triviality:
     """Three-valued triviality test: abelianization first, then enumeration.
 
-    The verdict depends only on the generator count, the relators' letter
-    codes in relation order (the order steers a budgeted enumeration) and
-    `limits`, so the last 128 are kept under that key and a repeated or
-    renamed presentation is not enumerated again.
+    The verdict depends only on the relators' letter codes in relation
+    order (the order steers a budgeted enumeration) and `limits`, so the
+    last 128 are kept under `rewriting.completion_key` and the limits, which
+    determine the codes without encoding a word, and a repeated or renamed
+    presentation is not enumerated again.
     """
     if p.kind is not Kind.GROUP:
         raise ValidationError("is_trivial expects a group presentation")
-    try:
-        relators = tuple(encode_word(p, rel.lhs * rel.rhs.inverse()) for rel in p.relations)
-    except ValidationError:  # too many generators for letter codes: decide uncached
+    if len(p.generators) > 128:  # too many generators for letter codes: decide uncached
         return _decide(p, limits)
-    key = (len(p.generators), relators, limits)
+    key = (completion_key(p), limits)
     verdict = _verdicts.get(key)
     if verdict is not None:
         _verdicts.move_to_end(key)

@@ -36,6 +36,12 @@ other rule id, then direction, then overlap width, and a pair whose rule
 was interreduced away stays queued and still counts toward
 ``max_iterations`` when popped.  Both are fixed for the same reason: they
 decide which rules a Partial system holds.
+
+Many critical pairs reduce the same short overlap words, so a completion
+keeps the normal forms it has found under its current rule table, each
+word's and the normal form's own.  The memo is cleared as a new rule
+enters the table; interreduction, which runs on the table mid-change,
+reduces without it.  It changes no result, only repeated work.
 """
 
 from __future__ import annotations
@@ -214,6 +220,14 @@ class _Completion:
         self.eqs: deque[tuple[Letters, Letters]] = deque()
         self.seq = itertools.count()
         self.overflow = False
+        self.reduced: dict[Letters, Letters] = {}  # normal forms under the current table
+
+    def _reduce(self, w: Letters) -> Letters:
+        nf = self.reduced.get(w)
+        if nf is None:
+            nf = self.reduced[w] = self.index.reduce(w)
+            self.reduced[nf] = nf  # irreducible, so `reduce` returns it unchanged
+        return nf
 
     def push_equation(self, u: Letters, v: Letters):
         self.eqs.append((u, v))
@@ -242,8 +256,8 @@ class _Completion:
                 self._push_pair(rid, oid, k)
 
     def add_rule(self, u: Letters, v: Letters):
-        u = self.index.reduce(u)
-        v = self.index.reduce(v)
+        u = self._reduce(u)
+        v = self._reduce(v)
         if u == v:
             return
         lhs, rhs = (u, v) if shortlex(v) < shortlex(u) else (v, u)
@@ -254,12 +268,14 @@ class _Completion:
             raise RuntimeError(f"rule must be strictly decreasing: {RewriteRule(lhs, rhs)}")
         rid = self.next_id
         self.next_id += 1
+        self.reduced.clear()  # the table changes from here on
         self.rules[rid] = RewriteRule(lhs, rhs)
         self.index.add(rid)
         self.suffixes.add(rid)
         self._queue_pairs(rid)
         # Interreduce: requeue rules whose lhs contains the new lhs, rewrite
-        # in place rules whose rhs does.
+        # in place rules whose rhs does.  The table is mid-change here, so
+        # these reductions bypass the memo.
         for oid in sorted(self.rules):
             if oid == rid:
                 continue
@@ -290,8 +306,8 @@ class _Completion:
                 continue  # a side was interreduced away; its content was requeued
             r1, r2 = self.rules[id1], self.rules[id2]
             # overlap word: r1.lhs[:-k] + r2.lhs, rewritable two ways
-            left = self.index.reduce(r1.rhs + r2.lhs[k:])
-            right = self.index.reduce(r1.lhs[:-k] + r2.rhs)
+            left = self._reduce(r1.rhs + r2.lhs[k:])
+            right = self._reduce(r1.lhs[:-k] + r2.rhs)
             if left != right:
                 self.push_equation(left, right)
         if self.eqs or self.pairs:

@@ -710,6 +710,20 @@ def test_forked_map_takes_a_queue_longer_than_the_pipe_holds(reaped):
 
 
 @forks
+def test_forked_map_fills_the_pipe_after_every_child_has_died(reaped):
+    # no child reads the queue any more once the pipe is full
+    parent = os.getpid()
+
+    def child_exits(x):
+        if os.getpid() != parent:
+            os._exit(9)
+        return x
+
+    with pytest.raises(RuntimeError, match="exited with status 9, sending nothing"):
+        _forked_map(child_exits, list(range(20_000)), 2)
+
+
+@forks
 def test_corpus_runs_in_this_process_without_fork(tmp_path, monkeypatch, reaped):
     manifest = _repeating_manifest(tmp_path / "m.tsv", 24)
     certs = {}

@@ -82,6 +82,49 @@ def test_zero_requires_absorption():
         parse_presentation("monoid\ngens: x, z\nzero: z\nrels: z^2 = z")
 
 
+def reference_absorption_error(p: Presentation, z: str) -> str | None:
+    """The hashed check over every relation pair, kept as the oracle."""
+    pairs = {frozenset((r.lhs, r.rhs)) for r in p.relations}
+    zw = Word.single(z)
+    for g in p.generators:
+        for w in {Word.single(g) * zw, zw * Word.single(g)}:
+            if frozenset((w, zw)) not in pairs:
+                return f"zero {z} lacks absorption relation for generator {g}"
+    return None
+
+
+def test_absorption_check_matches_the_reference_on_seeded_zero_monoids():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(400):
+        gens = ("a", "b", "c", "d")[: rng.randint(1, 4)]
+        z = rng.choice(gens)
+        zw = W(z)
+        rels = []
+        for g in gens:
+            for w in {W(g) * zw, zw * W(g)}:  # one relation, z^2 = z, when g is z
+                if rng.random() < 0.08:
+                    seen.add("z^2 missing" if g == z else "g z or z g missing")
+                    continue
+                flipped = rng.random() < 0.5
+                seen.add("written z = w" if flipped else "written w = z")
+                rels.append(Relation(zw, w) if flipped else Relation(w, zw))
+        for _ in range(rng.randint(0, 3)):  # noise, possibly with z alone on a side
+            noise = [W(" ".join(rng.choice(gens) for _ in range(rng.randint(1, 3)))) for _ in "uv"]
+            rels.append(Relation(*noise))
+        rng.shuffle(rels)
+        seen.add("zero not last" if z != gens[-1] else "zero last")
+        expected = reference_absorption_error(Presentation(Kind.MONOID, gens, rels), z)
+        try:
+            Presentation(Kind.MONOID, gens, rels, z)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        seen.add("rejected" if expected else "accepted")
+        assert got == expected
+    assert len(seen) == 8
+
+
 def test_roundtrip_structural_equality():
     texts = [
         "group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, a b a b = 1",

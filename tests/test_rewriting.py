@@ -516,13 +516,13 @@ def random_presentations(seed: int, count: int, budget):
         yield Presentation(kind, gens, rels), budget(rng)
 
 
+def tight_budget(rng) -> Budget:
+    return Budget(rng.randint(1, 12), rng.randint(2, 12), rng.randint(5, 300))
+
+
 def test_stopped_completion_matches_the_unstopped_loop(monkeypatch):
     stopped = 0
-
-    def tight(rng):
-        return Budget(rng.randint(1, 12), rng.randint(2, 12), rng.randint(5, 300))
-
-    for p, budget in random_presentations(5, 60, tight):
+    for p, budget in random_presentations(5, 60, tight_budget):
         (new, calls), (old, unstopped) = completed_both_ways(monkeypatch, p, budget)
         assert (new.rules, new.status) == (old.rules, old.status)
         stopped += calls < unstopped
@@ -628,3 +628,42 @@ def test_normal_form_over_a_renamed_cache_hit_uses_the_callers_generators(comple
     assert rs.presentation is renamed
     assert normal_form(rs, W("y x^-1 y^-1")) == W("x^-1")
     assert code == encode_word(renamed, W("x^-1"))
+
+
+# -- a completion memoizes normal forms per rule table; the memo changes
+#    no rule, status or normal form.
+
+
+def test_memoized_completion_matches_the_memo_free_one(monkeypatch):
+    cases = list(random_presentations(17, 150, tight_budget))
+    cases += random_presentations(19, 60, lambda rng: Budget(200, 20, 2000))
+    hits = []
+    memoized = _Completion._reduce
+
+    def counted(self, w):
+        hits.append(w in self.reduced)
+        return memoized(self, w)
+
+    monkeypatch.setattr(_Completion, "_reduce", counted)
+    got = [knuth_bendix(p, budget) for p, budget in cases]
+    monkeypatch.setattr(_Completion, "_reduce", lambda self, w: self.index.reduce(w))
+    reference = [knuth_bendix(p, budget) for p, budget in cases]
+    assert [(rs.rules, rs.status) for rs in got] == [(rs.rules, rs.status) for rs in reference]
+    assert {rs.status for rs in got} == set(Completeness)
+    assert sum(hits) > len(hits) // 10
+
+
+def test_reducing_a_normal_form_again_changes_nothing():
+    rng = random.Random(23)
+    partial = 0
+    for p, budget in random_presentations(29, 120, tight_budget):
+        rs = knuth_bendix(p, budget)
+        if rs.complete:
+            continue
+        partial += 1
+        index = _RuleIndex(dict(enumerate(rs.rules)))
+        letters = range(0, 2 * len(p.generators), 1 if p.is_group else 2)
+        for _ in range(20):
+            nf = index.reduce(bytes(rng.choice(letters) for _ in range(rng.randint(0, 10))))
+            assert index.reduce(nf) == nf
+    assert partial > 20
