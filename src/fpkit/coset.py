@@ -9,12 +9,21 @@ a live coset, so the table is read directly.  Coincidences are merged to
 transitive closure at once: the higher id dies, its edges move to the
 survivor and the edges into it are deleted.  The union-find over coset ids
 only resolves queued coincidences, whose cosets may die while queued.
-When the table hits the coset limit and enough rows are dead, the table is
-compacted in place (ids renumbered in order) and enumeration resumes;
-otherwise the run ends Exhausted.  The table after a coincidence depends
-only on the merged partition, so `coincide` may visit a dying row's edges
-in any way that moves each of them.  An enumeration runs with the cyclic
-garbage collector paused (see `_gc_paused`).
+The table after a coincidence depends only on the merged partition, so
+`coincide` may visit a dying row's edges in any way that moves each of
+them, and may take its queued pairs in any order.  It takes first those
+queued by merges into coset 0, and ends a cascade as soon as coset 0 is
+fixed by every generator: every coset was defined from a live one and
+merging keeps the quotient connected, so the congruence is then total.
+
+When the table hits the coset limit and enough rows are dead, the dead
+rows are freed in place, ids staying as they are, and enumeration
+resumes; the limit then counts only the rows still held.  Otherwise the
+run ends Exhausted.  Ids are renumbered in order only where the table is
+read: a closed run compacts once at its end, and an exhausted run that
+freed rows renumbers when `TcResult.table` is first read, so `is_trivial`
+never pays for it.  An enumeration runs with the cyclic garbage collector
+paused (see `_gc_paused`).
 
 A closed table certifies the subgroup index.  Triviality testing first
 consults the abelianization (the cheap certificate for nontriviality,
@@ -71,9 +80,11 @@ class CosetTable:
         self.generators = tuple(generators)
         self.ncols = 2 * len(self.generators)
         self.limits = limits
-        self.rows: list[list[int]] = []
+        self.rows: list[list[int] | None] = []
         self.parent: list[int] = []
+        self.blank = [UNDEF] * self.ncols  # copied for each row `scan_and_fill` defines
         self.live = 0
+        self.dropped = 0  # rows freed by `drop_dead_rows`, ids kept
         self.deductions = 0
         self.debug_checks = False
         self.new_coset()
@@ -81,7 +92,7 @@ class CosetTable:
     # -- core mutations
 
     def new_coset(self) -> int:
-        if len(self.rows) >= self.limits.max_cosets:
+        if len(self.rows) - self.dropped >= self.limits.max_cosets:
             raise _TableFull
         c = len(self.rows)
         self.rows.append([UNDEF] * self.ncols)
@@ -113,11 +124,15 @@ class CosetTable:
         Each edge y --col--> d of the dying coset y loses its inverse half
         and moves to the survivor x, or queues a coincidence where x already
         has an edge in that column (or, for a loop at y, the inverse column).
+        Pairs queued by merges into coset 0 are taken first, and once coset
+        0 is fixed by every generator the cascade ends: the congruence is
+        total, so every coset is marked as merged into 0.
         """
-        rows, parent, queue = self.rows, self.parent, [(a, b)]
+        rows, parent = self.rows, self.parent
+        queue, zero = [(a, b)], []
         merged = 0
-        while queue:
-            x, y = queue.pop()
+        while queue or zero:
+            x, y = zero.pop() if zero else queue.pop()
             while parent[x] != x:  # path halving: roots are what count
                 parent[x] = x = parent[parent[x]]
             while parent[y] != y:
@@ -129,6 +144,7 @@ class CosetTable:
             parent[y] = x
             merged += 1
             row_x, row_y = rows[x], rows[y]
+            pending = queue if x else zero
             # the loop reads entries as it reaches them, since a loop at y
             # loses its inverse half on the way; it stops after y's last edge
             edges = len(row_y) - row_y.count(UNDEF)
@@ -142,30 +158,43 @@ class CosetTable:
                     d, row_d = x, row_x
                     edges -= inv > col
                 if row_x[col] != UNDEF:
-                    queue.append((row_x[col], d))
+                    pending.append((row_x[col], d))
                 elif row_d[inv] != UNDEF:
-                    queue.append((row_d[inv], x))
+                    pending.append((row_d[inv], x))
                 else:
                     row_x[col] = d
                     row_d[inv] = x
                 edges -= 1
                 if not edges:
                     break
-        self.live -= merged
+            if not x and row_x.count(0) == len(row_x):
+                self._collapse()
+                break
+        else:  # the queues ran dry before coset 0 was fixed
+            self.live -= merged
         if self.debug_checks:
             self.check_consistency()
+
+    def _collapse(self):
+        """Merge every coset into coset 0 once every generator fixes coset 0.
+
+        Every coset is joined to 0 by edges of the table or by queued
+        coincidences, so all of them lie in the class of 0.
+        """
+        self.parent[:] = [0] * len(self.parent)
+        self.live = 1
 
     def scan_and_fill(self, alpha: int, relator: bytes):
         """Trace a relator at a live coset, filling gaps with new cosets (HLT).
 
         Nearly every coset is made here, so the definition loop does the
         work of `new_coset` and `set_entry` in place and counts its cosets
-        toward `live` and `deductions` once, on whatever way it exits.
+        toward `live` and `deductions` once, on whatever way it exits.  Most
+        scans define nothing, so only a definition reads the limits.
         """
         if not relator:
             return
-        rows, parent, blank = self.rows, self.parent, [UNDEF] * self.ncols
-        max_cosets, max_deductions = self.limits.max_cosets, self.limits.max_deductions
+        rows = self.rows
         f, i = alpha, 0
         b, j = alpha, len(relator) - 1
         while True:
@@ -193,11 +222,13 @@ class CosetTable:
                 return
             # define f . relator[i] = n and step to n, while neither scan
             # could move and the gap stays wider than one letter
+            parent, blank = self.parent, self.blank
             first = n = len(rows)
-            spare = max_deductions - self.deductions
+            cap = self.limits.max_cosets + self.dropped
+            spare = self.limits.max_deductions - self.deductions
             try:
                 while True:
-                    if n >= max_cosets:
+                    if n >= cap:
                         raise _TableFull
                     col = relator[i]
                     row = blank.copy()
@@ -216,22 +247,43 @@ class CosetTable:
 
     # -- maintenance
 
-    def compact(self) -> list[int]:
-        """Drop dead rows, renumbering live cosets in id order."""
-        remap = [UNDEF] * len(self.rows)
-        rows: list[list[int]] = []
-        for c, row in enumerate(self.rows):
-            if self.parent[c] == c:
-                remap[c] = len(rows)
-                rows.append(row)
-        # drop the dead rows before renumbering, and renumber in place, so
+    def drop_dead_rows(self):
+        """Free the rows of dead cosets, keeping every id as it is.
+
+        Freed rows become None and stop counting toward the coset limit.
+        Live rows name only live cosets, and a row that dies later names
+        cosets live when it died, so no kept row names a freed one.
+        """
+        rows, parent = self.rows, self.parent
+        for c in range(len(rows)):
+            if parent[c] != c:
+                rows[c] = None
+        self.dropped = len(rows) - self.live
+
+    def compact(self):
+        """Remove every dead row, renumbering live cosets in id order."""
+        parent = self.parent
+        self.renumber([c for c in range(len(parent)) if parent[c] == c])
+
+    def renumber(self, keep: list[int] | None = None):
+        """Keep the rows `keep` (by default those not freed), renumbered in id order.
+
+        Kept rows must name only kept cosets, and kept dead cosets must
+        point to kept ones in the union-find.
+        """
+        if keep is None:
+            keep = [c for c, row in enumerate(self.rows) if row is not None]
+        # one slot more than there are ids, so that remap[UNDEF] is UNDEF
+        remap = [UNDEF] * (len(self.rows) + 1)
+        for new, c in enumerate(keep):
+            remap[c] = new
+        # drop the other rows before renumbering, and renumber in place, so
         # that a compaction never holds more rows than the table had
-        self.rows = rows
+        self.rows = rows = [self.rows[c] for c in keep]
         for row in rows:
-            row[:] = [UNDEF if d == UNDEF else remap[d] for d in row]
-        self.parent = list(range(len(rows)))
-        self.live = len(rows)
-        return remap
+            row[:] = [remap[d] for d in row]
+        self.parent = [remap[self.parent[c]] for c in keep]
+        self.dropped = 0
 
     def check_consistency(self):
         """Raise unless live rows name live cosets through mutually inverse edges."""
@@ -258,9 +310,21 @@ class CosetTable:
 
 @dataclass
 class TcResult:
+    """An enumeration's outcome.
+
+    The table is renumbered when first read if the run freed rows, so a
+    caller that reads only `closed` and `index` never pays for it.
+    """
+
     closed: bool
     index: int | None
-    table: CosetTable
+    _table: CosetTable
+
+    @property
+    def table(self) -> CosetTable:
+        if self._table.dropped:
+            self._table.renumber()
+        return self._table
 
 
 def todd_coxeter(
@@ -308,9 +372,8 @@ def _enumerate(table: CosetTable, relators: list[bytes], subgens: list[bytes]) -
                 table.scan_and_fill(0, w)
         except _TableFull:
             return TcResult(False, None, table)
-        scan, alpha = table.scan_and_fill, 0
-        while alpha < len(table.rows):
-            parent = table.parent  # compaction replaces it
+        scan, rows, parent, alpha = table.scan_and_fill, table.rows, table.parent, 0
+        while alpha < len(rows):
             if parent[alpha] != alpha:
                 alpha += 1
                 continue
@@ -320,15 +383,15 @@ def _enumerate(table: CosetTable, relators: list[bytes], subgens: list[bytes]) -
                     if parent[alpha] != alpha:
                         break
                 else:
-                    row = table.rows[alpha]
+                    row = rows[alpha]
                     for col in range(table.ncols):
                         if row[col] == UNDEF:
                             n = table.new_coset()
                             table.set_entry(alpha, col, n)
             except _TableFull:
-                # lookahead compaction: drop dead rows if there are enough
-                if table.live <= 0.75 * len(table.rows):
-                    alpha = table.compact()[alpha]
+                # lookahead: free the dead rows if there are enough
+                if table.live <= 0.75 * (len(rows) - table.dropped):
+                    table.drop_dead_rows()
                     continue  # rescan the same coset; prior fills are kept
                 return TcResult(False, None, table)
             alpha += 1

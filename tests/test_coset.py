@@ -14,6 +14,7 @@ from fpkit.presentations import (
     Relation,
     ValidationError,
     Word,
+    encode_word,
     parse_presentation,
     parse_word,
     rename_generators,
@@ -28,6 +29,13 @@ C5 = "group\ngens: a\nrels: a^5 = 1"
 KLEIN = "group\ngens: a, b\nrels: a^2 = 1, b^2 = 1, a b a b = 1"
 S3 = "group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, a b a b = 1"
 CLASSIC_TRIVIAL = "group\ngens: a, b\nrels: a b a^-1 = b^2, b a b^-1 = a^2"
+A5 = "group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, a b a b a b a b a b = 1"
+# (2,3,7) with the extra commutator-power relator
+PSL27 = (
+    "group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, "
+    "a b a b a b a b a b a b a b = 1, "
+    "a^-1 b^-1 a b a^-1 b^-1 a b a^-1 b^-1 a b a^-1 b^-1 a b = 1"
+)
 
 
 def test_index_cyclic_five():
@@ -153,27 +161,34 @@ def random_enumerations(seed: int, count: int):
         yield Presentation(Kind.GROUP, gens, rels), subgens, limits
 
 
+def record(r) -> tuple:
+    """What an enumeration did, live rows read through find.
+
+    Verdict, index, deduction count, rows allocated, live count and every
+    live row.
+    """
+    t = r.table
+    live_rows = tuple(
+        tuple(UNDEF if e == UNDEF else t.find(e) for e in t.rows[c])
+        for c in range(len(t.rows))
+        if t.is_live(c)
+    )
+    return (r.closed, r.index, t.deductions, len(t.rows), t.live, live_rows)
+
+
 def test_randomized_enumerations_are_pinned(monkeypatch):
-    # the same work on every run: verdict, index, deduction count, rows
-    # allocated, live count and every live row, entries read through find
-    compactions = []
-    compact = CosetTable.compact
-    monkeypatch.setattr(CosetTable, "compact", lambda t: compactions.append(1) or compact(t))
+    # the same work on every run
+    drops = []
+    drop = CosetTable.drop_dead_rows
+    monkeypatch.setattr(CosetTable, "drop_dead_rows", lambda t: drops.append(1) or drop(t))
     digest = hashlib.sha256()
     closed = 0
     for p, subgens, limits in random_enumerations(8, 200):
         r = todd_coxeter(p, subgens, limits)
-        t = r.table
-        live_rows = tuple(
-            tuple(UNDEF if e == UNDEF else t.find(e) for e in t.rows[c])
-            for c in range(len(t.rows))
-            if t.is_live(c)
-        )
-        record = (r.closed, r.index, t.deductions, len(t.rows), t.live, live_rows)
-        digest.update(repr(record).encode())
+        digest.update(repr(record(r)).encode())
         closed += r.closed
-    # every closed run compacts once at the end; the rest compacted mid-run
-    assert (closed, len(compactions) - closed) == (145, 27)
+    # closed runs, and lookaheads that freed dead rows (over all runs)
+    assert (closed, len(drops)) == (145, 27)
     assert digest.hexdigest() == (
         "3f443b8a17e1036993363e5fb6bd4ac6bde3bf5250b695b3cdbd4978d9aae896"
     )
@@ -236,6 +251,198 @@ def test_scan_and_fill_matches_reference_scans():
                 stopped += 1
                 break
     assert stopped > 100
+
+
+def reference_coincide(table: CosetTable, a: int, b: int):
+    """Coincidence closure that runs every cascade until its queue is empty."""
+    rows, parent, queue = table.rows, table.parent, [(a, b)]
+    merged = 0
+    while queue:
+        x, y = queue.pop()
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            continue
+        if x > y:
+            x, y = y, x
+        parent[y] = x
+        merged += 1
+        row_x, row_y = rows[x], rows[y]
+        edges = len(row_y) - row_y.count(UNDEF)
+        for col, d in enumerate(row_y):
+            if d == UNDEF:
+                continue
+            inv = col ^ 1
+            row_d = rows[d]
+            row_d[inv] = UNDEF
+            if d == y:
+                d, row_d = x, row_x
+                edges -= inv > col
+            if row_x[col] != UNDEF:
+                queue.append((row_x[col], d))
+            elif row_d[inv] != UNDEF:
+                queue.append((row_d[inv], x))
+            else:
+                row_x[col] = d
+                row_d[inv] = x
+            edges -= 1
+            if not edges:
+                break
+    table.live -= merged
+
+
+def collapsing_enumerations(seed: int, count: int):
+    """Seeded enumerations most of which close at index 1, in three kinds.
+
+    Groups where each generator conjugates the next to a power of it (as
+    in CLASSIC_TRIVIAL), after random relators, over the trivial subgroup;
+    A5 and PSL(2,7) over two random words, which mostly generate the
+    whole group; random relators over random words and every generator.
+    """
+    rng = random.Random(seed)
+    for k in range(count):
+        gens = ("a", "b", "c")[: rng.choice((2, 2, 3))]
+
+        def word(lo: int, hi: int) -> Word:
+            return Word(
+                tuple(
+                    (rng.choice(gens), rng.choice((-2, -1, 1, 2)))
+                    for _ in range(rng.randint(lo, hi))
+                )
+            )
+
+        if k % 3 == 0:
+            sign = rng.choice((1, -1))
+            rels = tuple(Relation(word(1, 5), Word()) for _ in range(rng.randint(0, 2)))
+            rels += tuple(
+                Relation(Word(((g, sign), (h, 1), (g, -sign))), Word(((h, rng.choice((2, 3))),)))
+                for g, h in zip(gens, gens[1:] + gens[:1])
+            )
+            p, subgens = Presentation(Kind.GROUP, gens, rels), ()
+        elif k % 3 == 1:
+            p = parse_presentation(rng.choice((A5, PSL27)))
+            gens = p.generators
+            subgens = (word(1, 6), word(2, 6))
+        else:
+            rels = tuple(Relation(word(1, 5), Word()) for _ in range(rng.randint(1, 3)))
+            p = Presentation(Kind.GROUP, gens, rels)
+            subgens = tuple(word(2, 4) for _ in range(rng.randint(0, 2)))
+            subgens += tuple(Word(((g, 1),)) for g in gens)
+        yield p, subgens, EnumLimits(rng.choice((10, 20, 40, 100, 400)), 100_000)
+
+
+def test_total_collapse_ends_like_the_full_cascade(monkeypatch):
+    # the cascade may stop once coset 0 is fixed by every generator; what
+    # the run reports and every live row must be as if it had run dry.
+    # Every other run also frees its dead rows before every 2nd scan.
+    collapses, scans = [], []  # rows freed when the cascade stopped
+    collapse, scan, coincide = CosetTable._collapse, CosetTable.scan_and_fill, CosetTable.coincide
+    monkeypatch.setattr(CosetTable, "_collapse", lambda t: collapses.append(t.dropped) or collapse(t))
+
+    def dropping_scan(table, alpha, relator):
+        scans.append(1)
+        if len(scans) % 2 == 0:
+            table.drop_dead_rows()
+        scan(table, alpha, relator)
+
+    runs = fired = fired_after_drop = 0
+    for k, (p, subgens, limits) in enumerate(collapsing_enumerations(4, 450)):
+        monkeypatch.setattr(CosetTable, "scan_and_fill", dropping_scan if k % 2 else scan)
+        monkeypatch.setattr(CosetTable, "coincide", reference_coincide)
+        want = record(todd_coxeter(p, subgens, limits))
+        monkeypatch.setattr(CosetTable, "coincide", coincide)
+        collapses.clear()
+        scans.clear()
+        assert record(todd_coxeter(p, subgens, limits, debug_checks=True)) == want
+        if want[:2] == (True, 1):
+            runs += 1
+            fired += bool(collapses)
+            fired_after_drop += bool(collapses) and collapses[0] > 0
+    assert runs >= 200 and fired >= runs / 4 and fired_after_drop >= 25
+
+def eagerly_compacting_enumeration(p: Presentation, subgens, limits: EnumLimits):
+    """HLT enumeration that renumbers the whole table at every lookahead.
+
+    Returns (closed, table); the table is compacted at the end of a closed run.
+    """
+    table = CosetTable(p.generators, limits)
+    relators = [encode_word(p, rel.lhs * rel.rhs.inverse()) for rel in p.relations]
+    try:
+        try:
+            for w in subgens:
+                table.scan_and_fill(0, encode_word(p, w))
+        except coset._TableFull:
+            return False, table
+        alpha = 0
+        while alpha < len(table.rows):
+            if not table.is_live(alpha):
+                alpha += 1
+                continue
+            try:
+                for rel in relators:
+                    table.scan_and_fill(alpha, rel)
+                    if not table.is_live(alpha):
+                        break
+                else:
+                    for col in range(table.ncols):
+                        if table.rows[alpha][col] == UNDEF:
+                            table.set_entry(alpha, col, table.new_coset())
+            except coset._TableFull:
+                if table.live <= 0.75 * len(table.rows):
+                    alpha = sum(map(table.is_live, range(alpha)))
+                    table.compact()
+                    continue
+                return False, table
+            alpha += 1
+    except coset._WorkExceeded:
+        return False, table
+    table.compact()
+    return True, table
+
+
+def test_table_is_renumbered_on_read_as_if_compacted_eagerly():
+    # freeing rows in place and renumbering once, when the table is read,
+    # leaves the table that renumbering at every lookahead would have left
+    psl = parse_presentation(PSL27)
+    cases = list(random_enumerations(8, 200))
+    cases += [(psl, (), EnumLimits(cap, 10_000_000)) for cap in (500, 200, 410)]
+    unread = []  # runs that end holding freed rows, before the table is read
+    for p, subgens, limits in cases:
+        r = todd_coxeter(p, subgens, limits)
+        unread.append(r._table.dropped > 0)
+        closed, want = eagerly_compacting_enumeration(p, subgens, limits)
+        t = r.table
+        assert (r.closed, t.rows, t.parent, t.live, t.deductions) == (
+            closed,
+            want.rows,
+            want.parent,
+            want.live,
+            want.deductions,
+        )
+        assert t.dropped == 0 and None not in t.rows
+    # PSL(2,7) frees rows and closes at cap 500, exhausts without freeing
+    # any at cap 200, and frees rows and exhausts at cap 410
+    assert sum(unread) >= 5 and unread[-3:] == [False, False, True]
+
+
+def test_is_trivial_renumbers_no_exhausted_table(monkeypatch):
+    # a verdict reads no table: an exhausted run that freed rows is never
+    # renumbered, and a closed one renumbers once, at its end
+    monkeypatch.setattr(coset, "_verdicts", OrderedDict())
+    drops, renumbers = [], []
+    drop, renumber = CosetTable.drop_dead_rows, CosetTable.renumber
+    monkeypatch.setattr(CosetTable, "drop_dead_rows", lambda t: drops.append(1) or drop(t))
+    monkeypatch.setattr(
+        CosetTable, "renumber", lambda t, *keep: renumbers.append(1) or renumber(t, *keep)
+    )
+    p = parse_presentation(PSL27)  # perfect, so only enumeration decides
+    assert is_trivial(p, EnumLimits(410, 10_000_000)).status == "unknown"
+    assert drops and not renumbers
+    drops.clear()
+    assert is_trivial(p, EnumLimits(500, 10_000_000)).status == "nontrivial"
+    assert drops and len(renumbers) == 1
 
 
 def test_enumeration_pauses_the_garbage_collector(monkeypatch):
@@ -402,7 +609,7 @@ def test_cached_verdicts_equal_fresh_ones(enumerations):
 
 
 def test_lookahead_compaction_recovers_space():
-    # lots of coincidences: the table overflows its cap but compacts and closes
+    # lots of coincidences: the table overflows its cap but frees dead rows and closes
     p = parse_presentation(KLEIN)
     r = todd_coxeter(p, (), EnumLimits(9, 10_000))
     assert r.closed and r.index == 4
@@ -411,14 +618,8 @@ def test_lookahead_compaction_recovers_space():
 def test_known_orders_of_classical_groups():
     cases = [
         ("group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, a b a b a b a b = 1", 24),  # S4
-        ("group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, a b a b a b a b a b = 1", 60),  # A5
-        (
-            # (2,3,7) with the extra commutator-power relator: PSL(2,7)
-            "group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, "
-            "a b a b a b a b a b a b a b = 1, "
-            "a^-1 b^-1 a b a^-1 b^-1 a b a^-1 b^-1 a b a^-1 b^-1 a b = 1",
-            168,
-        ),
+        (A5, 60),
+        (PSL27, 168),
         (
             # B3 reflection group
             "group\ngens: r, s, t\nrels: r^2 = 1, s^2 = 1, t^2 = 1, "
@@ -431,17 +632,20 @@ def test_known_orders_of_classical_groups():
         assert r.closed and r.index == order, (text, r.index)
 
 
-def test_compaction_under_tight_coset_cap():
+def test_compaction_under_tight_coset_cap(monkeypatch):
     # PSL(2,7) allocates transient cosets well beyond its order; a cap of
-    # 500 is only reachable because lookahead compaction reclaims dead rows,
-    # while a cap close to the order itself must honestly exhaust
-    text = (
-        "group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, "
-        "a b a b a b a b a b a b a b = 1, "
-        "a^-1 b^-1 a b a^-1 b^-1 a b a^-1 b^-1 a b a^-1 b^-1 a b = 1"
-    )
-    p = parse_presentation(text)
-    r = todd_coxeter(p, (), EnumLimits(500, 10_000_000))
-    assert r.closed and r.index == 168
-    tight = todd_coxeter(p, (), EnumLimits(200, 10_000_000))
+    # 500 is only reachable because the lookahead frees dead rows, while a
+    # cap close to the order itself must honestly exhaust.  The consistency
+    # checks run on the tables with freed rows.
+    drops = []
+    drop = CosetTable.drop_dead_rows
+    monkeypatch.setattr(CosetTable, "drop_dead_rows", lambda t: drops.append(1) or drop(t))
+    p = parse_presentation(PSL27)
+    r = todd_coxeter(p, (), EnumLimits(500, 10_000_000), debug_checks=True)
+    assert r.closed and r.index == 168 and drops
+    tight = todd_coxeter(p, (), EnumLimits(200, 10_000_000), debug_checks=True)
     assert not tight.closed
+    drops.clear()
+    freed = todd_coxeter(p, (), EnumLimits(410, 10_000_000), debug_checks=True)
+    assert not freed.closed and drops and freed._table.dropped
+    freed._table.check_consistency()
