@@ -165,12 +165,17 @@ class Presentation:
             if g in seen:
                 raise ValidationError(f"duplicate generator {g}")
             seen.add(g)
+        monoid = self.kind is Kind.MONOID
         for rel in self.relations:
             for w in (rel.lhs, rel.rhs):
-                bad = w.symbols() - seen
-                if bad:
-                    raise ValidationError(f"undeclared generator {sorted(bad)[0]}")
-                if self.kind is Kind.MONOID and not w.is_positive:
+                # one pass; an undeclared generator is reported before a negative exponent
+                negative = False
+                for s, e in w.letters:
+                    if s not in seen:
+                        raise ValidationError(f"undeclared generator {sorted(w.symbols() - seen)[0]}")
+                    if e < 0:
+                        negative = True
+                if negative and monoid:
                     raise ValidationError(f"negative exponent in monoid word {w}")
         if self.zero is not None:
             if self.kind is not Kind.MONOID:

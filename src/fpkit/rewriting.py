@@ -16,10 +16,10 @@ still certify equality (every rewrite step is a consequence of the
 relations) but never inequality.
 
 `normal_forms` keeps the last 128 completions keyed on all they read:
-`completion_key` (group or monoid, generator count, relations spelled by
-generator index) and the budget.  It holds only rules and status, no
-presentation or trie, so a renamed presentation is not completed again
-and gets them over its own generators.
+`completion_key` (group or monoid, generator count, the zero's index,
+relations spelled by generator index) and the budget.  It holds only
+rules and status, no presentation or trie, so a renamed presentation is
+not completed again and gets them over its own generators.
 
 Reduction finds redexes through a letter trie over the rule left-hand
 sides and always rewrites the leftmost one, taking the lowest rule id when
@@ -36,6 +36,20 @@ other rule id, then direction, then overlap width, and a pair whose rule
 was interreduced away stays queued and still counts toward
 ``max_iterations`` when popped.  Both are fixed for the same reason: they
 decide which rules a Partial system holds.
+
+A monoid with an adjoined zero z, where z occurs only in the absorption
+relations ``x z = z``, ``z x = z`` and ``z^2 = z``, is completed without
+them: its zero-free part N is completed in the presentation's own letter
+codes, and ``x z -> z`` and ``z x -> z`` for each letter x irreducible in N
+and ``z z -> z`` are added.  The zero's critical pairs all join at z, and a
+congruence has one reduced complete system for a given order (Book & Otto
+1993, ch. 2), so this is the system the whole completion gives whenever
+that is Complete.  The
+budget bounds N's completion; the result is Complete when N is and the
+whole system keeps to ``max_rules`` and ``max_rule_length``, and otherwise
+Partial, with N's rules so far and the absorption rules, each a
+consequence of the relations.  A zero in any other relation, such as
+``a b = z``, is completed with the rest.
 
 Many critical pairs reduce the same short overlap words, so a completion
 keeps the normal forms it has found under its current rule table, each
@@ -54,7 +68,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .presentations import Presentation, Word, decode_word, encode_word
+from .presentations import Presentation, Relation, Word, decode_word, encode_word
 
 Letters = bytes
 
@@ -124,16 +138,18 @@ class _Trie:
     """Letter trie over the left-hand sides of a rule table, each spelled by `key`.
 
     The table is shared with its owner, which reports every added or
-    removed rule; a rule may get a new rhs without notice.  Of rules
-    sharing one key only the first added ends a path, so only tables with
-    distinct lhs may remove rules or look up the rules below a node.
+    removed rule; a rule may get a new rhs without notice.  A table is
+    added in its own order, which is id order in every table fpkit builds.
+    Of rules sharing one key only the first added ends a path, so only
+    tables with distinct lhs may remove rules or look up the rules below a
+    node.
     """
 
     def __init__(self, rules: dict[int, RewriteRule], key=lambda lhs: lhs):
         self.rules = rules
         self.key = key
         self.root: dict = {}
-        for rid in sorted(rules):
+        for rid in rules:
             self.add(rid)
 
     def add(self, rid: int):
@@ -275,8 +291,9 @@ class _Completion:
         self._queue_pairs(rid)
         # Interreduce: requeue rules whose lhs contains the new lhs, rewrite
         # in place rules whose rhs does.  The table is mid-change here, so
-        # these reductions bypass the memo.
-        for oid in sorted(self.rules):
+        # these reductions bypass the memo.  Ids only grow and a rewritten
+        # rhs keeps its rule's place, so the table is in id order.
+        for oid in list(self.rules):
             if oid == rid:
                 continue
             other = self.rules[oid]
@@ -315,23 +332,81 @@ class _Completion:
         return Completeness.PARTIAL if self.overflow else Completeness.COMPLETE
 
 
+def _complete(
+    equations: Iterable[tuple[Letters, Letters]], budget: Budget
+) -> tuple[list[RewriteRule], Completeness]:
+    comp = _Completion(budget)
+    for u, v in equations:
+        comp.push_equation(u, v)
+    status = comp.run()
+    return list(comp.rules.values()), status
+
+
+def _zero_free_relations(p: Presentation) -> list[Relation] | None:
+    """The relations of `p` without its zero z, or None unless z occurs only
+    in the absorption relations ``x z = z``, ``z x = z`` and ``z^2 = z``."""
+    z = p.zero
+    alone = ((z, 1),)
+    kept = []
+    for rel in p.relations:
+        lhs, rhs = rel.lhs.letters, rel.rhs.letters
+        if alone in (lhs, rhs):
+            other = rhs if lhs == alone else lhs
+            # words are merged, so in `x z` and `z x` the letter x is not z
+            if other == ((z, 2),) or (
+                len(other) == 2 and (z, 1) in other and other[0][1] == other[1][1] == 1
+            ):
+                continue
+            return None
+        if any(s == z for s, _ in lhs + rhs):
+            return None
+        kept.append(rel)
+    return kept
+
+
+def _complete_with_zero(
+    p: Presentation, kept: list[Relation], budget: Budget
+) -> tuple[list[RewriteRule], Completeness]:
+    """Complete the monoid N on `kept` in `p`'s letter codes, then add the
+    absorption rules of `p`'s zero (see the module docstring)."""
+    (z,) = encode_word(p, Word.single(p.zero))  # raises over 128 generators
+    rules, status = _complete(
+        [(encode_word(p, rel.lhs), encode_word(p, rel.rhs)) for rel in kept], budget
+    )
+    reducible = {r.lhs for r in rules}
+    zero = bytes((z,))
+    rules.append(RewriteRule(zero + zero, zero))
+    for x in range(0, 2 * len(p.generators), 2):
+        if x != z and bytes((x,)) not in reducible:
+            rules += (RewriteRule(bytes((x, z)), zero), RewriteRule(bytes((z, x)), zero))
+    if len(rules) > budget.max_rules or budget.max_rule_length < 2:
+        status = Completeness.PARTIAL
+    return rules, status
+
+
 def knuth_bendix(p: Presentation, budget: Budget = DEFAULT_BUDGET) -> RewritingSystem:
     """Complete the relations of a group or monoid presentation into rewrite rules.
 
     Returns a Complete system when every critical pair resolves within
-    budget, otherwise a Partial system holding the rules found so far.
+    budget, otherwise a Partial system holding the rules found so far.  A
+    monoid whose zero occurs only in its absorption relations is completed
+    as its zero-free part plus the absorption rules (see the module
+    docstring): Complete when that part is and the whole system keeps to
+    `max_rules` and `max_rule_length`.
     """
-    comp = _Completion(budget)
-    if p.is_group:
-        # encoded, so that the generator count is checked even with no relations
-        for c in encode_word(p, Word(tuple((g, 1) for g in p.generators))):
-            comp.push_equation(bytes((c, c ^ 1)), b"")
-            comp.push_equation(bytes((c ^ 1, c)), b"")
-    for rel in p.relations:
-        comp.push_equation(encode_word(p, rel.lhs), encode_word(p, rel.rhs))
-    status = comp.run()
-    final = sorted(comp.rules.values(), key=lambda r: (shortlex(r.lhs), shortlex(r.rhs)))
-    return RewritingSystem(tuple(final), p, status)
+    kept = _zero_free_relations(p) if p.zero is not None else None
+    if kept is not None:
+        rules, status = _complete_with_zero(p, kept, budget)
+    else:
+        equations = []
+        if p.is_group:
+            # encoded, so that the generator count is checked even with no relations
+            for c in encode_word(p, Word(tuple((g, 1) for g in p.generators))):
+                equations += ((bytes((c, c ^ 1)), b""), (bytes((c ^ 1, c)), b""))
+        equations += ((encode_word(p, rel.lhs), encode_word(p, rel.rhs)) for rel in p.relations)
+        rules, status = _complete(equations, budget)
+    rules.sort(key=lambda r: (shortlex(r.lhs), shortlex(r.rhs)))
+    return RewritingSystem(tuple(rules), p, status)
 
 
 def normal_form(rs: RewritingSystem, w: Word) -> Word:
@@ -341,12 +416,12 @@ def normal_form(rs: RewritingSystem, w: Word) -> Word:
 
 
 def completion_key(p: Presentation) -> tuple:
-    """All that completing `p` reads: kind, generator count and relations.
+    """All that completing `p` reads: kind, generator count, zero and relations.
 
     The relations are spelled flat, each side as its runs of generator
     index and exponent followed by -1.  Words are kept merged, so the runs
     determine the letter codes and back, and presentations equal up to
-    renaming share a key.
+    renaming share a key.  The zero is its generator index, or -1.
     """
     index = {g: i for i, g in enumerate(p.generators)}
     runs: list[int] = []
@@ -355,7 +430,7 @@ def completion_key(p: Presentation) -> tuple:
             for s, e in side.letters:
                 runs += (index[s], e)
             runs.append(-1)  # no generator index is negative
-    return (p.kind, len(p.generators), tuple(runs))
+    return (p.kind, len(p.generators), index.get(p.zero, -1), tuple(runs))
 
 
 # completion key and budget -> (rules, status), least recent first

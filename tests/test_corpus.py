@@ -17,6 +17,7 @@ from fpkit.presentations import (
     serialize_presentation,
 )
 from fpkit.rewriting import (
+    DEFAULT_BUDGET,
     Completeness,
     Verdict,
     irreducible_words,
@@ -24,7 +25,7 @@ from fpkit.rewriting import (
     words_equal,
 )
 from fpkit.verify import CheckVerdict, abelianization, collapse_check, embedding_spot_check
-from test_rewriting import confluence_audit
+from test_rewriting import confluence_audit, general_completion
 
 W = parse_word
 CORPUS = corpus_dir()
@@ -66,6 +67,9 @@ def test_built_markov_systems_complete_and_confluent():
         rs = knuth_bendix(build.presentation)
         assert rs.status is Completeness.COMPLETE, row.name
         assert confluence_audit(rs), row.name
+        # completed as the zero-free part, it is the whole completion's system
+        whole = general_completion(build.presentation, DEFAULT_BUDGET)
+        assert (rs.rules, rs.status) == whole, row.name
 
 
 def test_collapse_and_embedding_passes_are_exclusive():

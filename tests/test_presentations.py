@@ -125,6 +125,45 @@ def test_absorption_check_matches_the_reference_on_seeded_zero_monoids():
     assert len(seen) == 8
 
 
+def reference_word_error(kind: Kind, gens, relations) -> str | None:
+    """The per-word set check over every relation, kept as the oracle."""
+    seen = set(gens)
+    for rel in relations:
+        for w in (rel.lhs, rel.rhs):
+            bad = w.symbols() - seen
+            if bad:
+                return f"undeclared generator {sorted(bad)[0]}"
+            if kind is Kind.MONOID and not w.is_positive:
+                return f"negative exponent in monoid word {w}"
+    return None
+
+
+def test_relation_word_check_matches_the_reference_on_seeded_presentations():
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(600):
+        kind = rng.choice((Kind.GROUP, Kind.MONOID))
+        gens = ("a", "b", "c")[: rng.randint(1, 3)]
+        # undeclared letters, sometimes several in one word and after a negative exponent
+        letters = gens + ("x", "y")
+        exps = (-2, -1, 1, 1, 2)
+
+        def word():
+            length = rng.randint(0, 4)
+            return Word(tuple((rng.choice(letters), rng.choice(exps)) for _ in range(length)))
+
+        rels = [Relation(word(), word()) for _ in range(rng.randint(0, 4))]
+        expected = reference_word_error(kind, gens, rels)
+        try:
+            Presentation(kind, gens, rels)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        seen.add((kind, expected.split()[0] if expected else None))
+        assert got == expected, (kind, gens, rels)
+    assert len(seen) == 5  # both kinds accepted, undeclared in both, negative in a monoid
+
+
 def test_roundtrip_structural_equality():
     texts = [
         "group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, a b a b = 1",

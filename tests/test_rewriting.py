@@ -584,6 +584,13 @@ def test_presentations_too_wide_for_letter_codes_are_not_completed(completions):
     for rels in ((), (Relation(W("g0"), Word()),)):
         with pytest.raises(ValidationError, match="129 generators"):
             normal_forms(Presentation(Kind.GROUP, gens, rels), ())
+    # a monoid with zero z: on the zero path, with and without other
+    # relations, and off it
+    z = W("g128")
+    absorption = [Relation(W(g) * z, z) for g in gens] + [Relation(z * W(g), z) for g in gens[:-1]]
+    for extra in ([], [Relation(W("g0"), Word())], [Relation(W("g0 g1"), z)]):
+        with pytest.raises(ValidationError, match="129 generators"):
+            normal_forms(Presentation(Kind.MONOID, gens, tuple(absorption + extra), "g128"), ())
     assert not rewriting._systems
 
 
@@ -644,7 +651,12 @@ def test_memoized_completion_matches_the_memo_free_one(monkeypatch):
         hits.append(w in self.reduced)
         return memoized(self, w)
 
+    def ascending(self, u, v):
+        ADD_RULE(self, u, v)
+        assert list(self.rules) == sorted(self.rules)  # interreduction walks them in order
+
     monkeypatch.setattr(_Completion, "_reduce", counted)
+    monkeypatch.setattr(_Completion, "add_rule", ascending)
     got = [knuth_bendix(p, budget) for p, budget in cases]
     monkeypatch.setattr(_Completion, "_reduce", lambda self, w: self.index.reduce(w))
     reference = [knuth_bendix(p, budget) for p, budget in cases]
@@ -667,3 +679,112 @@ def test_reducing_a_normal_form_again_changes_nothing():
             nf = index.reduce(bytes(rng.choice(letters) for _ in range(rng.randint(0, 10))))
             assert index.reduce(nf) == nf
     assert partial > 20
+
+
+# -- a monoid whose zero z occurs only in its absorption relations completes
+#    as its zero-free part N plus `x z -> z`, `z x -> z` for each letter x
+#    irreducible in N and `z z -> z`: the reduced complete system is unique
+#    for its order, so wherever the whole completion is Complete the two agree.
+
+
+def random_zero_monoids(seed: int, count: int, extra=None):
+    """Seeded monoids N on 1-3 letters with a zero z adjoined at any position.
+
+    Some letters of N are reducible (``b = 1``, ``b = a``), and the
+    absorption relations come either way round and in any order.  `extra`,
+    given the random source, adds relations of its own.  Each comes with a
+    budget from `Budget(2, 4, 1)` to `Budget(200, 20, 2000)`.
+    """
+    rng = random.Random(seed)
+    budgets = (Budget(2, 4, 1), Budget(3, 5, 4), Budget(8, 8, 30), Budget(60, 12, 600))
+    for _ in range(count):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+
+        def word(lo, hi):
+            return Word(tuple((rng.choice(letters), 1) for _ in range(rng.randint(lo, hi))))
+
+        rels = [Relation(word(0, 4), word(0, 4)) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.4:
+            rels.append(Relation(W(rng.choice(letters)), word(0, 1)))
+        if extra is not None:
+            rels += extra(rng, letters)
+        gens = list(letters)
+        gens.insert(rng.randint(0, len(letters)), "z")
+        z = W("z")
+        for g in gens:
+            for w in {W(g) * z, z * W(g)}:  # one relation, z^2 = z, when g is z
+                rels.append(Relation(z, w) if rng.random() < 0.5 else Relation(w, z))
+        rng.shuffle(rels)
+        budget = rng.choice(budgets + (tight_budget(rng), Budget(200, 20, 2000)))
+        yield Presentation(Kind.MONOID, tuple(gens), tuple(rels), "z"), budget
+
+
+def by_shortlex(rules) -> tuple[RewriteRule, ...]:
+    return tuple(sorted(rules, key=lambda r: (shortlex(r.lhs), shortlex(r.rhs))))
+
+
+def general_completion(p, budget):
+    """(rules, status) of completing every relation of `p`, the zero's too."""
+    encoded = [(encode_word(p, r.lhs), encode_word(p, r.rhs)) for r in p.relations]
+    rules, status = rewriting._complete(encoded, budget)
+    return by_shortlex(rules), status
+
+
+def zero_free_completion(p, budget):
+    """The system the zero path should give, from N completed on its own."""
+    z = encode_word(p, W(p.zero))
+    n = Presentation(Kind.MONOID, p.generators, [r for r in p.relations if p.zero not in r.symbols()])
+    part = knuth_bendix(n, budget)
+    letters = [bytes((x,)) for x in range(0, 2 * len(p.generators), 2) if bytes((x,)) != z]
+    irreducible = [x for x in letters if all(r.lhs != x for r in part.rules)]
+    absorbing = [RewriteRule(z + z, z)]
+    absorbing += [RewriteRule(x + z, z) for x in irreducible] + [RewriteRule(z + x, z) for x in irreducible]
+    rules = by_shortlex(part.rules + tuple(absorbing))
+    within = len(rules) <= budget.max_rules and budget.max_rule_length >= 2
+    return rules, Completeness.COMPLETE if part.complete and within else Completeness.PARTIAL
+
+
+def test_zero_monoids_complete_as_their_zero_free_part():
+    seen = set()
+    for p, budget in random_zero_monoids(37, 300):
+        rs = knuth_bendix(p, budget)
+        assert (rs.rules, rs.status) == zero_free_completion(p, budget), (p, budget)
+        rules, status = general_completion(p, budget)
+        if status is Completeness.COMPLETE:
+            assert (rs.rules, rs.status) == (rules, status), (p, budget)
+            seen.add("both complete")
+            if any(len(r.lhs) == 1 for r in rules):
+                seen.add("a reducible letter")
+            if p.generators[-1] != "z":
+                seen.add("zero not last")
+        elif rs.complete:
+            seen.add("only the zero path complete")
+        else:
+            seen.add("both partial")
+        if rs.complete:
+            assert confluence_audit(rs, max_rules=500)
+            seen.add("audited")
+    assert len(seen) == 6
+
+
+def zero_elsewhere(rng, letters):
+    """One relation that puts the zero outside the absorption relations."""
+    a, b = rng.choice(letters), rng.choice(letters)
+    return [rng.choice((
+        Relation(W(f"{a} {b}"), W("z")),
+        Relation(W(f"z {a}"), W(f"{a} z")),
+        Relation(W(f"{a} z"), W(f"{b} z")),
+        Relation(W("z"), W("z")),
+        Relation(W("z^3"), W("z")),
+        Relation(W(f"z {a} {b}"), W("z")),
+        Relation(W(f"{a} z^2"), W("z")),
+    ))]
+
+
+def test_a_zero_in_another_relation_takes_the_general_path():
+    statuses = set()
+    for p, budget in random_zero_monoids(41, 200, zero_elsewhere):
+        rs = knuth_bendix(p, budget)
+        assert (rs.rules, rs.status) == general_completion(p, budget), (p, budget)
+        statuses.add(rs.status)
+    assert statuses == set(Completeness)

@@ -295,7 +295,9 @@ def test_bounded_checks_match_the_per_pair_reference():
     budgets = (Budget(2, 4, 1), Budget(3, 5, 4), Budget(8, 8, 30), Budget(60, 12, 600))
     blocked_by_small = blocked_by_big = 0
     verdicts = set()
-    for trial in range(400):
+    # a zero monoid completes as its zero-free part, so under the tight
+    # budgets fewer big sides stay Partial than the first 400 trials need
+    for trial in range(700):
         small = _random_monoid(rng, ("x", "y"))
         big = _random_monoid(rng, ("a", "b"))
         mapping = {g: _random_positive_word(rng, big.generators, 2) for g in small.generators}
