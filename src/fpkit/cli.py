@@ -45,7 +45,7 @@ from .presentations import (
     serialize_presentation,
     tietze_simplify,
 )
-from .rewriting import Budget, Verdict, completion_key, words_equal
+from .rewriting import Budget, Verdict, words_equal
 from .verify import (
     Certificate,
     CheckReport,
@@ -90,7 +90,7 @@ def _load_presentation(path: Path) -> Presentation:
         return _parse(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise PresentationError(f"{path}: no such file") from None
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         raise PresentationError(f"{path}: {exc}") from exc
 
 
@@ -463,6 +463,8 @@ def parse_manifest(path: Path) -> list[ManifestRow]:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise PresentationError(f"{path}: no such manifest") from None
+    except UnicodeDecodeError as exc:
+        raise PresentationError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -502,9 +504,16 @@ def _input_keys(kind: _Kind) -> list[str]:
     return [options.get("dest", flag.lstrip("-")) for flag, options in kind.inputs]
 
 
+# the manifest keys a row of each kind may give
+_ROW_KEYS = {
+    name: frozenset(_input_keys(kind) + [_ROW_SETTINGS[s] for s in kind.build_settings])
+    for name, kind in KINDS.items()
+}
+
+
 def _job_from_row(row: ManifestRow, base_dir: Path, config: RunConfig):
     kind = KINDS[row.kind]
-    known = _input_keys(kind) + [_ROW_SETTINGS[s] for s in kind.build_settings]
+    known = _ROW_KEYS[row.kind]
     for key in row.inputs:
         if key not in known:
             raise PresentationError(f"instance {row.name}: unknown input {key}")
@@ -527,7 +536,7 @@ def _run_rows(rows: list[ManifestRow], base_dir: Path, config: RunConfig) -> lis
 def _pool_tasks(rows: list[ManifestRow], base_dir: Path, jobs: int) -> list[list[int]]:
     """Row indices per pool task, heaviest first.
 
-    Rows whose primary presentations share a `completion_key` (are equal up
+    Rows whose primary presentations share a `Presentation.key` (are equal up
     to renaming) form one task, so one worker completes that system and the
     task's other rows hit its caches.  A group longer than rows / jobs is
     cut into pieces in manifest order, so every worker gets work.  A task
@@ -541,7 +550,7 @@ def _pool_tasks(rows: list[ManifestRow], base_dir: Path, jobs: int) -> list[list
         name = row.inputs.get(KINDS[row.kind].primary)
         if name is not None and name not in keys:
             try:
-                keys[name] = completion_key(_load_presentation(base_dir / name))
+                keys[name] = _load_presentation(base_dir / name).key
             except (PresentationError, ValueError, OSError):
                 pass
         # a row without a readable primary file is a task of its own, which

@@ -21,7 +21,7 @@ it adds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -31,9 +31,9 @@ from .presentations import (
     Relation,
     ValidationError,
     Word,
+    extend,
     fresh_symbol,
     is_identifier,
-    rename_generators,
     serialize_presentation,
 )
 
@@ -89,12 +89,12 @@ def free_product(
         used.add(img)
         if img != g:
             renaming[g] = img
-    q2 = rename_generators(p2, renaming) if renaming else p2
-    out = Presentation(
-        p1.kind,
-        p1.generators + q2.generators,
-        p1.relations + q2.relations,
-    )
+    images = tuple(renaming.get(g, g) for g in p2.generators)
+    relations = p2.relations
+    if renaming:
+        full = dict(zip(p2.generators, images))
+        relations = tuple(Relation(r.lhs.renamed(full), r.rhs.renamed(full)) for r in relations)
+    out = extend(p1, images, relations)
     if trail is not None:
         detail = (
             "second factor renamed: "
@@ -124,13 +124,8 @@ def adjoin_zero(
         gw = Word.single(g)
         absorption.append(Relation(gw * zw, zw))
         absorption.append(Relation(zw * gw, zw))
-    absorption.append(Relation(zw * zw, zw))
-    out = Presentation(
-        Kind.MONOID,
-        p.generators + (zname,),
-        p.relations + tuple(absorption),
-        zero=zname,
-    )
+    absorption.append(Relation(Word.single(zname, 2), zw))
+    out = extend(p, (zname,), absorption, zero=zname)
     if trail is not None:
         trail.add("adjoin-zero", f"zero generator {zname}, {len(absorption)} absorption relations", out)
     return out
@@ -149,9 +144,9 @@ def hnn_extension(
         raise ValidationError(f"invalid stable letter {stable!r}")
     if stable in base.generators:
         raise ValidationError(f"stable letter {stable} is not fresh")
-    gens = set(base.generators)
+    gens = base.generator_index.keys()
     t = Word.single(stable)
-    rels = list(base.relations)
+    rels = []
     for a, b in assoc:
         bad = (a.symbols() | b.symbols()) - gens
         if bad:
@@ -159,7 +154,7 @@ def hnn_extension(
                 f"associated word uses symbol {sorted(bad)[0]} outside the base"
             )
         rels.append(Relation(t.inverse() * a * t, b))
-    out = Presentation(Kind.GROUP, base.generators + (stable,), tuple(rels))
+    out = extend(base, (stable,), rels)
     if trail is not None:
         trail.add("hnn-extension", f"stable letter {stable}, {len(assoc)} associated pairs", out)
     return out
@@ -232,6 +227,10 @@ def _offset_map(before: Presentation, after_gens: Sequence[str], offset: int) ->
     return {g: after_gens[offset + i] for i, g in enumerate(before.generators)}
 
 
+# the adjoined letters a, b, c, d, before any renaming
+_LETTERS = Presentation(Kind.MONOID, ("a", "b", "c", "d"))
+
+
 def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
     """Assemble S_{G,H}: S0 * S1 * S4 plus letters a,b,c,d, a zero, and the
     two schema relation families  c G d = 1  and  xi c H d = c H d.
@@ -250,18 +249,14 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
     p014 = free_product(p01, inst.s4, trail)
     map4 = _offset_map(inst.s4, p014.generators, len(p01.generators))
 
-    letter_base = Presentation(Kind.MONOID, ("a", "b", "c", "d"))
-    with_letters = free_product(p014, letter_base, trail)
-    lmap = _offset_map(letter_base, with_letters.generators, len(p014.generators))
+    with_letters = free_product(p014, _LETTERS, trail)
+    lmap = _offset_map(_LETTERS, with_letters.generators, len(p014.generators))
     a, b, c, d = lmap.values()
 
     zname = fresh_symbol("z", with_letters.generators)
     built = adjoin_zero(with_letters, zname, trail)
 
-    def translate(w: Word) -> Word:
-        return Word(tuple((map1[s], e) for s, e in w.letters))
-
-    gw, hw = translate(inst.g), translate(inst.h)
+    gw, hw = inst.g.renamed(map1), inst.h.renamed(map1)
     cw, dw = Word.single(c), Word.single(d)
     schema = [Relation(cw * gw * dw, Word())]
     if inst.xi_range is XiRange.VERBATIM:
@@ -271,12 +266,7 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
     chd = cw * hw * dw
     for xi in xi_letters:
         schema.append(Relation(Word.single(xi) * chd, chd))
-    built = Presentation(
-        Kind.MONOID,
-        built.generators,
-        built.relations + tuple(schema),
-        zero=zname,
-    )
+    built = extend(built, (), schema)
     trail.add(
         "schema-relations",
         f"c G d = 1 and {len(xi_letters)} relations xi c H d = c H d",
@@ -375,7 +365,7 @@ def triviality_test_group(inst: GroupTestInstance) -> GroupTestBuild:
     alt_square = w * cw.inverse() * w * cw
 
     def conj(k: int) -> Word:
-        return dw.pow(-k) * alt_square * dw.pow(k)
+        return Word.single(d, -k) * alt_square * Word.single(d, k)
 
     p0 = free_product(
         free_product(base, Presentation(Kind.GROUP, (c,)), trail),
@@ -384,7 +374,7 @@ def triviality_test_group(inst: GroupTestInstance) -> GroupTestBuild:
     )
     steps = []
     for i, x in enumerate(base.generators, start=1):
-        steps.append((stable[i - 1], [(conj(i), Word.single(x) * dw.pow(i + 1))]))
+        steps.append((stable[i - 1], [(conj(i), Word.single(x) * Word.single(d, i + 1))]))
     steps.append((stable[n], [(conj(n + 1), dw)]))
     laddered = hnn_ladder(p0, steps, trail)
 
@@ -393,7 +383,7 @@ def triviality_test_group(inst: GroupTestInstance) -> GroupTestBuild:
         welds.append(Relation(Word.single(stable[i - 1]), conj(n + 1 + i)))
     welds.append(Relation(Word.single(stable[n]), conj(2 * n + 2)))
     welds.append(Relation(cw, conj(2 * n + 3)))
-    out = Presentation(Kind.GROUP, laddered.generators, laddered.relations + tuple(welds))
+    out = extend(laddered, (), welds)
     trail.add("welds", f"{len(welds)} welding relations (stable letters and {c})", out)
     return GroupTestBuild(out, trail)
 

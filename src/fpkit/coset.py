@@ -29,7 +29,7 @@ A closed table certifies the subgroup index.  Triviality testing first
 consults the abelianization (the cheap certificate for nontriviality,
 since enumeration can never certify an infinite group nontrivial) and
 then enumerates over the empty subgroup.  `is_trivial` keeps its last 128
-verdicts per process, keyed on the limits and `rewriting.completion_key`
+verdicts per process, keyed on the limits and `Presentation.key`
 (generator count and relations as runs of generator index and exponent,
 in relation order), so presentations that differ only by a renaming share
 a verdict.  Only the frozen `Triviality` is kept, never
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .presentations import Kind, Presentation, ValidationError, Word, encode_word
-from .rewriting import completion_key
 from .verify import abelianization
 
 UNDEF = -1
@@ -433,7 +432,7 @@ def is_trivial(p: Presentation, limits: EnumLimits = DEFAULT_LIMITS) -> Triviali
 
     The verdict depends only on the relators' letter codes in relation
     order (the order steers a budgeted enumeration) and `limits`, so the
-    last 128 are kept under `rewriting.completion_key` and the limits, which
+    last 128 are kept under `Presentation.key` and the limits, which
     determine the codes without encoding a word, and a repeated or renamed
     presentation is not enumerated again.
     """
@@ -441,7 +440,7 @@ def is_trivial(p: Presentation, limits: EnumLimits = DEFAULT_LIMITS) -> Triviali
         raise ValidationError("is_trivial expects a group presentation")
     if len(p.generators) > 128:  # too many generators for letter codes: decide uncached
         return _decide(p, limits)
-    key = (completion_key(p), limits)
+    key = (p.key, limits)
     verdict = _verdicts.get(key)
     if verdict is not None:
         _verdicts.move_to_end(key)

@@ -22,8 +22,9 @@ denotes the empty word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -90,7 +91,13 @@ def power_letters(letters: tuple[tuple[str, int], ...], k: int) -> tuple[tuple[s
 
 @dataclass(frozen=True)
 class Word:
-    """A word over generator symbols, kept in merged (freely reduced) form."""
+    """A word over generator symbols, kept in merged (freely reduced) form.
+
+    Constructing a `Word` merges its letters.  The operations below skip
+    that pass where the result is merged already: a product whose junction
+    letters are on different symbols, a single letter, an inverse and an
+    injective renaming.
+    """
 
     letters: tuple[tuple[str, int], ...] = ()
 
@@ -99,7 +106,7 @@ class Word:
 
     @staticmethod
     def single(symbol: str, exp: int = 1) -> "Word":
-        return Word(((symbol, exp),))
+        return _merged_word(((symbol, exp),)) if exp else Word()
 
     @property
     def is_empty(self) -> bool:
@@ -116,16 +123,34 @@ class Word:
         return {s for s, _ in self.letters}
 
     def inverse(self) -> "Word":
-        return Word(tuple((s, -e) for s, e in reversed(self.letters)))
+        return _merged_word(tuple((s, -e) for s, e in reversed(self.letters)))
+
+    def renamed(self, mapping: Mapping[str, str]) -> "Word":
+        """Each symbol s spelled mapping[s]; `mapping` must be injective."""
+        return _merged_word(tuple((mapping[s], e) for s, e in self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        a, b = self.letters, other.letters
+        if not a:
+            return other
+        if not b:
+            return self
+        if a[-1][0] != b[0][0]:
+            return _merged_word(a + b)
+        return Word(a + b)
 
     def pow(self, k: int) -> "Word":
         return Word(power_letters(self.letters, k))
 
     def __str__(self) -> str:
         return serialize_word(self)
+
+
+def _merged_word(letters: tuple[tuple[str, int], ...]) -> Word:
+    # `letters` must be merged already: no zero exponent, no two neighbours on one symbol
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 @dataclass(frozen=True)
@@ -147,7 +172,9 @@ class Presentation:
     Invariants enforced on construction: generators are distinct valid
     identifiers; relation words only use declared generators; monoid
     relations have all-positive exponents; a declared zero is a generator
-    and comes with the full absorption relation set.
+    and comes with the full absorption relation set.  Validation also
+    sets `generator_index`, each generator's position, which the letter
+    codes and `key` read; it must not be changed.
     """
 
     kind: Kind
@@ -158,49 +185,110 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "relations", tuple(self.relations))
-        seen = set()
-        for g in self.generators:
-            if not is_identifier(g):
-                raise ValidationError(f"invalid generator name {g!r}")
-            if g in seen:
-                raise ValidationError(f"duplicate generator {g}")
-            seen.add(g)
-        monoid = self.kind is Kind.MONOID
-        for rel in self.relations:
-            for w in (rel.lhs, rel.rhs):
-                # one pass; an undeclared generator is reported before a negative exponent
-                negative = False
-                for s, e in w.letters:
-                    if s not in seen:
-                        raise ValidationError(f"undeclared generator {sorted(w.symbols() - seen)[0]}")
-                    if e < 0:
-                        negative = True
-                if negative and monoid:
-                    raise ValidationError(f"negative exponent in monoid word {w}")
-        if self.zero is not None:
-            if self.kind is not Kind.MONOID:
-                raise ValidationError("zero is only allowed on monoid presentations")
-            if self.zero not in seen:
-                raise ValidationError(f"zero {self.zero} is not a generator")
-            self._check_absorption()
-
-    def _check_absorption(self):
-        z = self.zero
-        alone = ((z, 1),)
-        # the other side of every relation with z alone on one side
-        absorbed = {r.rhs.letters for r in self.relations if r.lhs.letters == alone}
-        absorbed.update(r.lhs.letters for r in self.relations if r.rhs.letters == alone)
-        for g in self.generators:
-            needed = (((z, 2),),) if g == z else (((g, 1), (z, 1)), ((z, 1), (g, 1)))
-            if not absorbed.issuperset(needed):
-                raise ValidationError(f"zero {z} lacks absorption relation for generator {g}")
+        _admit(self, {}, 0, 0, None)
 
     @property
     def is_group(self) -> bool:
         return self.kind is Kind.GROUP
 
+    @cached_property
+    def key(self) -> tuple:
+        """The presentation up to renaming: kind, generator count, zero and relations.
+
+        The relations are spelled flat, each side as its runs of generator
+        index and exponent followed by -1.  Words are kept merged, so the
+        runs determine the letter codes and back, and presentations equal up
+        to renaming share a key.  The zero is its generator index, or -1.
+        It is all that Knuth-Bendix completion and Todd-Coxeter enumeration
+        read, so their caches key on it; it is computed once.
+        """
+        index = self.generator_index
+        runs: list[int] = []
+        for rel in self.relations:
+            for side in (rel.lhs, rel.rhs):
+                for s, e in side.letters:
+                    runs += (index[s], e)
+                runs.append(-1)  # no generator index is negative
+        return (self.kind, len(self.generators), index.get(self.zero, -1), tuple(runs))
+
     def __str__(self) -> str:
         return serialize_presentation(self)
+
+
+def extend(
+    p: Presentation,
+    generators: Iterable[str] = (),
+    relations: Iterable[Relation] = (),
+    zero: str | None = None,
+) -> Presentation:
+    """`p` with `generators` and `relations` appended, and `zero` declared if given.
+
+    Equal to ``Presentation(p.kind, generators of p + generators, relations
+    of p + relations, zero or p.zero)`` and raises the same ValidationError,
+    but validates only what is added, since `p` is valid already.
+    """
+    out = object.__new__(Presentation)
+    object.__setattr__(out, "kind", p.kind)
+    object.__setattr__(out, "generators", p.generators + tuple(generators))
+    object.__setattr__(out, "relations", p.relations + tuple(relations))
+    object.__setattr__(out, "zero", p.zero if zero is None else zero)
+    _admit(out, dict(p.generator_index), len(p.generators), len(p.relations), p.zero)
+    return out
+
+
+def _admit(
+    p: Presentation, index: dict[str, int], gens_from: int, rels_from: int, old_zero: str | None
+) -> None:
+    """Validate what `p` adds to its valid part: the first `gens_from`
+    generators, indexed in `index`, the first `rels_from` relations and the
+    zero `old_zero`.  Errors come in the order a check of the whole of `p`
+    meets them, as the valid part raises none; `index` is completed and
+    becomes `p.generator_index`."""
+    for g in p.generators[gens_from:]:
+        if not is_identifier(g):
+            raise ValidationError(f"invalid generator name {g!r}")
+        if g in index:
+            raise ValidationError(f"duplicate generator {g}")
+        index[g] = len(index)
+    monoid = p.kind is Kind.MONOID
+    added = p.relations[rels_from:]
+    for rel in added:
+        for w in (rel.lhs, rel.rhs):
+            # one pass; an undeclared generator is reported before a negative exponent
+            negative = False
+            for s, e in w.letters:
+                if s not in index:
+                    missing = sorted(w.symbols() - index.keys())[0]
+                    raise ValidationError(f"undeclared generator {missing}")
+                if e < 0:
+                    negative = True
+            if negative and monoid:
+                raise ValidationError(f"negative exponent in monoid word {w}")
+    z = p.zero
+    if z is not None:
+        if not monoid:
+            raise ValidationError("zero is only allowed on monoid presentations")
+        if z not in index:
+            raise ValidationError(f"zero {z} is not a generator")
+        if z == old_zero:
+            # the valid part has the old generators' absorption relations,
+            # and relations older than a generator cannot mention it
+            _check_absorption(z, p.generators[gens_from:], added)
+        else:
+            # a new zero needs every generator's relations; a new generator's are all added ones
+            _check_absorption(z, p.generators, added if index[z] >= gens_from else p.relations)
+    object.__setattr__(p, "generator_index", index)
+
+
+def _check_absorption(z: str, generators: Iterable[str], relations: tuple[Relation, ...]) -> None:
+    alone = ((z, 1),)
+    # the other side of every relation with z alone on one side
+    absorbed = {r.rhs.letters for r in relations if r.lhs.letters == alone}
+    absorbed.update(r.lhs.letters for r in relations if r.rhs.letters == alone)
+    for g in generators:
+        needed = (((z, 2),),) if g == z else (((g, 1), (z, 1)), ((z, 1), (g, 1)))
+        if not absorbed.issuperset(needed):
+            raise ValidationError(f"zero {z} lacks absorption relation for generator {g}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +303,21 @@ def encode_word(p: Presentation, w: Word) -> bytes:
     its generator.  Knuth-Bendix and Todd-Coxeter both work on these codes,
     which fit in a byte for up to 128 generators.
     """
-    if len(p.generators) > 128:
-        raise ValidationError(
-            f"{len(p.generators)} generators: letter codes fit in a byte only up to 128"
-        )
+    index = p.generator_index
+    if len(index) > 128:
+        raise ValidationError(f"{len(index)} generators: letter codes fit in a byte only up to 128")
+    monoid = p.kind is Kind.MONOID
     codes: list[int] = []
     for s, e in w.letters:
-        if s not in p.generators:
+        i = index.get(s)
+        if i is None:
             raise ValidationError(f"word uses symbol {s} outside the presentation")
-        if e < 0 and p.kind is Kind.MONOID:
+        if e > 0:
+            codes += (2 * i,) * e
+        elif monoid:
             raise ValidationError(f"negative exponent in monoid word {w}")
-        i = p.generators.index(s)
-        codes.extend([2 * i if e > 0 else 2 * i + 1] * abs(e))
+        else:
+            codes += (2 * i + 1,) * -e
     return bytes(codes)
 
 
@@ -365,13 +456,10 @@ def rename_generators(p: Presentation, mapping: Mapping[str, str]) -> Presentati
         clash = next(n for n in images if images.count(n) > 1)
         raise ValidationError(f"renaming is not injective: two generators map to {clash}")
 
-    def rw(w: Word) -> Word:
-        return Word(tuple((full[s], e) for s, e in w.letters))
-
     return Presentation(
         p.kind,
-        tuple(full[g] for g in p.generators),
-        tuple(Relation(rw(r.lhs), rw(r.rhs)) for r in p.relations),
+        tuple(images),
+        tuple(Relation(r.lhs.renamed(full), r.rhs.renamed(full)) for r in p.relations),
         full[p.zero] if p.zero is not None else None,
     )
 

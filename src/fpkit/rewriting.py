@@ -16,7 +16,7 @@ still certify equality (every rewrite step is a consequence of the
 relations) but never inequality.
 
 `normal_forms` keeps the last 128 completions keyed on all they read:
-`completion_key` (group or monoid, generator count, the zero's index,
+`Presentation.key` (group or monoid, generator count, the zero's index,
 relations spelled by generator index) and the budget.  It holds only
 rules and status, no presentation or trie, so a renamed presentation is
 not completed again and gets them over its own generators.
@@ -415,24 +415,6 @@ def normal_form(rs: RewritingSystem, w: Word) -> Word:
     return decode_word(p, _RuleIndex(dict(enumerate(rs.rules))).reduce(encode_word(p, w)))
 
 
-def completion_key(p: Presentation) -> tuple:
-    """All that completing `p` reads: kind, generator count, zero and relations.
-
-    The relations are spelled flat, each side as its runs of generator
-    index and exponent followed by -1.  Words are kept merged, so the runs
-    determine the letter codes and back, and presentations equal up to
-    renaming share a key.  The zero is its generator index, or -1.
-    """
-    index = {g: i for i, g in enumerate(p.generators)}
-    runs: list[int] = []
-    for rel in p.relations:
-        for side in (rel.lhs, rel.rhs):
-            for s, e in side.letters:
-                runs += (index[s], e)
-            runs.append(-1)  # no generator index is negative
-    return (p.kind, len(p.generators), index.get(p.zero, -1), tuple(runs))
-
-
 # completion key and budget -> (rules, status), least recent first
 _systems: OrderedDict[tuple, tuple[tuple[RewriteRule, ...], Completeness]] = OrderedDict()
 _MAX_SYSTEMS = 128
@@ -440,7 +422,7 @@ _MAX_SYSTEMS = 128
 
 def _completed(p: Presentation, budget: Budget) -> RewritingSystem:
     # over 128 generators, `knuth_bendix` raises on the miss
-    key = (completion_key(p), budget)
+    key = (p.key, budget)
     if key in _systems:
         _systems.move_to_end(key)
     else:
@@ -457,7 +439,7 @@ def normal_forms(
 ) -> tuple[RewritingSystem, list[Letters]]:
     """Reduce each of `words` once against the budgeted completion of `p`.
 
-    Returns the system (cached per `completion_key` and budget, over `p`)
+    Returns the system (cached per `Presentation.key` and budget, over `p`)
     and the words' letter codes after rewriting.  Equal codes certify equal
     words under any system, different ones distinct words only when it
     is Complete.

@@ -615,20 +615,43 @@ def test_pool_certificates_on_renamed_copies_equal_serial_ones(tmp_path):
     assert certs[2] == certs[1]
 
 
+NOT_UTF8 = b"\xffgroup\ngens: a\nrels: a^5 = 1\n"
+DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("problem", ["missing", "unparsable"])
+@pytest.mark.parametrize("problem", ["missing", "unparsable", "not-utf8"])
 def test_corpus_names_an_unreadable_primary_file_at_any_job_count(
     tmp_path, capsys, jobs, problem
 ):
     bad = tmp_path / "bad.pres"
     if problem == "unparsable":
         bad.write_text("group\ngens: a\nrels: a^ = 1\n", encoding="utf-8")
+    elif problem == "not-utf8":
+        bad.write_bytes(NOT_UTF8)
     good = f"ok\ttest-group\t{ROW_INPUTS['test-group']}\tproved\n"
     (tmp_path / "m.tsv").write_text(
         good + "bad\ttest-group\tbase=bad.pres;w=a\tproved\n", encoding="utf-8"
     )
     assert main(["corpus", str(tmp_path / "m.tsv"), "--jobs", str(jobs)]) == EXIT_USAGE
-    assert f"error: {bad}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {bad}" in err
+    if problem == "not-utf8":
+        assert err == f"error: {bad}: {DECODE_ERROR}\n"
+
+
+def test_verify_names_an_input_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.pres"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["verify", "test-group", str(bad), "--w", "a"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {bad}: {DECODE_ERROR}\n"
+
+
+def test_corpus_names_a_manifest_that_is_not_utf8(tmp_path, capsys):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_bytes(b"\xff\n")
+    assert main(["corpus", str(manifest)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {manifest}: {DECODE_ERROR}\n"
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fpkit.constructions import (
@@ -22,6 +24,7 @@ from fpkit.presentations import (
     Relation,
     ValidationError,
     Word,
+    fresh_symbol,
     parse_presentation,
     parse_word,
     rename_generators,
@@ -368,3 +371,77 @@ def test_markov_build_serializes_and_reparses_with_zero():
     assert "zero: z" in text
     assert parse_presentation(text) == built
 
+
+
+# -- combinators validate only what they add; the result is what a full validation accepts
+
+
+def _assert_rebuilds(p):
+    whole = Presentation(p.kind, p.generators, p.relations, p.zero)
+    assert whole == p and str(whole) == str(p)
+    assert whole.generator_index == p.generator_index and whole.key == p.key
+
+
+def _random_presentation(rng, kind, names):
+    gens = tuple(rng.sample(names, rng.randint(1, 3)))
+    rels = [Relation(_random_word(rng, kind, gens), _random_word(rng, kind, gens)) for _ in "12"]
+    return Presentation(kind, gens, rels[: rng.randint(0, 2)])
+
+
+def _random_word(rng, kind, gens, nonempty=False):
+    exps = (1, 2) if kind is Kind.MONOID else (-2, -1, 1, 2)
+    length = rng.randint(1 if nonempty else 0, 3)
+    return Word(tuple((rng.choice(gens), rng.choice(exps)) for _ in range(length)))
+
+
+def reference_free_product(p1, p2):
+    """The free product renamed and validated in full, kept as the oracle."""
+    used, renaming = set(p1.generators), {}
+    for g in p2.generators:
+        renaming[g] = fresh_symbol(g, used)
+        used.add(renaming[g])
+    q2 = rename_generators(p2, renaming)
+    return Presentation(p1.kind, p1.generators + q2.generators, p1.relations + q2.relations)
+
+
+def test_combinators_give_what_a_full_validation_accepts():
+    rng = random.Random(97)
+    # the constructions' own letters are among the names, so renamings happen
+    names = ["a", "b", "c", "d", "q", "q1", "z", "c_1"]
+    renamed = 0
+    for _ in range(120):
+        g1, g2 = (_random_presentation(rng, Kind.GROUP, names) for _ in "12")
+        m0, m1, m4 = (_random_presentation(rng, Kind.MONOID, names) for _ in "014")
+        builds = []
+        for p, q in ((g1, g2), (m1, m0)):
+            trail = AuditTrail()
+            builds.append((free_product(p, q, trail), trail))
+            assert builds[-1][0] == reference_free_product(p, q)
+            renamed += "second factor renamed" in trail.steps[0].detail
+        trail = AuditTrail()
+        builds.append((adjoin_zero(m1, fresh_symbol("z", m1.generators), trail), trail))
+        steps, letters = [], list(g1.generators)
+        for _ in range(rng.randint(1, 3)):
+            t = fresh_symbol("t", letters)
+            pair = (_random_word(rng, Kind.GROUP, letters), _random_word(rng, Kind.GROUP, letters))
+            steps.append((t, [pair] * rng.randint(0, 2)))
+            letters.append(t)
+        trail = AuditTrail()
+        builds.append((hnn_ladder(g1, steps, trail), trail))
+        g, h = (_random_word(rng, Kind.MONOID, m1.generators, nonempty=True) for _ in "gh")
+        xi = rng.choice(list(XiRange))
+        markov = markov_semigroup(MarkovInstance(m0, m1, m4, g, h, xi))
+        builds.append((markov.presentation, markov.trail))
+        b_word = _random_word(rng, Kind.GROUP, g1.generators) if rng.random() < 0.5 else None
+        test = triviality_test_group(
+            GroupTestInstance(g1, _random_word(rng, Kind.GROUP, g1.generators), b_word)
+        )
+        builds.append((test.presentation, test.trail))
+        prop = markov_property_reduction(PropertySpec("p", g2, g1), test.presentation)
+        builds.append((prop.presentation, prop.trail))
+        for out, trail in builds:
+            _assert_rebuilds(out)
+            for step in trail.steps:
+                if step.presentation is not None:
+                    _assert_rebuilds(step.presentation)
+    assert renamed > 100

@@ -11,9 +11,11 @@ from fpkit.presentations import (
     Relation,
     ValidationError,
     Word,
+    _merge,
     _substitute,
     decode_word,
     encode_word,
+    extend,
     parse_presentation,
     parse_word,
     rename_generators,
@@ -265,6 +267,108 @@ def test_pow_and_substitute_match_the_stepwise_product():
             stepwise = stepwise * (stepwise_pow(image, e) if s == "a" else Word.single(s, e))
         assert _substitute(w, "a", image) == stepwise, (w, image)
     assert cancelled >= 10
+
+
+def test_word_fast_paths_match_the_merge_reference():
+    rng = random.Random(2029)
+    seen = set()
+    for _ in range(2000):
+        u = random_group_word(rng, ("a", "b", "c"))
+        v = random_group_word(rng, ("a", "b", "c"))
+        if rng.random() < 0.4:  # v starts by undoing a suffix of u: a cascade at the junction
+            cut = rng.randint(0, len(u.letters))
+            undo = tuple((s, -e) for s, e in reversed(u.letters[cut:]))
+            v = Word(undo + v.letters)
+        product = u * v
+        assert product.letters == _merge(u.letters + v.letters), (u, v)
+        lost = len(u.letters) + len(v.letters) - len(product.letters)
+        seen.add({0: "no merge", 1: "junction merge"}.get(lost, "cascade"))
+        s, e = rng.choice("abc"), rng.randint(-3, 3)
+        assert Word.single(s, e).letters == _merge(((s, e),))
+        seen.add("zero exponent" if e == 0 else "single")
+        assert u.inverse().letters == _merge(tuple((s, -e) for s, e in reversed(u.letters)))
+        images = dict(zip("abc", rng.sample(["a", "b", "c", "d"], 3)))
+        assert u.renamed(images).letters == _merge(tuple((images[s], e) for s, e in u.letters))
+        for w in (product, Word.single(s, e), u.inverse(), u.renamed(images)):
+            assert _merge(w.letters) == w.letters
+    assert seen == {"no merge", "junction merge", "cascade", "zero exponent", "single"}
+
+
+def _validation_error(make) -> str | None:
+    try:
+        make()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_extend_equals_and_fails_like_the_whole_presentation():
+    rng = random.Random(4111)
+    seen = set()
+    for _ in range(1500):
+        kind = rng.choice((Kind.GROUP, Kind.MONOID))
+        exps = (1, 2) if kind is Kind.MONOID else (-2, -1, 1, 2)
+
+        def word(letters):
+            length = rng.randint(0, 3)
+            return Word(tuple((rng.choice(letters), rng.choice(exps)) for _ in range(length)))
+
+        def absorbing(z, gens, keep):
+            rels = []
+            for g in gens:
+                for w in {Word.single(g) * Word.single(z), Word.single(z) * Word.single(g)}:
+                    if rng.random() < keep:
+                        pair = (w, Word.single(z))
+                        flip = rng.random() < 0.5
+                        rels.append(Relation(*pair[::-1]) if flip else Relation(*pair))
+            return rels
+
+        gens = ("a", "b")[: rng.randint(1, 2)]
+        rels = [Relation(word(gens), word(gens)) for _ in range(rng.randint(0, 2))]
+        base_zero, a_absorbs = None, False
+        if kind is Kind.MONOID and rng.random() < 0.4:
+            base_zero, gens = "z", gens + ("z",)
+            rels += absorbing("z", gens, keep=1)
+        elif rng.random() < 0.3:  # a absorbs, but is not declared a zero
+            a_absorbs = True
+            rels += absorbing("a", gens, keep=1)
+        base = Presentation(kind, gens, rels, base_zero)
+        # mostly fresh generators; now and then an invalid or duplicate name
+        fresh = ["c", "d", "e"]
+        added = [
+            fresh.pop(0) if rng.random() < 0.85 else rng.choice(["a", "z", "9x"])
+            for _ in range(rng.randint(0, 2))
+        ]
+        letters = gens + tuple(added) + ("x",) * (rng.random() < 0.2)
+        negative = rng.random() < 0.05
+        new_rels = [
+            Relation(word(letters), Word(((rng.choice(gens), -1),)) if negative else word(gens))
+            for _ in range(rng.randint(0, 2))
+        ]
+        zero = None
+        if base_zero is None and rng.random() < 0.4:
+            zero = rng.choice(["z", "z", "a", "y"])
+            if zero == "z" and "z" not in added:
+                added.append("z")
+        if (base_zero or zero) and zero != "y":  # y is no generator
+            z = base_zero or zero
+            # the base holds the old generators' relations for its zero, and for a if a absorbs
+            in_base = base_zero or (zero == "a" and a_absorbs)
+            new_gens = [g for g in added if g not in gens] if in_base else list(gens) + added
+            new_rels += absorbing(z, [g for g in new_gens if g != "9x"], keep=0.9)
+        rng.shuffle(new_rels)
+        whole = lambda: Presentation(kind, gens + tuple(added), rels + new_rels, zero or base_zero)
+        expected = _validation_error(whole)
+        got = _validation_error(lambda: extend(base, added, new_rels, zero))
+        assert got == expected, (base, added, new_rels, zero)
+        seen.add(expected.split()[0] if expected else "accepted")
+        if expected is None:
+            out, ref = extend(base, added, new_rels, zero), whole()
+            assert out == ref and str(out) == str(ref)
+            assert out.generator_index == ref.generator_index and out.key == ref.key
+    # accepted, and each kind of error: invalid, duplicate, undeclared,
+    # negative, zero (not a generator / only on monoids / lacks absorption)
+    assert seen == {"accepted", "invalid", "duplicate", "undeclared", "negative", "zero"}
 
 
 def test_rename_generators():

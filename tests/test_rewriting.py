@@ -27,7 +27,6 @@ from fpkit.rewriting import (
     Verdict,
     _Completion,
     _RuleIndex,
-    completion_key,
     irreducible_words,
     knuth_bendix,
     normal_form,
@@ -619,12 +618,12 @@ def test_completion_keys_are_equal_exactly_when_the_letter_codes_are():
 
     cases = [p for p, _ in random_presentations(3, 120, lambda rng: None)]
     cases += [rename_generators(p, {"a": "x", "b": "a"}) for p in cases if "b" in p.generators]
-    pairs = [(completion_key(p) == completion_key(q), codes(p) == codes(q)) for p in cases for q in cases]
+    pairs = [(p.key == q.key, codes(p) == codes(q)) for p in cases for q in cases]
     assert all(same_key == same_codes for same_key, same_codes in pairs)
     assert sum(same for same, _ in pairs) > len(cases) + 50  # some distinct cases collide
     # the same runs, split between the sides at another place
     split = [parse_presentation(f"group\ngens: a, b\nrels: {rel}") for rel in ("a = b a", "a b = a")]
-    assert completion_key(split[0]) != completion_key(split[1])
+    assert split[0].key != split[1].key
 
 
 def test_normal_form_over_a_renamed_cache_hit_uses_the_callers_generators(completions):

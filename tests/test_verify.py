@@ -1,10 +1,13 @@
 import itertools
+import json
 import math
 import random
 
 import pytest
 
+from fpkit.cli import RunConfig, _job_from_row, parse_manifest, run_job
 from fpkit.constructions import MarkovInstance, XiRange, adjoin_zero, markov_semigroup
+from fpkit.corpus import bundled_manifest
 from fpkit.presentations import (
     Kind,
     Presentation,
@@ -26,6 +29,7 @@ from fpkit.verify import (
     assemble_certificate,
     collapse_check,
     diagonal_of,
+    dump_json,
     embedding_by_rewriting,
     embedding_spot_check,
     enumerate_words,
@@ -514,3 +518,42 @@ def test_certificate_json_field_order():
     first = payload.index('"instance"')
     assert first < payload.index('"construction"') < payload.index('"checks"')
     assert payload.index('"overall"') < payload.index('"version"') < payload.index('"elapsed_ms"')
+
+
+def _random_json(rng, depth):
+    pick = rng.randrange(9 if depth < 4 else 5)
+    if pick == 0:
+        # quotes, escapes, control characters, non-ASCII, astral, a lone surrogate
+        chars = ["a", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "😀", "\ud800"]
+        return "".join(rng.choice(chars) for _ in range(rng.randint(0, 6)))
+    if pick == 1:
+        return rng.choice([0, 1, -1, 7, -(2**70), 2**70])
+    if pick == 2:
+        return rng.choice([True, False])
+    if pick in (3, 4):
+        return None if pick == 3 else rng.choice([{}, [], ()])
+    if pick in (5, 6):
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = [str(_random_json(rng, 4)) for _ in range(rng.randint(0, 4))]
+    return {key: _random_json(rng, depth + 1) for key in keys}
+
+
+def test_dump_json_writes_what_json_dumps_writes():
+    rng = random.Random(1789)
+    for _ in range(500):
+        payload = {"top": _random_json(rng, 0), "more": [_random_json(rng, 1) for _ in range(3)]}
+        assert dump_json(payload) == json.dumps(payload, indent=2)
+    for scalar in ("é\n\"", 0, -5, True, None, [], {}, ()):
+        assert dump_json(scalar) == json.dumps(scalar, indent=2)
+    for unsupported in (1.5, {1: "a"}, {"a": {None: 1}}, b"x"):
+        with pytest.raises(TypeError):
+            dump_json(unsupported)
+
+
+def test_bundled_certificates_are_written_as_json_dumps_writes_them():
+    manifest = bundled_manifest()
+    rows = parse_manifest(manifest)
+    for row in rows:
+        text = run_job(_job_from_row(row, manifest.parent, RunConfig()), RunConfig()).to_json()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", row.name
+    assert len(rows) == 20
