@@ -1,30 +1,23 @@
-"""Independent oracles, embedding proofs and bounded empirical checks.
+"""Independent oracles, exact embedding and collapse checks, certificates.
 
 Abelianization takes the Smith normal form of the integer relation
 matrix (one row per relation, exponent sums per generator): the cheap
 decidable shadow that certifies nontriviality and cross-checks every
 construction that claims to preserve or compose group structure.
 
-`embedding_by_rewriting` proves a monoid embedding at every word length
-when both systems are Complete and letters map to distinct letters (see
-its hypotheses).  Otherwise, and for the collapse side of a dichotomy,
-the bounded checks decide words up to a length cutoff in one pass with
-two entry points: `embedding_spot_check` asks whether distinct words
-keep distinct images, `collapse_check` also whether every built
-generator equals a target image, the zero or the identity.  Both reduce
-each word and image once against the budgeted completion of its
-presentation (`rewriting.normal_forms`), group the words by normal form
-under the soundness rules of the word-problem oracle instead of
-comparing pairs, and report Pass / Fail-with-witness / Unknown.
+The two sides of a Markov dichotomy are decided at every word length,
+from the budgeted completions of the presentations
+(`rewriting.normal_forms`) and never by enumerating words:
+`embedding_by_rewriting` asks whether a letter map embeds one monoid in
+another, `collapse_check` whether a built monoid is its target's image
+plus the zero.  Each reports Pass, Fail with a witness, or Unknown.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
@@ -195,7 +188,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 
 # ---------------------------------------------------------------------------
-# bounded checks
+# embedding and collapse checks
 
 
 class CheckVerdict(Enum):
@@ -226,15 +219,6 @@ class CheckReport:
         }
 
 
-def enumerate_words(generators: Sequence[str], max_length: int) -> list[Word]:
-    """All positive words over `generators` of length 0..max_length."""
-    out = [Word()]
-    for k in range(1, max_length + 1):
-        for combo in product(generators, repeat=k):
-            out.append(Word(tuple((s, 1) for s in combo)))
-    return out
-
-
 def _image(w: Word, mapping: Mapping[str, Word]) -> Word:
     letters: list[tuple[str, int]] = []
     for s, e in w.letters:
@@ -244,153 +228,118 @@ def _image(w: Word, mapping: Mapping[str, Word]) -> Word:
     return Word(tuple(letters))
 
 
-def _bounded_check(
-    small: Presentation,
-    big: Presentation,
-    mapping: Mapping[str, Word],
-    cutoff: int,
-    budget: Budget,
-    name: str,
-    onto: bool,
-) -> CheckReport:
-    """The pass behind both bounded checks.
-
-    No pair of `small`-words up to `cutoff` that is certified Distinct in
-    `small` may have images certified Equal in `big`; with `onto`, every
-    generator of `big` must also equal an image, the identity or the
-    zero.  Each word and image is reduced once, and the words are grouped
-    by normal form, not compared in pairs: equal normal forms are Equal,
-    different ones Distinct only under a Complete system.  The counts are
-    those of the pairs taken in word order up to the first Fail (least i,
-    then j); a pair whose words' `small` normal forms differ is blocked
-    unless both systems are Complete.
-    """
-    if onto:
-        role, lost = "projection", "target words collapse in the built presentation"
-    else:
-        role, lost = "inclusion", "distinct words collapse in the big presentation"
-    big_gens = set(big.generators)
+def _check_images(role: str, small: Presentation, big: Presentation, mapping: Mapping[str, Word]):
     for g, img in mapping.items():
-        bad = img.symbols() - big_gens
+        bad = img.symbols() - set(big.generators)
         if bad:
             raise ValidationError(f"{role} image of {g} uses unknown symbol {sorted(bad)[0]}")
-    words = enumerate_words(small.generators, cutoff)
-    anchors = [_image(w, mapping) for w in words] + [Word()]
-    if big.zero is not None:
-        anchors.append(Word.single(big.zero))
-    gens = [Word.single(g) for g in big.generators]
-    small_rs, small_nf = normal_forms(small, words, budget)
-    big_rs, big_nf = normal_forms(big, anchors + gens, budget)
-    n = len(words)
-    comparisons = n * (n - 1) // 2
-    blocked = 0
-
-    def fail(witness: str, notes: str) -> CheckReport:
-        used = {"comparisons": comparisons}
-        return CheckReport(name, CheckVerdict.FAIL, witness=witness, notes=notes, budget_used=used)
-
-    if small_rs.complete:
-        # scanning back, each big normal form keeps its next member and
-        # that member's next one with another small normal form
-        after = {}
-        hit = None
-        for i in range(n - 1, -1, -1):
-            nxt, differ = after.get(big_nf[i], (i, None))
-            if small_nf[nxt] != small_nf[i]:
-                differ = nxt
-            after[big_nf[i]] = (i, differ)
-            if differ is not None:
-                hit = (i, differ)
-        if hit is not None:
-            i, j = hit
-            comparisons = i * (n - 1) - i * (i - 1) // 2 + j - i
-            return fail(f"{words[i]} | {words[j]}", lost)
-    if not (small_rs.complete and big_rs.complete):
-        blocked = comparisons - sum(c * (c - 1) // 2 for c in Counter(small_nf).values())
-    if onto:
-        first = {}
-        for k, nf in enumerate(big_nf[:len(anchors)]):
-            first.setdefault(nf, k)
-        for g, nf in zip(big.generators, big_nf[len(anchors):]):
-            # one comparison per anchor tried, stopping at the first match
-            if nf in first:
-                comparisons += first[nf] + 1
-                continue
-            comparisons += len(anchors)
-            if big_rs.complete:
-                return fail(g, "generator does not collapse onto the target image")
-            blocked += 1
-    if blocked:
-        return CheckReport(
-            name,
-            CheckVerdict.UNKNOWN,
-            notes=f"{blocked} comparisons exhausted the budget",
-            budget_used={"comparisons": comparisons, "blocked": blocked},
-        )
-    return CheckReport(name, CheckVerdict.PASS, budget_used={"comparisons": comparisons})
+    for g in small.generators:
+        if g not in mapping:
+            raise ValidationError(f"no image for generator {g}")
 
 
-def embedding_spot_check(
-    sub: Presentation,
-    big: Presentation,
-    inclusion: Mapping[str, Word],
-    cutoff: int = 6,
-    budget: Budget = DEFAULT_BUDGET,
-    name: str = "embedding-spot-check",
+def embedding_by_rewriting(
+    sub: Presentation, big: Presentation, inclusion: Mapping[str, Word], budget: Budget, name: str
 ) -> CheckReport:
-    """Check that distinct `sub`-words stay distinct in `big` up to `cutoff`.
+    """Decide whether the monoid `sub` embeds in the monoid `big` under `inclusion`.
 
-    For every pair of sub-words certified Distinct in `sub`, the images
-    must not be certified Equal in `big`.  A definite violation yields
-    Fail with the offending pair; any blocked comparison yields Unknown.
+    Pass proves it at every length when (a) the generators map to distinct
+    generators, (b) both systems are Complete, (c) no lhs of `big` in image
+    letters pulls back to a `sub`-irreducible word and (d) the relations of
+    `sub` hold among the images: irreducible words then map to irreducible
+    words (Book & Otto, String-Rewriting Systems, 1993, ch. 2).  Fail, when
+    `sub` is Complete, is a pair of words with different `sub` normal forms
+    and equal images: two generators sent to one letter, or the pull-backs
+    of both sides of a `big` rule.  Unknown names the hypothesis that failed.
     """
-    return _bounded_check(sub, big, inclusion, cutoff, budget, name, onto=False)
+    _check_images("inclusion", sub, big, inclusion)
+    unknown = lambda why: CheckReport(name, CheckVerdict.UNKNOWN, notes=f"not proved: {why}")
+    if sub.is_group or big.is_group:
+        return unknown("the proof needs two monoids")
+    letters = {Word.single(s): 2 * j for j, s in enumerate(big.generators)}
+    back: dict[int, int] = {}  # image letter -> the first generator sent to it
+    pairs = []  # `sub` words whose images are equal in `big`
+    for i, g in enumerate(sub.generators):
+        c = letters.get(inclusion[g])
+        if c is None:
+            return unknown(f"the image of {g} is not a single letter")
+        if c in back:
+            pairs.append((bytes((back[c],)), bytes((2 * i,))))
+        back.setdefault(c, 2 * i)
+    sides = [_image(w, inclusion) for rel in sub.relations for w in (rel.lhs, rel.rhs)]
+    big_rs, nfs = normal_forms(big, sides, budget)
+    pulled = []  # pull-backs of the lhs of `big` in image letters
+    for r in big_rs.rules:
+        if set(r.lhs) <= back.keys():
+            pulled.append(bytes(back[c] for c in r.lhs))
+            if set(r.rhs) <= back.keys():
+                pairs.append((pulled[-1], bytes(back[c] for c in r.rhs)))
+    words = [w for pair in pairs for w in pair] + pulled
+    sub_rs, reduced = normal_forms(sub, [decode_word(sub, w) for w in words], budget)
+    for k, (u, v) in enumerate(pairs):
+        if sub_rs.complete and reduced[2 * k] != reduced[2 * k + 1]:
+            witness = f"{decode_word(sub, u)} | {decode_word(sub, v)}"
+            notes = "distinct words collapse in the big presentation"
+            return CheckReport(name, CheckVerdict.FAIL, witness=witness, notes=notes)
+    for side, rs in (("sub", sub_rs), ("big", big_rs)):
+        if not rs.complete:
+            return unknown(f"the {side} system is Partial")
+    if len(back) < len(sub.generators):
+        return unknown("two generators equal in sub map to one letter")
+    if nfs[::2] != nfs[1::2]:
+        return unknown("the relations of sub do not hold among the images")
+    for u, nf in zip(pulled, reduced[2 * len(pairs):]):
+        if u == nf:
+            return unknown(f"a big lhs pulls back to the irreducible word {decode_word(sub, u)}")
+    notes = (
+        f"letters to distinct letters map irreducible words to irreducible words of Complete"
+        f" systems ({len(sub_rs.rules)} and {len(big_rs.rules)} rules): distinct at every length"
+    )
+    return CheckReport(name, CheckVerdict.PASS, notes=notes)
 
 
 def collapse_check(
     built: Presentation,
     target: Presentation,
     projection: Mapping[str, Word],
-    cutoff: int = 6,
     budget: Budget = DEFAULT_BUDGET,
     name: str = "collapse-check",
 ) -> CheckReport:
-    """Length-bounded two-sided shadow of "built is isomorphic to target".
+    """Decide whether `built` is the image of `target` plus the zero.
 
-    (a) distinct target words stay distinct in built, and (b) every
-    generator of built equals a projected target word, the designated
-    zero, or the identity.
+    A target with generators must embed (`embedding_by_rewriting`).  Then
+    each generator of `built` must equal an anchor: the image of the empty
+    word or of a target letter, the identity or the zero.  A normal form of
+    one letter is in the image only as an anchor's, so under a Complete
+    system a generator that matches none fails at every length; under a
+    Partial one it is blocked.  `comparisons` counts the anchors tried.
     """
-    return _bounded_check(target, built, projection, cutoff, budget, name, onto=True)
-
-
-def embedding_by_rewriting(
-    sub: Presentation, big: Presentation, inclusion: Mapping[str, Word], budget: Budget, name: str
-) -> CheckReport | None:
-    """Prove that monoid `sub` embeds in monoid `big` at every length, or return None.
-
-    It does when (a) the generators map to distinct generators, (b) both
-    systems are Complete, (c) no lhs of `big` in image letters pulls back
-    to a `sub`-irreducible word and (d) the relations of `sub` hold among
-    the images: irreducible words then map to irreducible words (Book &
-    Otto, String-Rewriting Systems, 1993, ch. 2).
-    """
-    letters = {Word.single(s): 2 * j for j, s in enumerate(big.generators)}
-    back = {letters.get(inclusion.get(g)): 2 * i for i, g in enumerate(sub.generators)}
-    if None in back or len(back) < len(sub.generators) or sub.is_group or big.is_group:
-        return None
-    sides = [_image(w, inclusion) for rel in sub.relations for w in (rel.lhs, rel.rhs)]
-    big_rs, nfs = normal_forms(big, sides, budget)
-    pulled = [bytes(back[c] for c in r.lhs) for r in big_rs.rules if set(r.lhs) <= back.keys()]
-    sub_rs, reduced = normal_forms(sub, [decode_word(sub, w) for w in pulled], budget)
-    proved = sub_rs.complete and big_rs.complete and nfs[::2] == nfs[1::2]
-    if not proved or any(map(bytes.__eq__, pulled, reduced)):
-        return None
-    notes = (
-        f"letters to distinct letters map irreducible words to irreducible words of Complete"
-        f" systems ({len(sub_rs.rules)} and {len(big_rs.rules)} rules): distinct at every length"
-    )
-    return CheckReport(name, CheckVerdict.PASS, notes=notes)
+    _check_images("projection", target, built, projection)
+    notes = ""
+    if target.generators:
+        embedded = embedding_by_rewriting(target, built, projection, budget, name)
+        if embedded.verdict is not CheckVerdict.PASS:
+            return embedded
+        notes = embedded.notes
+    anchors = [Word()] + [projection[g] for g in target.generators] + [Word()]
+    anchors += [Word.single(built.zero)] if built.zero is not None else []
+    rs, nfs = normal_forms(built, anchors + [Word.single(g) for g in built.generators], budget)
+    first = {nf: k for k, nf in reversed(list(enumerate(nfs[: len(anchors)])))}
+    comparisons = blocked = 0
+    for g, nf in zip(built.generators, nfs[len(anchors):]):
+        # one comparison per anchor tried, up to the first match or all of them
+        comparisons += first.get(nf, len(anchors) - 1) + 1
+        if nf not in first and rs.complete:
+            notes = "generator does not collapse onto the target image"
+            used = {"comparisons": comparisons}
+            return CheckReport(name, CheckVerdict.FAIL, witness=g, notes=notes, budget_used=used)
+        blocked += nf not in first
+    if blocked:
+        notes = f"{blocked} comparisons exhausted the budget"
+        used = {"comparisons": comparisons, "blocked": blocked}
+        return CheckReport(name, CheckVerdict.UNKNOWN, notes=notes, budget_used=used)
+    used = {"comparisons": comparisons}
+    return CheckReport(name, CheckVerdict.PASS, notes=notes, budget_used=used)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from fpkit.verify import (
     abelianization,
     collapse_check,
     diagonal_of,
-    embedding_spot_check,
+    embedding_by_rewriting,
     smith_normal_form,
 )
 from test_verify import merge_invariants
@@ -221,8 +221,14 @@ def test_criterion_4_markov_collapse_dichotomy():
     for row, inst in equal_rows:
         build = markov_semigroup(inst)
         projection = {g: Word.single(img) for g, img in build.maps["s4"].items()}
-        report = collapse_check(build.presentation, inst.s4, projection, cutoff=6)
+        report = collapse_check(build.presentation, inst.s4, projection)
         assert report.verdict is CheckVerdict.PASS, (row.name, report)
+        # S4 is trivial, so every generator is the identity or the zero
+        assert inst.s4.generators == ()
+        anchors = (Word(), Word.single(build.presentation.zero))
+        for g in build.presentation.generators:
+            verdicts = {words_equal(build.presentation, Word.single(g), a) for a in anchors}
+            assert Verdict.EQUAL in verdicts, (row.name, g)
     elapsed = timer.check()
     print(f"\nACCEPTANCE 4 (Markov collapse on {len(equal_rows)} instances): PASS in {elapsed:.2f}s")
 
@@ -240,8 +246,11 @@ def test_criterion_5_markov_embedding_dichotomy():
         assert inst.s0.generators == ("x",) and not inst.s0.relations
         build = markov_semigroup(inst)
         inclusion = {g: Word.single(img) for g, img in build.maps["s0"].items()}
-        report = embedding_spot_check(inst.s0, build.presentation, inclusion, cutoff=6)
+        report = embedding_by_rewriting(
+            inst.s0, build.presentation, inclusion, Budget(), "s0-embedding"
+        )
         assert report.verdict is CheckVerdict.PASS, (row.name, report)
+        assert report.notes.endswith("distinct at every length"), row.name
         # x, x^2, ..., x^6 stay pairwise distinct in the built monoid
         powers = [W("x").pow(k) for k in range(1, 7)]
         for wa, wb in itertools.combinations(powers, 2):

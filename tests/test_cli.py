@@ -277,11 +277,10 @@ def _verify_wide_markov(tmp_path, *options):
     return r, {c["name"]: c for c in cert["checks"]}
 
 
-def test_cli_verify_markov_at_cutoff_10_counts_every_pair(tmp_path):
+def test_cli_verify_markov_proves_the_embedding_at_every_length(tmp_path):
     # both systems complete and x, w go to letters, so the embedding is
-    # proved at every length and the cutoff enumerates nothing; the
-    # 2047 * 2046 / 2 pairs of the spot check stay pinned in test_verify
-    r, checks = _verify_wide_markov(tmp_path, "--cutoff", "10")
+    # proved at every length
+    r, checks = _verify_wide_markov(tmp_path)
     assert r.returncode == EXIT_PROVED, r.stdout + r.stderr
     embedding = checks["s0-embedding"]
     assert embedding["verdict"] == "pass"
@@ -293,13 +292,14 @@ def test_cli_verify_markov_at_cutoff_10_counts_every_pair(tmp_path):
 
 
 def test_cli_verify_markov_falls_back_to_the_spot_check_on_a_partial_system(tmp_path):
-    # 10 rules leave the built system Partial, so the proof does not apply
-    # and the words up to length 3 are compared as before
-    r, checks = _verify_wide_markov(tmp_path, "--cutoff", "3", "--budget-rules", "10")
+    # 10 rules leave the built system Partial, so the proof does not apply;
+    # the check answers unknown and names the hypothesis that failed
+    r, checks = _verify_wide_markov(tmp_path, "--budget-rules", "10")
     assert r.returncode == EXIT_UNKNOWN, r.stdout + r.stderr
     embedding = checks["s0-embedding"]
     assert embedding["verdict"] == "unknown"
-    assert embedding["budget_used"] == {"comparisons": 105, "blocked": 105}
+    assert embedding["notes"] == "not proved: the big system is Partial"
+    assert embedding["budget_used"] == {}
 
 
 def test_cli_build_writes_presentation_and_audit(tmp_path):
@@ -387,7 +387,7 @@ ACCEPTED = {
     ("build", "markov"): {"--xi-range", "--out"},
     ("build", "test-group"): {"--out"},
     ("build", "property"): {"--out"},
-    ("verify", "markov"): {"--budget-rules", "--cutoff", "--xi-range", "--out"},
+    ("verify", "markov"): {"--budget-rules", "--xi-range", "--out"},
     ("verify", "test-group"): {"--budget-rules", "--budget-cosets", "--out"},
     ("verify", "property"): {"--budget-cosets", "--out"},
 }

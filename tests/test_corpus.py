@@ -24,7 +24,7 @@ from fpkit.rewriting import (
     knuth_bendix,
     words_equal,
 )
-from fpkit.verify import CheckVerdict, abelianization, collapse_check, embedding_spot_check
+from fpkit.verify import CheckVerdict, abelianization, collapse_check, embedding_by_rewriting
 from test_rewriting import confluence_audit, general_completion
 
 W = parse_word
@@ -80,17 +80,27 @@ def test_collapse_and_embedding_passes_are_exclusive():
         verdict = words_equal(inst.s1, inst.g, inst.h)
         projection = {g: Word.single(img) for g, img in build.maps["s4"].items()}
         inclusion = {g: Word.single(img) for g, img in build.maps["s0"].items()}
-        collapse = collapse_check(build.presentation, inst.s4, projection, cutoff=4)
-        embed = embedding_spot_check(inst.s0, build.presentation, inclusion, cutoff=4)
+        collapse = collapse_check(build.presentation, inst.s4, projection)
+        embed = embedding_by_rewriting(
+            inst.s0, build.presentation, inclusion, DEFAULT_BUDGET, "s0-embedding"
+        )
         assert not (
             collapse.verdict is CheckVerdict.PASS and embed.verdict is CheckVerdict.PASS
         ), row.name
         if verdict is Verdict.EQUAL:
             assert collapse.verdict is CheckVerdict.PASS
             assert embed.verdict is CheckVerdict.FAIL
+            # S0 keeps its letters in the build: distinct in S0, equal in S_{G,H}
+            u, v = (W(side) for side in embed.witness.split(" | "))
+            assert words_equal(inst.s0, u, v) is Verdict.DISTINCT, row.name
+            assert words_equal(build.presentation, u, v) is Verdict.EQUAL, row.name
         else:
             assert embed.verdict is CheckVerdict.PASS
             assert collapse.verdict is CheckVerdict.FAIL
+            # a generator that is neither the identity nor the zero
+            g, z = Word.single(collapse.witness), Word.single(build.presentation.zero)
+            for anchor in (Word(), z):
+                assert words_equal(build.presentation, g, anchor) is Verdict.DISTINCT, row.name
 
 
 def test_enumeration_agrees_with_rewriting_on_corpus_groups():

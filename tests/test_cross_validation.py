@@ -26,7 +26,7 @@ from fpkit.rewriting import (
     knuth_bendix,
     words_equal,
 )
-from fpkit.verify import CheckVerdict, abelianization, collapse_check, embedding_spot_check
+from fpkit.verify import CheckVerdict, abelianization, collapse_check, embedding_by_rewriting
 
 LIMITS = EnumLimits(5_000, 500_000)
 BUDGET = Budget(400, 40, 4000)
@@ -109,17 +109,16 @@ def test_random_markov_instances_respect_the_dichotomy():
         rs = knuth_bendix(build.presentation, BUDGET)
         if rs.status is not Completeness.COMPLETE:
             continue
-        collapse = collapse_check(build.presentation, s4, {}, cutoff=4, budget=BUDGET)
-        embed = embedding_spot_check(
-            s0, build.presentation, {"x": Word.single(build.maps["s0"]["x"])},
-            cutoff=4, budget=BUDGET,
+        collapse = collapse_check(build.presentation, s4, {}, BUDGET)
+        embed = embedding_by_rewriting(
+            s0, build.presentation, {"x": Word.single(build.maps["s0"]["x"])}, BUDGET, "embed"
         )
         if verdict is Verdict.EQUAL:
             equal_seen += 1
             assert collapse.verdict is CheckVerdict.PASS, (s1, g, h)
-            assert embed.verdict is not CheckVerdict.PASS
+            assert embed.verdict is CheckVerdict.FAIL, (s1, g, h)
         else:
             distinct_seen += 1
             assert embed.verdict is CheckVerdict.PASS, (s1, g, h)
-            assert collapse.verdict is not CheckVerdict.PASS
+            assert collapse.verdict is CheckVerdict.FAIL, (s1, g, h)
     assert equal_seen >= 5 and distinct_seen >= 10

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fpkit.cli import RunConfig, _job_from_row, parse_manifest, run_job
-from fpkit.constructions import MarkovInstance, XiRange, adjoin_zero, markov_semigroup
+from fpkit.constructions import adjoin_zero
 from fpkit.corpus import bundled_manifest
 from fpkit.presentations import (
     Kind,
@@ -19,7 +19,7 @@ from fpkit.presentations import (
     rename_generators,
     tietze_simplify,
 )
-from fpkit.rewriting import Budget, Verdict, knuth_bendix, words_equal
+from fpkit.rewriting import Budget, Verdict, words_equal
 from fpkit.verify import (
     AbelianInvariants,
     CheckReport,
@@ -31,12 +31,11 @@ from fpkit.verify import (
     diagonal_of,
     dump_json,
     embedding_by_rewriting,
-    embedding_spot_check,
-    enumerate_words,
     smith_normal_form,
 )
 
 W = parse_word
+PASS, FAIL, UNKNOWN = CheckVerdict
 
 
 # -- independent linear-algebra oracles, kept local to the tests
@@ -167,28 +166,28 @@ def test_invariants_validation():
 
 def test_embedding_spot_check_identity():
     free = parse_presentation("monoid\ngens: x\nrels:")
-    report = embedding_spot_check(free, free, {"x": W("x")}, cutoff=5)
+    report = embedding_by_rewriting(free, free, {"x": W("x")}, Budget(), "embedding")
     assert report.verdict is CheckVerdict.PASS
 
 
 def test_embedding_spot_check_collapse_detected():
     free = parse_presentation("monoid\ngens: x\nrels:")
     idem = parse_presentation("monoid\ngens: y\nrels: y^2 = y")
-    report = embedding_spot_check(free, idem, {"x": W("y")}, cutoff=3)
+    report = embedding_by_rewriting(free, idem, {"x": W("y")}, Budget(), "embedding")
     assert report.verdict is CheckVerdict.FAIL
-    assert report.witness == "x | x^2"
+    assert report.witness == "x^2 | x"
 
 
 def test_collapse_check_trivial_identity():
     trivial = parse_presentation("monoid\ngens:\nrels:")
-    report = collapse_check(trivial, trivial, {}, cutoff=4)
+    report = collapse_check(trivial, trivial, {})
     assert report.verdict is CheckVerdict.PASS
 
 
 def test_collapse_check_free_generator_fails():
     built = parse_presentation("monoid\ngens: x\nrels:")
     trivial = parse_presentation("monoid\ngens:\nrels:")
-    report = collapse_check(built, trivial, {}, cutoff=4)
+    report = collapse_check(built, trivial, {})
     assert report.verdict is CheckVerdict.FAIL
     assert report.witness == "x"
 
@@ -213,12 +212,44 @@ def test_image_matches_the_stepwise_product():
 def test_check_reports_budget_blocked_is_unknown():
     hostile = parse_presentation("monoid\ngens: a, b\nrels: b a = a b, b b b = a a")
     free = parse_presentation("monoid\ngens: x\nrels:")
-    report = embedding_spot_check(free, hostile, {"x": W("a")}, cutoff=2, budget=Budget(2, 4, 1))
+    report = embedding_by_rewriting(free, hostile, {"x": W("a")}, Budget(2, 4, 1), "embedding")
     assert report.verdict is CheckVerdict.UNKNOWN
+    assert report.notes == "not proved: the big system is Partial"
 
 
-# -- the per-pair bounded check, one `words_equal` call per comparison, kept
-#    as the oracle for the loop that compares normal forms reduced once
+@pytest.mark.parametrize(
+    "target, projection, notes, used",
+    [
+        # no target letters: each generator is compared with the anchors
+        ("monoid\ngens:\nrels:", {}, "2 comparisons exhausted the budget",
+         {"comparisons": 4, "blocked": 2}),
+        # target letters: the embedding names the hypothesis that failed
+        ("monoid\ngens: x\nrels:", {"x": "a"}, "not proved: the big system is Partial", {}),
+    ],
+)
+def test_collapse_check_budget_blocked_is_unknown(target, projection, notes, used):
+    hostile = parse_presentation("monoid\ngens: a, b\nrels: b a = a b, b b b = a a")
+    target = parse_presentation(target)
+    projection = {g: W(img) for g, img in projection.items()}
+    report = collapse_check(hostile, target, projection, Budget(2, 4, 1))
+    assert report.verdict is CheckVerdict.UNKNOWN
+    assert (report.notes, report.budget_used) == (notes, used)
+    # with the default budget the system completes and the free b fails
+    assert collapse_check(hostile, target, projection).verdict is CheckVerdict.FAIL
+
+
+# -- a brute-force reference: every pair of words up to a length cutoff, one
+#    `words_equal` call per comparison.  It is sound only up to the cutoff,
+#    so it is the oracle the exact checks are held to on small instances.
+
+
+def enumerate_words(generators, max_length):
+    """All positive words over `generators` of length 0..max_length."""
+    return [
+        Word(tuple((s, 1) for s in combo))
+        for k in range(max_length + 1)
+        for combo in itertools.product(generators, repeat=k)
+    ]
 
 
 def reference_bounded_check(small, big, mapping, cutoff, budget, name, onto):
@@ -284,46 +315,6 @@ def _random_positive_word(rng, gens, max_len):
     return Word(tuple((rng.choice(gens), 1) for _ in range(rng.randint(0, max_len))))
 
 
-def _random_monoid(rng, gens):
-    gens = gens[:rng.randint(1, 2)]
-    rels = tuple(
-        Relation(_random_positive_word(rng, gens, 3), _random_positive_word(rng, gens, 3))
-        for _ in range(rng.randint(0, 2))
-    )
-    p = Presentation(Kind.MONOID, gens, rels)
-    return adjoin_zero(p, "z") if rng.random() < 0.3 else p
-
-
-def test_bounded_checks_match_the_per_pair_reference():
-    rng = random.Random(6151)
-    budgets = (Budget(2, 4, 1), Budget(3, 5, 4), Budget(8, 8, 30), Budget(60, 12, 600))
-    blocked_by_small = blocked_by_big = 0
-    verdicts = set()
-    # a zero monoid completes as its zero-free part, so under the tight
-    # budgets fewer big sides stay Partial than the first 400 trials need
-    for trial in range(700):
-        small = _random_monoid(rng, ("x", "y"))
-        big = _random_monoid(rng, ("a", "b"))
-        mapping = {g: _random_positive_word(rng, big.generators, 2) for g in small.generators}
-        cutoff = rng.randint(1, 3)
-        budget = rng.choice(budgets)
-        args = (mapping, cutoff, budget)
-        embed = embedding_spot_check(small, big, *args)
-        collapse = collapse_check(big, small, *args)
-        for got, onto in ((embed, False), (collapse, True)):
-            want = reference_bounded_check(small, big, *args, got.name, onto)
-            assert got.as_dict() == want.as_dict(), (trial, small, big, mapping, cutoff, budget)
-            verdicts.add(got.verdict)
-        if embed.verdict is CheckVerdict.UNKNOWN:
-            small_complete = knuth_bendix(small, budget).complete
-            big_complete = knuth_bendix(big, budget).complete
-            blocked_by_small += not small_complete and big_complete
-            blocked_by_big += small_complete and not big_complete
-    # the sample reaches every verdict, and comparisons blocked on either side alone
-    assert verdicts == set(CheckVerdict)
-    assert blocked_by_small >= 10 and blocked_by_big >= 10
-
-
 def _random_pair_monoid(rng, gens, fewest, most):
     rels = tuple(
         Relation(_random_positive_word(rng, gens, 4), _random_positive_word(rng, gens, 4))
@@ -332,59 +323,14 @@ def _random_pair_monoid(rng, gens, fewest, most):
     return Presentation(Kind.MONOID, gens, rels)
 
 
-def test_grouped_checks_match_the_per_pair_reference_at_cutoffs_4_and_5():
-    # 2-letter monoids, so the reference compares 465 (cutoff 4) or 1953
-    # (cutoff 5) pairs; the small side has fewer relations, so that it is
-    # Complete while the big side is Partial often enough
-    rng = random.Random(4099)
-    budgets = (Budget(2, 4, 1), Budget(3, 5, 4), Budget(8, 8, 30), Budget(60, 12, 600))
-    late_fails = blocked_by_small = blocked_by_big = 0
-    for trial in range(40):
-        small = _random_pair_monoid(rng, ("x", "y"), 0, 1)
-        big = _random_pair_monoid(rng, ("a", "b"), 1, 2)
-        mapping = {
-            g: Word(tuple((rng.choice(big.generators), 1) for _ in range(rng.randint(1, 2))))
-            for g in small.generators
-        }
-        cutoff = rng.randint(4, 5)
-        budget = rng.choice(budgets)
-        args = (mapping, cutoff, budget)
-        position = {str(w): k for k, w in enumerate(enumerate_words(small.generators, cutoff))}
-        small_complete = knuth_bendix(small, budget).complete
-        big_complete = knuth_bendix(big, budget).complete
-        embed = embedding_spot_check(small, big, *args)
-        collapse = collapse_check(big, small, *args)
-        for got, onto in ((embed, False), (collapse, True)):
-            want = reference_bounded_check(small, big, *args, got.name, onto)
-            assert got.as_dict() == want.as_dict(), (trial, small, big, mapping, cutoff, budget)
-            if got.verdict is CheckVerdict.FAIL and " | " in got.witness:
-                i, j = (position[w] for w in got.witness.split(" | "))
-                late_fails += i > 0 and j > i + 1
-            if got.verdict is CheckVerdict.UNKNOWN:
-                blocked_by_small += not small_complete and big_complete
-                blocked_by_big += small_complete and not big_complete
-    # a Fail at neither the empty word nor its first partner, and Unknowns
-    # blocked on either side alone
-    assert late_fails and blocked_by_small and blocked_by_big, (late_fails, blocked_by_small, blocked_by_big)
+def assert_pair_witness_is_sound(small, big, mapping, witness, budget):
+    """A Fail's pair: distinct in `small`, with images equal in `big`."""
+    u, v = (W(side) for side in witness.split(" | "))
+    assert words_equal(small, u, v, budget) is Verdict.DISTINCT, witness
+    assert words_equal(big, _image(u, mapping), _image(v, mapping), budget) is Verdict.EQUAL, witness
 
 
-def test_roadmap_timing_instance_counts_are_pinned():
-    # free x, w into the Markov monoid with G = s t, H = t s over free s, t
-    s0 = Presentation(Kind.MONOID, ("x", "w"))
-    s1 = Presentation(Kind.MONOID, ("s", "t"))
-    inst = MarkovInstance(
-        s0, s1, Presentation(Kind.MONOID, ()), W("s t"), W("t s"),
-        xi_range=XiRange.ALL_GENERATORS,
-    )
-    build = markov_semigroup(inst)
-    inclusion = {g: Word.single(img) for g, img in build.maps["s0"].items()}
-    for cutoff, comparisons in ((6, 8001), (7, 32385), (8, 130305), (10, 2094081)):
-        report = embedding_spot_check(s0, build.presentation, inclusion, cutoff=cutoff)
-        assert report.verdict is CheckVerdict.PASS
-        assert report.budget_used == {"comparisons": comparisons}
-
-
-# -- the embedding proof: it may only pass where the bounded check cannot fail
+# -- the exact checks, held to the reference
 
 
 def _prove(small, big, mapping, budget=Budget()):
@@ -392,12 +338,14 @@ def _prove(small, big, mapping, budget=Budget()):
 
 
 def test_embedding_proof_passes_only_where_the_reference_passes():
-    # letter-to-letter maps from 2-letter monoids, some with a zero, into
-    # 3-letter ones that mostly carry the small relations over the images
+    # letter maps from 2-letter monoids, some with a zero, into 3-letter
+    # ones that mostly carry the small relations over the images; some
+    # maps send both letters to one letter or one to a word of two
     rng = random.Random(7727)
     budgets = (Budget(3, 5, 4), Budget(60, 12, 600))
-    proved = proved_non_free = proved_with_zero = declined_fails = 0
-    for trial in range(40):
+    verdicts = {v: 0 for v in CheckVerdict}
+    proved_non_free = proved_with_zero = 0
+    for trial in range(120):
         small = _random_pair_monoid(rng, ("x", "y"), 0, 1)
         letters = dict(zip(small.generators, rng.sample(("a", "b", "c"), 2)))
         carried = rename_generators(Presentation(Kind.MONOID, ("x", "y"), small.relations), letters)
@@ -408,24 +356,73 @@ def test_embedding_proof_passes_only_where_the_reference_passes():
             small = adjoin_zero(small, "z")
             big = adjoin_zero(big, "o") if rng.random() < 0.8 else big
             letters["z"] = big.zero or "c"
+        pick = rng.random()
+        if pick < 0.15:
+            letters["y"] = letters["x"]
+        elif pick < 0.25:
+            letters["y"] = f"{letters['x']} {letters['y']}"
         mapping = {g: W(s) for g, s in letters.items()}
         budget = rng.choice(budgets)
-        cutoff = 4 if small.zero else rng.randint(4, 5)
         got = _prove(small, big, mapping, budget)
-        if got is None:
-            spot = embedding_spot_check(small, big, mapping, cutoff, budget)
-            declined_fails += spot.verdict is CheckVerdict.FAIL
-            continue
-        assert got.verdict is CheckVerdict.PASS
-        want = reference_bounded_check(small, big, mapping, cutoff, budget, "embedding", False)
-        assert want.verdict is CheckVerdict.PASS, (trial, small, big, mapping, cutoff, budget)
-        proved += 1
-        proved_non_free += bool(carried.relations)
-        proved_with_zero += small.zero is not None
-    # the proof applies to free and non-free small sides, with a zero too,
-    # and declines some maps that do collapse words
-    assert proved >= 10 and proved_non_free >= 3 and proved_with_zero >= 2, proved
-    assert declined_fails >= 3
+        verdicts[got.verdict] += 1
+        if got.verdict is CheckVerdict.FAIL:
+            assert_pair_witness_is_sound(small, big, mapping, got.witness, budget)
+        elif got.verdict is CheckVerdict.PASS:
+            cutoff = 4 if small.zero else rng.randint(4, 5)
+            want = reference_bounded_check(small, big, mapping, cutoff, budget, "embedding", False)
+            assert want.verdict is CheckVerdict.PASS, (trial, small, big, mapping, cutoff, budget)
+            proved_non_free += bool(carried.relations)
+            proved_with_zero += small.zero is not None
+        else:
+            assert got.notes.startswith("not proved: "), got
+    # every verdict, and proofs of non-free small sides and of ones with a zero
+    assert verdicts[PASS] >= 20 and verdicts[FAIL] >= 15 and verdicts[UNKNOWN] >= 20, verdicts
+    assert proved_non_free >= 8 and proved_with_zero >= 3, (proved_non_free, proved_with_zero)
+
+
+def test_collapse_is_exact_on_nontrivial_targets():
+    # targets on x, y sent to a, b of a built monoid that carries the
+    # target's relations (mostly), sometimes one more relation on a, b, and
+    # a third letter c, which collapses onto an image letter, the identity
+    # or the zero, or onto a b, or stays free
+    rng = random.Random(3301)
+    budget = Budget(60, 12, 600)
+    verdicts = {v: 0 for v in CheckVerdict}
+    pair_fails = generator_fails = 0
+    for trial in range(120):
+        target = _random_pair_monoid(rng, ("x", "y"), 0, 1)
+        mapping = {"x": W("a"), "y": W("b")}
+        carried = rename_generators(target, {"x": "a", "y": "b"}).relations
+        kept = carried if rng.random() < 0.8 else ()
+        if rng.random() < 0.3:
+            kept += _random_pair_monoid(rng, ("a", "b"), 1, 1).relations
+        built = Presentation(Kind.MONOID, ("a", "b", "c"), kept)
+        if rng.random() < 0.5:
+            built = adjoin_zero(built, "z")
+        fate = rng.choice(["a", "b", "1", "z", "a b", None])
+        if fate == "z" and built.zero is None:
+            fate = None
+        rels = built.relations + ((Relation(W("c"), W(fate)),) if fate else ())
+        built = Presentation(Kind.MONOID, built.generators, rels, zero=built.zero)
+        got = collapse_check(built, target, mapping, budget, "collapse")
+        verdicts[got.verdict] += 1
+        cutoff = rng.randint(4, 5)
+        if got.verdict is CheckVerdict.PASS:
+            want = reference_bounded_check(target, built, mapping, cutoff, budget, "collapse", True)
+            assert want.verdict is CheckVerdict.PASS, (trial, target, built, cutoff)
+        elif got.verdict is CheckVerdict.FAIL and " | " in got.witness:
+            pair_fails += 1
+            assert_pair_witness_is_sound(target, built, mapping, got.witness, budget)
+        elif got.verdict is CheckVerdict.FAIL:
+            # a generator that is neither the zero nor any target word's image
+            generator_fails += 1
+            g = Word.single(got.witness)
+            others = [_image(w, mapping) for w in enumerate_words(target.generators, cutoff)]
+            others += [Word.single(built.zero)] if built.zero else []
+            for w in others:
+                assert words_equal(built, g, w, budget) is Verdict.DISTINCT, (trial, built, w)
+    assert verdicts[PASS] >= 20 and verdicts[UNKNOWN] >= 10, verdicts
+    assert pair_fails >= 10 and generator_fails >= 10, (pair_fails, generator_fails)
 
 
 def test_embedding_proof_of_a_non_free_monoid():
@@ -439,51 +436,70 @@ def test_embedding_proof_of_a_non_free_monoid():
         " systems (1 and 2 rules): distinct at every length"
     )
     assert report.budget_used == {}
-    assert embedding_spot_check(small, big, mapping, cutoff=5).verdict is CheckVerdict.PASS
+    want = reference_bounded_check(small, big, mapping, 5, Budget(), "embedding", False)
+    assert want.verdict is CheckVerdict.PASS
 
 
 FREE_XW = "monoid\ngens: x, w\nrels:"
 FREE_AB = "monoid\ngens: a, b\nrels:"
-PASS, FAIL, UNKNOWN = CheckVerdict
 
 
 @pytest.mark.parametrize(
-    "small, big, mapping, budget, spot",
+    "small, big, mapping, budget, verdict, outcome",
     [
         # (a) not injective: x and w both go to a
-        (FREE_XW, FREE_AB, {"x": "a", "w": "a"}, Budget(), FAIL),
-        # (a) an image of two letters: an embedding all the same
-        (FREE_XW, FREE_AB, {"x": "a b", "w": "b"}, Budget(), PASS),
+        (FREE_XW, FREE_AB, {"x": "a", "w": "a"}, Budget(), FAIL, "x | w"),
+        # (a) an image of two letters: an embedding all the same, which
+        # the proof does not cover
+        (FREE_XW, FREE_AB, {"x": "a b", "w": "b"}, Budget(), UNKNOWN,
+         "not proved: the image of x is not a single letter"),
         # (a) an image equal to the zero
         (FREE_XW, "monoid\ngens: a, z\nzero: z\nrels: a z = z, z a = z, z z = z",
-         {"x": "a", "w": "z"}, Budget(), FAIL),
+         {"x": "a", "w": "z"}, Budget(), FAIL, "x w | w"),
         # (b) one rule is too few for the big system
         (FREE_XW, "monoid\ngens: a, b, c\nrels: c a = a c, c b = b c",
-         {"x": "a", "w": "b"}, Budget(max_rules=1), UNKNOWN),
+         {"x": "a", "w": "b"}, Budget(max_rules=1), UNKNOWN, "not proved: the big system is Partial"),
         # (c) a big lhs over the images pulls back to an irreducible word
-        (FREE_XW, "monoid\ngens: a, b\nrels: a b = b a", {"x": "a", "w": "b"}, Budget(), FAIL),
+        (FREE_XW, "monoid\ngens: a, b\nrels: a b = b a", {"x": "a", "w": "b"}, Budget(), FAIL,
+         "w x | x w"),
         # (d) a relation of small fails among the images: x and x w are
-        # distinct in small, a and a b equal in big, yet the lhs a b pulls
-        # back to the reducible x w
+        # distinct in small, a and a b equal in big
         ("monoid\ngens: x, w\nrels: x w = w", "monoid\ngens: a, b\nrels: a b = a",
-         {"x": "a", "w": "b"}, Budget(), FAIL),
+         {"x": "a", "w": "b"}, Budget(), FAIL, "x w | x"),
+        # (d) alone: a b and b differ in the free big monoid, so the letter
+        # map is no homomorphism, although no two words collapse
+        ("monoid\ngens: x, w\nrels: x w = w", FREE_AB, {"x": "a", "w": "b"}, Budget(), UNKNOWN,
+         "not proved: the relations of sub do not hold among the images"),
+        # (a) alone: x and w share a letter, but they are equal in small
+        ("monoid\ngens: x, w\nrels: w = x", FREE_AB, {"x": "a", "w": "a"}, Budget(), UNKNOWN,
+         "not proved: two generators equal in sub map to one letter"),
     ],
 )
-def test_embedding_proof_declines_unless_every_hypothesis_holds(small, big, mapping, budget, spot):
+def test_embedding_proof_declines_unless_every_hypothesis_holds(
+    small, big, mapping, budget, verdict, outcome
+):
     small, big = parse_presentation(small), parse_presentation(big)
     mapping = {g: W(img) for g, img in mapping.items()}
-    assert _prove(small, big, mapping, budget) is None
-    # the spot check then decides, and finds the collapses
-    assert embedding_spot_check(small, big, mapping, 4, budget).verdict is spot
+    report = _prove(small, big, mapping, budget)
+    assert report.verdict is verdict
+    if verdict is FAIL:
+        assert report.witness == outcome
+        assert_pair_witness_is_sound(small, big, mapping, report.witness, budget)
+    else:
+        assert report.notes == outcome
 
 
 def test_embedding_proof_leaves_an_unknown_image_symbol_to_the_spot_check():
+    # both checks reject a map into letters the big presentation lacks
     free = parse_presentation(FREE_XW)
     big = parse_presentation("monoid\ngens: a, b\nrels:")
     mapping = {"x": W("a"), "w": W("q")}
-    assert _prove(free, big, mapping) is None
     with pytest.raises(ValidationError, match="inclusion image of w uses unknown symbol q"):
-        embedding_spot_check(free, big, mapping)
+        _prove(free, big, mapping)
+    with pytest.raises(ValidationError, match="projection image of w uses unknown symbol q"):
+        collapse_check(big, free, mapping)
+    with pytest.raises(ValidationError, match="no image for generator w"):
+        _prove(free, big, {"x": W("a")})
 
 
 def test_fail_requires_witness():
