@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import pickle
 import sys
@@ -86,7 +85,7 @@ class RunConfig:
 
 def _load_presentation(path: Path) -> Presentation:
     try:
-        return _parse(path.read_text(encoding="utf-8"))
+        return _parse(path.read_bytes())
     except FileNotFoundError:
         raise PresentationError(f"{path}: no such file") from None
     except (ParseError, UnicodeDecodeError) as exc:
@@ -94,10 +93,13 @@ def _load_presentation(path: Path) -> Presentation:
 
 
 @functools.lru_cache(maxsize=128)
-def _parse(text: str) -> Presentation:
-    """The parse of a presentation text; the last 128 texts are parsed once
-    per process, since a corpus reads few files many times."""
-    return parse_presentation(text)
+def _parse(data: bytes) -> Presentation:
+    """The parse of a presentation file's bytes; the last 128 contents are
+    decoded and parsed once per process, since a corpus reads few files many
+    times.  Keyed on the content, so a file rewritten during a run is parsed
+    again.  The parser splits lines with `str.splitlines`, which ends a line
+    at CRLF and CR as `Path.read_text` would, so no newline is translated."""
+    return parse_presentation(data.decode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +520,17 @@ def run_job(job, config: RunConfig) -> Certificate:
     return kind.verify(job, config)
 
 
-def _run_rows(rows: list[ManifestRow], base_dir: Path, config: RunConfig) -> list[str]:
-    """Each row's certificate JSON, in order, from one process and its caches."""
-    return [run_job(_job_from_row(row, base_dir, config), config).to_json() for row in rows]
+def _run_rows(rows: list[ManifestRow], base_dir: Path, config: RunConfig) -> list[tuple[str, int]]:
+    """Each row's overall verdict and elapsed_ms, in order, from one process
+    and its caches.  With `config.out_dir` set, each row's NAME.cert.json is
+    written there by this process as soon as the row has run."""
+    results = []
+    for row in rows:
+        cert = run_job(_job_from_row(row, base_dir, config), config)
+        if config.out_dir is not None:
+            (config.out_dir / f"{row.name}.cert.json").write_text(cert.to_json(), encoding="utf-8")
+        results.append((cert.overall.value, cert.elapsed_ms))
+    return results
 
 
 def _pool_tasks(rows: list[ManifestRow], base_dir: Path, jobs: int) -> list[list[int]]:
@@ -636,9 +646,13 @@ def _forked_map(fn: Callable, items: list, workers: int) -> list:
 
 def cmd_corpus(manifest: Path, config: RunConfig, out=sys.stdout) -> int:
     """Run every row of `manifest`, with jobs > 1 in `_pool_tasks` on this
-    process and up to jobs - 1 forked ones; the output is in manifest order."""
+    process and up to jobs - 1 forked ones, and print the table in manifest
+    order.  Each process writes the certificates of the rows it ran into
+    `config.out_dir`, so a run that fails keeps those of its finished rows."""
     rows = parse_manifest(manifest)
     base_dir = manifest.parent
+    if config.out_dir is not None:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
     tasks = _pool_tasks(rows, base_dir, config.jobs) if config.jobs > 1 else []
     # this process is a worker too; fork no more workers than there are tasks
     workers = min(config.jobs, len(tasks))
@@ -648,25 +662,18 @@ def cmd_corpus(manifest: Path, config: RunConfig, out=sys.stdout) -> int:
             [[rows[i] for i in task] for task in tasks],
             workers,
         )
-        certs = {i: cert for task, part in zip(tasks, parts) for i, cert in zip(task, part)}
-        results = [certs[i] for i in range(len(rows))]
+        done = {i: result for task, part in zip(tasks, parts) for i, result in zip(task, part)}
+        results = [done[i] for i in range(len(rows))]
     else:
         results = _run_rows(rows, base_dir, config)
 
     all_match = True
-    if config.out_dir is not None:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
     print(f"{'instance':<28}{'expected':<10}{'got':<10}{'ms':>8}", file=out)
-    for row, cert_json in zip(rows, results):
-        payload = json.loads(cert_json)
-        got = payload["overall"]
-        elapsed = payload["elapsed_ms"]
+    for row, (got, elapsed) in zip(rows, results):
         flag = "" if got == row.expected else "   << MISMATCH"
         if got != row.expected:
             all_match = False
         print(f"{row.name:<28}{row.expected:<10}{got:<10}{elapsed:>8}{flag}", file=out)
-        if config.out_dir is not None:
-            (config.out_dir / f"{row.name}.cert.json").write_text(cert_json, encoding="utf-8")
     return EXIT_PROVED if all_match else EXIT_REFUTED
 
 

@@ -37,6 +37,7 @@ from fpkit.constructions import XiRange, Mode
 from fpkit.corpus import bundled_manifest, corpus_dir
 from fpkit.rewriting import Budget
 from fpkit.presentations import (
+    ParseError,
     Presentation,
     PresentationError,
     parse_presentation,
@@ -497,6 +498,28 @@ def test_corpus_starts_no_more_workers_than_tasks(tmp_path, pool_calls):
     assert pool_calls == [{"workers": 3, "sent": [["r0"], ["r1"], ["r2"]]}]
 
 
+def test_pool_sends_the_parent_no_certificate_text(tmp_path, pool_calls, monkeypatch):
+    replies = []
+    double = cli._forked_map
+
+    def replying(fn, tasks, workers):
+        parts = double(fn, tasks, workers)
+        replies.append(parts)
+        return parts
+
+    monkeypatch.setattr(cli, "_forked_map", replying)
+    monkeypatch.chdir(tmp_path)
+    manifest = _repeating_manifest(tmp_path / "m.tsv", 24)
+    assert cmd_corpus(manifest, RunConfig(jobs=2), out=io.StringIO()) == EXIT_PROVED
+    [parts] = replies
+    assert sum(len(part) for part in parts) == 24
+    for part in parts:
+        for got, elapsed in part:
+            assert got in ("proved", "refuted", "unknown") and type(elapsed) is int
+    # with no --out, no process writes a file
+    assert [path.name for path in tmp_path.iterdir()] == ["m.tsv"]
+
+
 # cheap instances and their verdicts, repeated by the chunked-pool tests
 CHEAP_ROWS = [
     ("markov", ROW_INPUTS["markov"], "proved"),
@@ -638,6 +661,73 @@ def test_corpus_names_an_unreadable_primary_file_at_any_job_count(
     assert f"error: {bad}" in err
     if problem == "not-utf8":
         assert err == f"error: {bad}: {DECODE_ERROR}\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_corpus_that_fails_keeps_only_the_certificates_of_finished_rows(
+    tmp_path, capsys, jobs
+):
+    bad = tmp_path / "bad.pres"
+    bad.write_text("group\ngens: a\nrels: a^ = 1\n", encoding="utf-8")
+    good = f"ok\ttest-group\t{ROW_INPUTS['test-group']}\tproved\n"
+    (tmp_path / "good.tsv").write_text(good, encoding="utf-8")
+    (tmp_path / "m.tsv").write_text(
+        good + "bad\ttest-group\tbase=bad.pres;w=a\tproved\n", encoding="utf-8"
+    )
+    good_argv = ["corpus", str(tmp_path / "good.tsv"), "--out", str(tmp_path / "good")]
+    assert main(good_argv) == EXIT_PROVED
+    out = tmp_path / "out"
+    argv = ["corpus", str(tmp_path / "m.tsv"), "--jobs", str(jobs), "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert f"error: {bad}" in capsys.readouterr().err
+    # the good row comes off the queue first, and a failure stops only the
+    # process it happens in, so its certificate is written in either mode
+    assert sorted(path.name for path in out.iterdir()) == ["ok.cert.json"]
+    left = (out / "ok.cert.json").read_text(encoding="utf-8")
+    assert _stable_json(left) == _stable_json(
+        (tmp_path / "good" / "ok.cert.json").read_text(encoding="utf-8")
+    )
+
+
+def test_load_presentation_reads_crlf_and_cr_files_as_read_text_does(tmp_path):
+    text = "group\ngens: a, b\n\nrels: a^5 = 1, b a = a b\n"
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.pres"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        assert path.read_text(encoding="utf-8") == text
+        assert cli._load_presentation(path) == parse_presentation(text)
+    bad = tmp_path / "bad.pres"
+    bad.write_bytes(b"group\r\ngens: a\r\nrels: a^ = 1\r\n")
+    with pytest.raises(PresentationError) as from_bytes:
+        cli._load_presentation(bad)
+    with pytest.raises(ParseError) as from_text:
+        parse_presentation(bad.read_text(encoding="utf-8"))
+    assert str(from_bytes.value) == f"{bad}: {from_text.value}"
+
+
+def test_load_presentation_sees_a_file_rewritten_between_calls(tmp_path):
+    path = tmp_path / "g.pres"
+    path.write_text("group\ngens: a\nrels: a^5 = 1\n", encoding="utf-8")
+    c5 = cli._load_presentation(path)
+    path.write_text("group\ngens: a\nrels: a^7 = 1\n", encoding="utf-8")
+    c7 = cli._load_presentation(path)
+    assert c7 != c5
+    assert c7 == parse_presentation("group\ngens: a\nrels: a^7 = 1\n")
+    path.write_text("group\ngens: a\nrels: a^5 = 1\n", encoding="utf-8")
+    assert cli._load_presentation(path) is c5  # equal contents share one parse
+
+
+def test_load_presentation_errors_name_the_file(tmp_path):
+    with pytest.raises(PresentationError) as missing:
+        cli._load_presentation(tmp_path / "no.pres")
+    assert str(missing.value) == f"{tmp_path / 'no.pres'}: no such file"
+    # a directory fails as `read_text` fails on it, which `main` reports
+    with pytest.raises(OSError) as from_text:
+        tmp_path.read_text(encoding="utf-8")
+    with pytest.raises(OSError) as from_bytes:
+        cli._load_presentation(tmp_path)
+    assert type(from_bytes.value) is type(from_text.value)
+    assert str(from_bytes.value) == str(from_text.value)
 
 
 def test_verify_names_an_input_file_that_is_not_utf8(tmp_path, capsys):
