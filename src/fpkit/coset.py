@@ -17,22 +17,21 @@ fixed by every generator: every coset was defined from a live one and
 merging keeps the quotient connected, so the congruence is then total.
 
 When the table hits the coset limit and enough rows are dead, the dead
-rows are freed in place, ids staying as they are, and enumeration
-resumes; the limit then counts only the rows still held.  Otherwise the
-run ends Exhausted.  Ids are renumbered in order only where the table is
-read: a closed run compacts once at its end, and an exhausted run that
-freed rows renumbers when `TcResult.table` is first read, so `is_trivial`
-never pays for it.  An enumeration runs with the cyclic garbage collector
-paused (see `_gc_paused`).
+rows are freed in place and enumeration resumes; the limit then counts
+only the rows still held.  Otherwise the run ends Exhausted.  Ids are
+never renumbered: a coset keeps its id for good, and a closed run frees
+its dead rows at its end, so it holds exactly its index's rows.  An
+enumeration runs with the cyclic garbage collector paused (see
+`_gc_paused`).
 
 A closed table certifies the subgroup index.  Triviality testing first
 consults the abelianization (the cheap certificate for nontriviality,
 since enumeration can never certify an infinite group nontrivial) and
 then enumerates over the empty subgroup.  `is_trivial` keeps its last 128
-verdicts per process, keyed on the limits and `Presentation.key`
-(generator count and relations as runs of generator index and exponent,
-in relation order), so presentations that differ only by a renaming share
-a verdict.  Only the frozen `Triviality` is kept, never
+verdicts per process in `presentations.lru`, keyed on the limits and
+`Presentation.key` (generator count and relations as runs of generator
+index and exponent, in relation order), so presentations that differ only
+by a renaming share a verdict.  Only the frozen `Triviality` is kept, never
 a table: whatever a certificate reads from an enumeration must be part of
 that record, or a cached verdict and a fresh one would certify differently.
 """
@@ -45,7 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
-from .presentations import Kind, Presentation, ValidationError, Word, encode_word
+from .presentations import Kind, Presentation, ValidationError, Word, encode_word, lru
 from .verify import abelianization
 
 UNDEF = -1
@@ -59,9 +58,6 @@ class EnumLimits:
     def __post_init__(self):
         if self.max_cosets <= 0 or self.max_deductions <= 0:
             raise ValueError("enumeration limits must be positive")
-
-
-DEFAULT_LIMITS = EnumLimits()
 
 
 class _TableFull(Exception):
@@ -259,31 +255,6 @@ class CosetTable:
                 rows[c] = None
         self.dropped = len(rows) - self.live
 
-    def compact(self):
-        """Remove every dead row, renumbering live cosets in id order."""
-        parent = self.parent
-        self.renumber([c for c in range(len(parent)) if parent[c] == c])
-
-    def renumber(self, keep: list[int] | None = None):
-        """Keep the rows `keep` (by default those not freed), renumbered in id order.
-
-        Kept rows must name only kept cosets, and kept dead cosets must
-        point to kept ones in the union-find.
-        """
-        if keep is None:
-            keep = [c for c, row in enumerate(self.rows) if row is not None]
-        # one slot more than there are ids, so that remap[UNDEF] is UNDEF
-        remap = [UNDEF] * (len(self.rows) + 1)
-        for new, c in enumerate(keep):
-            remap[c] = new
-        # drop the other rows before renumbering, and renumber in place, so
-        # that a compaction never holds more rows than the table had
-        self.rows = rows = [self.rows[c] for c in keep]
-        for row in rows:
-            row[:] = [remap[d] for d in row]
-        self.parent = [remap[self.parent[c]] for c in keep]
-        self.dropped = 0
-
     def check_consistency(self):
         """Raise unless live rows name live cosets through mutually inverse edges."""
         for c in range(len(self.rows)):
@@ -307,29 +278,23 @@ class CosetTable:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcResult:
-    """An enumeration's outcome.
+    """An enumeration's outcome and its table, ids as they were defined.
 
-    The table is renumbered when first read if the run freed rows, so a
-    caller that reads only `closed` and `index` never pays for it.
+    A closed table holds only live rows; an exhausted one may also hold
+    dead rows, and rows freed by a lookahead are None.
     """
 
     closed: bool
     index: int | None
-    _table: CosetTable
-
-    @property
-    def table(self) -> CosetTable:
-        if self._table.dropped:
-            self._table.renumber()
-        return self._table
+    table: CosetTable
 
 
 def todd_coxeter(
     p: Presentation,
     subgens: Sequence[Word] = (),
-    limits: EnumLimits = DEFAULT_LIMITS,
+    limits: EnumLimits = EnumLimits(),
     debug_checks: bool = False,
 ) -> TcResult:
     """Enumerate cosets of the subgroup generated by `subgens` in `p`.
@@ -396,7 +361,7 @@ def _enumerate(table: CosetTable, relators: list[bytes], subgens: list[bytes]) -
             alpha += 1
     except _WorkExceeded:
         return TcResult(False, None, table)
-    table.compact()
+    table.drop_dead_rows()  # while the collector is still paused
     if table.debug_checks:
         table.check_consistency()
     if not table.is_closed():
@@ -424,10 +389,9 @@ class Triviality:
 
 # (completion key, limits) -> verdict, least recent first
 _verdicts: OrderedDict[tuple, Triviality] = OrderedDict()
-_MAX_VERDICTS = 128
 
 
-def is_trivial(p: Presentation, limits: EnumLimits = DEFAULT_LIMITS) -> Triviality:
+def is_trivial(p: Presentation, limits: EnumLimits = EnumLimits()) -> Triviality:
     """Three-valued triviality test: abelianization first, then enumeration.
 
     The verdict depends only on the relators' letter codes in relation
@@ -440,15 +404,7 @@ def is_trivial(p: Presentation, limits: EnumLimits = DEFAULT_LIMITS) -> Triviali
         raise ValidationError("is_trivial expects a group presentation")
     if len(p.generators) > 128:  # too many generators for letter codes: decide uncached
         return _decide(p, limits)
-    key = (p.key, limits)
-    verdict = _verdicts.get(key)
-    if verdict is not None:
-        _verdicts.move_to_end(key)
-        return verdict
-    verdict = _verdicts[key] = _decide(p, limits)
-    if len(_verdicts) > _MAX_VERDICTS:
-        _verdicts.popitem(last=False)
-    return verdict
+    return lru(_verdicts, (p.key, limits), lambda: _decide(p, limits))
 
 
 def _decide(p: Presentation, limits: EnumLimits) -> Triviality:

@@ -22,10 +22,11 @@ denotes the empty word.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"\S+")
@@ -213,6 +214,27 @@ class Presentation:
 
     def __str__(self) -> str:
         return serialize_presentation(self)
+
+
+V = TypeVar("V")
+
+
+def lru(cache: OrderedDict, key, make: Callable[[], V]) -> V:
+    """`cache[key]`, set to `make()` on a miss; the 128 most recently used are kept.
+
+    `make` runs only on a miss, stores nothing if it raises, and must not
+    return None.  The engines' caches key on `Presentation.key` through
+    this.  A hit hashes the key only twice, since hashing those keys is
+    most of what a hit costs.
+    """
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make()
+        if len(cache) > 128:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return value
 
 
 def extend(
@@ -464,10 +486,12 @@ def rename_generators(p: Presentation, mapping: Mapping[str, str]) -> Presentati
     )
 
 
-def _substitute(w: Word, sym: str, image: Word) -> Word:
+def substitute(w: Word, images: Mapping[str, Word]) -> Word:
+    """`w` with each symbol in `images` replaced by its image, and the others kept."""
     letters: list[tuple[str, int]] = []
     for s, e in w.letters:
-        letters += power_letters(image.letters, e) if s == sym else ((s, e),)
+        image = images.get(s)
+        letters += ((s, e),) if image is None else power_letters(image.letters, e)
     return Word(tuple(letters))
 
 
@@ -511,10 +535,8 @@ def tietze_simplify(p: Presentation, max_moves: int = 1000) -> Presentation:
             sym, image = hit
             del rels[i]
             gens.remove(sym)
-            rels = [
-                Relation(_substitute(r.lhs, sym, image), _substitute(r.rhs, sym, image))
-                for r in rels
-            ]
+            images = {sym: image}
+            rels = [Relation(substitute(r.lhs, images), substitute(r.rhs, images)) for r in rels]
             moves += 1
             changed = True
             break

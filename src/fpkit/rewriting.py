@@ -15,11 +15,12 @@ budgeted and ``Unknown`` is a first-class verdict: a Partial system can
 still certify equality (every rewrite step is a consequence of the
 relations) but never inequality.
 
-`normal_forms` keeps the last 128 completions keyed on all they read:
-`Presentation.key` (group or monoid, generator count, the zero's index,
-relations spelled by generator index) and the budget.  It holds only
-rules and status, no presentation or trie, so a renamed presentation is
-not completed again and gets them over its own generators.
+`normal_forms` keeps the last 128 completions in `presentations.lru`,
+keyed on all they read: `Presentation.key` (group or monoid, generator
+count, the zero's index, relations spelled by generator index) and the
+budget.  It holds only rules and status, no presentation or trie, so a
+renamed presentation is not completed again and gets them over its own
+generators.
 
 Reduction finds redexes through a letter trie over the rule left-hand
 sides and always rewrites the leftmost one, taking the lowest rule id when
@@ -68,7 +69,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .presentations import Presentation, Relation, Word, decode_word, encode_word
+from .presentations import Presentation, Relation, Word, decode_word, encode_word, lru
 
 Letters = bytes
 
@@ -84,9 +85,6 @@ class Budget:
     def __post_init__(self):
         if min(self.max_rules, self.max_rule_length, self.max_iterations) <= 0:
             raise ValueError("budget fields must be positive")
-
-
-DEFAULT_BUDGET = Budget()
 
 
 class Completeness(Enum):
@@ -245,9 +243,6 @@ class _Completion:
             self.reduced[nf] = nf  # irreducible, so `reduce` returns it unchanged
         return nf
 
-    def push_equation(self, u: Letters, v: Letters):
-        self.eqs.append((u, v))
-
     def _push_pair(self, a_id: int, b_id: int, olen: int):
         key = len(self.rules[a_id].lhs) + len(self.rules[b_id].lhs)
         heapq.heappush(self.pairs, (key, next(self.seq), a_id, b_id, olen))
@@ -301,7 +296,7 @@ class _Completion:
                 self.index.remove(oid)
                 self.suffixes.remove(oid)
                 del self.rules[oid]
-                self.push_equation(other.lhs, other.rhs)
+                self.eqs.append((other.lhs, other.rhs))
             elif lhs in other.rhs:
                 self.rules[oid] = RewriteRule(other.lhs, self.index.reduce(other.rhs))
 
@@ -326,7 +321,7 @@ class _Completion:
             left = self._reduce(r1.rhs + r2.lhs[k:])
             right = self._reduce(r1.lhs[:-k] + r2.rhs)
             if left != right:
-                self.push_equation(left, right)
+                self.eqs.append((left, right))
         if self.eqs or self.pairs:
             return Completeness.PARTIAL
         return Completeness.PARTIAL if self.overflow else Completeness.COMPLETE
@@ -336,8 +331,7 @@ def _complete(
     equations: Iterable[tuple[Letters, Letters]], budget: Budget
 ) -> tuple[list[RewriteRule], Completeness]:
     comp = _Completion(budget)
-    for u, v in equations:
-        comp.push_equation(u, v)
+    comp.eqs.extend(equations)
     status = comp.run()
     return list(comp.rules.values()), status
 
@@ -384,7 +378,7 @@ def _complete_with_zero(
     return rules, status
 
 
-def knuth_bendix(p: Presentation, budget: Budget = DEFAULT_BUDGET) -> RewritingSystem:
+def knuth_bendix(p: Presentation, budget: Budget = Budget()) -> RewritingSystem:
     """Complete the relations of a group or monoid presentation into rewrite rules.
 
     Returns a Complete system when every critical pair resolves within
@@ -417,25 +411,19 @@ def normal_form(rs: RewritingSystem, w: Word) -> Word:
 
 # completion key and budget -> (rules, status), least recent first
 _systems: OrderedDict[tuple, tuple[tuple[RewriteRule, ...], Completeness]] = OrderedDict()
-_MAX_SYSTEMS = 128
 
 
 def _completed(p: Presentation, budget: Budget) -> RewritingSystem:
-    # over 128 generators, `knuth_bendix` raises on the miss
-    key = (p.key, budget)
-    if key in _systems:
-        _systems.move_to_end(key)
-    else:
+    def complete():  # over 128 generators, `knuth_bendix` raises
         rs = knuth_bendix(p, budget)
-        _systems[key] = (rs.rules, rs.status)
-        if len(_systems) > _MAX_SYSTEMS:
-            _systems.popitem(last=False)
-    rules, status = _systems[key]
+        return rs.rules, rs.status
+
+    rules, status = lru(_systems, (p.key, budget), complete)
     return RewritingSystem(rules, p, status)
 
 
 def normal_forms(
-    p: Presentation, words: Iterable[Word], budget: Budget = DEFAULT_BUDGET
+    p: Presentation, words: Iterable[Word], budget: Budget = Budget()
 ) -> tuple[RewritingSystem, list[Letters]]:
     """Reduce each of `words` once against the budgeted completion of `p`.
 
@@ -451,7 +439,7 @@ def normal_forms(
 
 
 def words_equal(
-    p: Presentation, u: Word, v: Word, budget: Budget = DEFAULT_BUDGET
+    p: Presentation, u: Word, v: Word, budget: Budget = Budget()
 ) -> Verdict:
     """Budgeted word-problem oracle over a group or monoid presentation.
 

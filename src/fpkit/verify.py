@@ -21,8 +21,8 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
-from .presentations import Kind, Presentation, ValidationError, Word, decode_word, power_letters
-from .rewriting import Budget, DEFAULT_BUDGET, normal_forms
+from .presentations import Kind, Presentation, ValidationError, Word, decode_word, substitute
+from .rewriting import Budget, normal_forms
 
 Matrix = list[list[int]]
 
@@ -219,15 +219,6 @@ class CheckReport:
         }
 
 
-def _image(w: Word, mapping: Mapping[str, Word]) -> Word:
-    letters: list[tuple[str, int]] = []
-    for s, e in w.letters:
-        if s not in mapping:
-            raise ValidationError(f"no image for generator {s}")
-        letters += power_letters(mapping[s].letters, e)
-    return Word(tuple(letters))
-
-
 def _check_images(role: str, small: Presentation, big: Presentation, mapping: Mapping[str, Word]):
     for g, img in mapping.items():
         bad = img.symbols() - set(big.generators)
@@ -266,7 +257,7 @@ def embedding_by_rewriting(
         if c in back:
             pairs.append((bytes((back[c],)), bytes((2 * i,))))
         back.setdefault(c, 2 * i)
-    sides = [_image(w, inclusion) for rel in sub.relations for w in (rel.lhs, rel.rhs)]
+    sides = [substitute(w, inclusion) for rel in sub.relations for w in (rel.lhs, rel.rhs)]
     big_rs, nfs = normal_forms(big, sides, budget)
     pulled = []  # pull-backs of the lhs of `big` in image letters
     for r in big_rs.rules:
@@ -302,7 +293,7 @@ def collapse_check(
     built: Presentation,
     target: Presentation,
     projection: Mapping[str, Word],
-    budget: Budget = DEFAULT_BUDGET,
+    budget: Budget = Budget(),
     name: str = "collapse-check",
 ) -> CheckReport:
     """Decide whether `built` is the image of `target` plus the zero.

@@ -17,7 +17,7 @@ from fpkit.presentations import (
     serialize_presentation,
 )
 from fpkit.rewriting import (
-    DEFAULT_BUDGET,
+    Budget,
     Completeness,
     Verdict,
     irreducible_words,
@@ -68,7 +68,7 @@ def test_built_markov_systems_complete_and_confluent():
         assert rs.status is Completeness.COMPLETE, row.name
         assert confluence_audit(rs), row.name
         # completed as the zero-free part, it is the whole completion's system
-        whole = general_completion(build.presentation, DEFAULT_BUDGET)
+        whole = general_completion(build.presentation, Budget())
         assert (rs.rules, rs.status) == whole, row.name
 
 
@@ -82,7 +82,7 @@ def test_collapse_and_embedding_passes_are_exclusive():
         inclusion = {g: Word.single(img) for g, img in build.maps["s0"].items()}
         collapse = collapse_check(build.presentation, inst.s4, projection)
         embed = embedding_by_rewriting(
-            inst.s0, build.presentation, inclusion, DEFAULT_BUDGET, "s0-embedding"
+            inst.s0, build.presentation, inclusion, Budget(), "s0-embedding"
         )
         assert not (
             collapse.verdict is CheckVerdict.PASS and embed.verdict is CheckVerdict.PASS

@@ -161,19 +161,29 @@ def random_enumerations(seed: int, count: int):
         yield Presentation(Kind.GROUP, gens, rels), subgens, limits
 
 
+def ranks(t: CosetTable) -> dict[int, int]:
+    """Each id whose row the table still holds -> its rank among them.
+
+    Reading ids through their ranks numbers the held rows in id order, as
+    a renumbering of the table would.
+    """
+    return {c: i for i, c in enumerate(c for c, row in enumerate(t.rows) if row is not None)}
+
+
 def record(r) -> tuple:
     """What an enumeration did, live rows read through find.
 
-    Verdict, index, deduction count, rows allocated, live count and every
-    live row.
+    Verdict, index, deduction count, rows held, live count and every live
+    row, ids read as their rank among the held rows.
     """
     t = r.table
+    rank = ranks(t)
     live_rows = tuple(
-        tuple(UNDEF if e == UNDEF else t.find(e) for e in t.rows[c])
+        tuple(UNDEF if e == UNDEF else rank[t.find(e)] for e in t.rows[c])
         for c in range(len(t.rows))
         if t.is_live(c)
     )
-    return (r.closed, r.index, t.deductions, len(t.rows), t.live, live_rows)
+    return (r.closed, r.index, t.deductions, len(rank), t.live, live_rows)
 
 
 def test_randomized_enumerations_are_pinned(monkeypatch):
@@ -187,8 +197,9 @@ def test_randomized_enumerations_are_pinned(monkeypatch):
         r = todd_coxeter(p, subgens, limits)
         digest.update(repr(record(r)).encode())
         closed += r.closed
-    # closed runs, and lookaheads that freed dead rows (over all runs)
-    assert (closed, len(drops)) == (145, 27)
+    # closed runs, and lookaheads that freed dead rows (over all runs; each
+    # closed run also frees its dead rows once, at its end)
+    assert (closed, len(drops) - closed) == (145, 27)
     assert digest.hexdigest() == (
         "3f443b8a17e1036993363e5fb6bd4ac6bde3bf5250b695b3cdbd4978d9aae896"
     )
@@ -392,57 +403,65 @@ def eagerly_compacting_enumeration(p: Presentation, subgens, limits: EnumLimits)
             except coset._TableFull:
                 if table.live <= 0.75 * len(table.rows):
                     alpha = sum(map(table.is_live, range(alpha)))
-                    table.compact()
+                    compact(table)
                     continue
                 return False, table
             alpha += 1
     except coset._WorkExceeded:
         return False, table
-    table.compact()
+    compact(table)
     return True, table
 
 
-def test_table_is_renumbered_on_read_as_if_compacted_eagerly():
-    # freeing rows in place and renumbering once, when the table is read,
-    # leaves the table that renumbering at every lookahead would have left
+def compact(table: CosetTable):
+    """Remove every dead row, renumbering live cosets in id order."""
+    keep = [c for c in range(len(table.rows)) if table.is_live(c)]
+    remap = {c: new for new, c in enumerate(keep)} | {UNDEF: UNDEF}
+    table.rows = [[remap[d] for d in table.rows[c]] for c in keep]
+    table.parent = [remap[table.parent[c]] for c in keep]
+
+
+def test_held_rows_match_an_eagerly_compacting_enumeration():
+    # freeing rows in place, ids kept, holds the rows that renumbering at
+    # every lookahead would have left, once ids are read as ranks
     psl = parse_presentation(PSL27)
     cases = list(random_enumerations(8, 200))
     cases += [(psl, (), EnumLimits(cap, 10_000_000)) for cap in (500, 200, 410)]
-    unread = []  # runs that end holding freed rows, before the table is read
+    freed = []  # exhausted runs that end holding freed rows
     for p, subgens, limits in cases:
         r = todd_coxeter(p, subgens, limits)
-        unread.append(r._table.dropped > 0)
-        closed, want = eagerly_compacting_enumeration(p, subgens, limits)
         t = r.table
-        assert (r.closed, t.rows, t.parent, t.live, t.deductions) == (
+        freed.append(not r.closed and t.dropped > 0)
+        closed, want = eagerly_compacting_enumeration(p, subgens, limits)
+        rank = ranks(t) | {UNDEF: UNDEF}
+        rows = [[rank[d] for d in row] for row in t.rows if row is not None]
+        parent = [rank[t.parent[c]] for c in ranks(t)]
+        assert (r.closed, rows, parent, t.live, t.deductions) == (
             closed,
             want.rows,
             want.parent,
             want.live,
             want.deductions,
         )
-        assert t.dropped == 0 and None not in t.rows
     # PSL(2,7) frees rows and closes at cap 500, exhausts without freeing
     # any at cap 200, and frees rows and exhausts at cap 410
-    assert sum(unread) >= 5 and unread[-3:] == [False, False, True]
+    assert sum(freed) >= 5 and freed[-3:] == [False, False, True]
 
 
-def test_is_trivial_renumbers_no_exhausted_table(monkeypatch):
-    # a verdict reads no table: an exhausted run that freed rows is never
-    # renumbered, and a closed one renumbers once, at its end
-    monkeypatch.setattr(coset, "_verdicts", OrderedDict())
-    drops, renumbers = [], []
-    drop, renumber = CosetTable.drop_dead_rows, CosetTable.renumber
-    monkeypatch.setattr(CosetTable, "drop_dead_rows", lambda t: drops.append(1) or drop(t))
+def test_closed_runs_hold_no_dead_row(monkeypatch):
+    # a closed run frees its dead rows at its end, while the collector is
+    # still paused, so the rows it holds are exactly its index's
+    seen = []
+    drop = CosetTable.drop_dead_rows
     monkeypatch.setattr(
-        CosetTable, "renumber", lambda t, *keep: renumbers.append(1) or renumber(t, *keep)
+        CosetTable, "drop_dead_rows", lambda t: seen.append(gc.isenabled()) or drop(t)
     )
-    p = parse_presentation(PSL27)  # perfect, so only enumeration decides
-    assert is_trivial(p, EnumLimits(410, 10_000_000)).status == "unknown"
-    assert drops and not renumbers
-    drops.clear()
-    assert is_trivial(p, EnumLimits(500, 10_000_000)).status == "nontrivial"
-    assert drops and len(renumbers) == 1
+    for text in (CLASSIC_TRIVIAL, KLEIN, PSL27):
+        seen.clear()
+        r = todd_coxeter(parse_presentation(text), (), LIMITS)
+        held = [c for c, row in enumerate(r.table.rows) if row is not None]
+        assert r.closed and len(held) == r.index == r.table.live, text
+        assert all(map(r.table.is_live, held)) and seen and not any(seen), text
 
 
 def test_enumeration_pauses_the_garbage_collector(monkeypatch):
@@ -642,10 +661,10 @@ def test_compaction_under_tight_coset_cap(monkeypatch):
     monkeypatch.setattr(CosetTable, "drop_dead_rows", lambda t: drops.append(1) or drop(t))
     p = parse_presentation(PSL27)
     r = todd_coxeter(p, (), EnumLimits(500, 10_000_000), debug_checks=True)
-    assert r.closed and r.index == 168 and drops
+    assert r.closed and r.index == 168 and len(drops) > 1  # the last frees at the end
     tight = todd_coxeter(p, (), EnumLimits(200, 10_000_000), debug_checks=True)
     assert not tight.closed
     drops.clear()
     freed = todd_coxeter(p, (), EnumLimits(410, 10_000_000), debug_checks=True)
-    assert not freed.closed and drops and freed._table.dropped
-    freed._table.check_consistency()
+    assert not freed.closed and drops and freed.table.dropped
+    freed.table.check_consistency()

@@ -1,4 +1,5 @@
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,15 +13,16 @@ from fpkit.presentations import (
     ValidationError,
     Word,
     _merge,
-    _substitute,
     decode_word,
     encode_word,
     extend,
+    lru,
     parse_presentation,
     parse_word,
     rename_generators,
     serialize_presentation,
     serialize_word,
+    substitute,
     tietze_simplify,
 )
 from fpkit.rewriting import knuth_bendix
@@ -265,7 +267,7 @@ def test_pow_and_substitute_match_the_stepwise_product():
         stepwise = Word()
         for s, e in w.letters:
             stepwise = stepwise * (stepwise_pow(image, e) if s == "a" else Word.single(s, e))
-        assert _substitute(w, "a", image) == stepwise, (w, image)
+        assert substitute(w, {"a": image}) == stepwise, (w, image)
     assert cancelled >= 10
 
 
@@ -369,6 +371,31 @@ def test_extend_equals_and_fails_like_the_whole_presentation():
     # accepted, and each kind of error: invalid, duplicate, undeclared,
     # negative, zero (not a generator / only on monoids / lacks absorption)
     assert seen == {"accepted", "invalid", "duplicate", "undeclared", "negative", "zero"}
+
+
+def test_lru_evicts_the_least_recently_used_key():
+    cache, made = OrderedDict(), []
+
+    def make(key):
+        return lambda: made.append(key) or -key
+
+    for key in range(128):
+        assert lru(cache, key, make(key)) == -key
+    # a hit runs nothing and makes key 0 the most recently used, so the
+    # 129th key evicts key 1, not key 0, the first inserted
+    assert lru(cache, 0, make(0)) == 0
+    assert lru(cache, 128, make(128)) == -128
+    assert len(cache) == 128 and 0 in cache and 1 not in cache
+    assert made == list(range(129))
+    assert lru(cache, 1, make(1)) == -1  # evicted, so made again
+    assert made[-1] == 1 and len(made) == 130 and 2 not in cache
+
+    def fail():
+        raise ValueError("no value")
+
+    with pytest.raises(ValueError):
+        lru(cache, 129, fail)
+    assert 129 not in cache and len(cache) == 128 and 3 in cache
 
 
 def test_rename_generators():

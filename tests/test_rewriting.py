@@ -460,7 +460,7 @@ def unstopped_run(self) -> Completeness:
         left = self.index.reduce(r1.rhs + r2.lhs[k:])
         right = self.index.reduce(r1.lhs[:-k] + r2.rhs)
         if left != right:
-            self.push_equation(left, right)
+            self.eqs.append((left, right))
     if self.eqs or self.pairs:
         return Completeness.PARTIAL
     return Completeness.PARTIAL if self.overflow else Completeness.COMPLETE

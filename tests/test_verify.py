@@ -17,6 +17,7 @@ from fpkit.presentations import (
     parse_presentation,
     parse_word,
     rename_generators,
+    substitute,
     tietze_simplify,
 )
 from fpkit.rewriting import Budget, Verdict, words_equal
@@ -24,7 +25,6 @@ from fpkit.verify import (
     AbelianInvariants,
     CheckReport,
     CheckVerdict,
-    _image,
     abelianization,
     assemble_certificate,
     collapse_check,
@@ -204,7 +204,7 @@ def test_image_matches_the_stepwise_product():
             base = mapping[s] if e > 0 else mapping[s].inverse()
             for _ in range(abs(e)):
                 stepwise = stepwise * base
-        assert _image(w, mapping) == stepwise, (w, mapping)
+        assert substitute(w, mapping) == stepwise, (w, mapping)
         cancelled += stepwise.length() < sum(abs(e) * mapping[s].length() for s, e in w.letters)
     assert cancelled >= 10
 
@@ -259,7 +259,7 @@ def reference_bounded_check(small, big, mapping, cutoff, budget, name, onto):
         else "distinct words collapse in the big presentation"
     )
     words = enumerate_words(small.generators, cutoff)
-    images = [_image(w, mapping) for w in words]
+    images = [substitute(w, mapping) for w in words]
     comparisons = 0
     blocked = 0
 
@@ -327,7 +327,8 @@ def assert_pair_witness_is_sound(small, big, mapping, witness, budget):
     """A Fail's pair: distinct in `small`, with images equal in `big`."""
     u, v = (W(side) for side in witness.split(" | "))
     assert words_equal(small, u, v, budget) is Verdict.DISTINCT, witness
-    assert words_equal(big, _image(u, mapping), _image(v, mapping), budget) is Verdict.EQUAL, witness
+    images = (substitute(w, mapping) for w in (u, v))
+    assert words_equal(big, *images, budget) is Verdict.EQUAL, witness
 
 
 # -- the exact checks, held to the reference
@@ -417,7 +418,7 @@ def test_collapse_is_exact_on_nontrivial_targets():
             # a generator that is neither the zero nor any target word's image
             generator_fails += 1
             g = Word.single(got.witness)
-            others = [_image(w, mapping) for w in enumerate_words(target.generators, cutoff)]
+            others = [substitute(w, mapping) for w in enumerate_words(target.generators, cutoff)]
             others += [Word.single(built.zero)] if built.zero else []
             for w in others:
                 assert words_equal(built, g, w, budget) is Verdict.DISTINCT, (trial, built, w)
