@@ -270,12 +270,8 @@ class CosetTable:
                     raise RuntimeError(f"inverse consistency broken at coset {c}, column {col}")
 
     def is_closed(self) -> bool:
-        return all(
-            self.rows[c][col] != UNDEF
-            for c in range(len(self.rows))
-            if self.is_live(c)
-            for col in range(self.ncols)
-        )
+        parent = self.parent
+        return not any(UNDEF in row for c, row in enumerate(self.rows) if parent[c] == c)
 
 
 @dataclass(frozen=True)
@@ -402,8 +398,6 @@ def is_trivial(p: Presentation, limits: EnumLimits = EnumLimits()) -> Triviality
     """
     if p.kind is not Kind.GROUP:
         raise ValidationError("is_trivial expects a group presentation")
-    if len(p.generators) > 128:  # too many generators for letter codes: decide uncached
-        return _decide(p, limits)
     return lru(_verdicts, (p.key, limits), lambda: _decide(p, limits))
 
 

@@ -219,18 +219,18 @@ class Presentation:
 V = TypeVar("V")
 
 
-def lru(cache: OrderedDict, key, make: Callable[[], V]) -> V:
-    """`cache[key]`, set to `make()` on a miss; the 128 most recently used are kept.
+def lru(cache: OrderedDict, key, make: Callable[[], V], bound: int = 128) -> V:
+    """`cache[key]`, set to `make()` on a miss; the `bound` most recently used are kept.
 
     `make` runs only on a miss, stores nothing if it raises, and must not
-    return None.  The engines' caches key on `Presentation.key` through
-    this.  A hit hashes the key only twice, since hashing those keys is
-    most of what a hit costs.
+    return None.  The engines' completion and verdict caches key on
+    `Presentation.key` through this.  A hit hashes the key only twice,
+    since hashing those keys is most of what a hit costs.
     """
     value = cache.get(key)
     if value is None:
         value = cache[key] = make()
-        if len(cache) > 128:
+        if len(cache) > bound:
             cache.popitem(last=False)
     else:
         cache.move_to_end(key)

@@ -18,9 +18,14 @@ relations) but never inequality.
 `normal_forms` keeps the last 128 completions in `presentations.lru`,
 keyed on all they read: `Presentation.key` (group or monoid, generator
 count, the zero's index, relations spelled by generator index) and the
-budget.  It holds only rules and status, no presentation or trie, so a
+budget.  That store holds only rules and status, no presentation, so a
 renamed presentation is not completed again and gets them over its own
-generators.
+generators.  A second store keeps the reduction tries of the 16 most
+recently used rule tables, keyed on the table's identity, so a repeated
+or renamed presentation reduces through the same trie instead of
+building one per call.  Each trie holds a node per lhs letter, so only a
+few are kept, and they have only the lhs ends that reduction reads, not
+the completion's sets of the rule ids below each node.
 
 Reduction finds redexes through a letter trie over the rule left-hand
 sides and always rewrites the leftmost one, taking the lowest rule id when
@@ -107,7 +112,7 @@ def shortlex(w: Letters) -> tuple[int, Letters]:
     return (len(w), w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewriteRule:
     lhs: Letters
     rhs: Letters
@@ -184,8 +189,25 @@ class _Trie:
         return [rid for rid in node[_IDS] if rid != end]
 
 
-class _RuleIndex(_Trie):
-    """Trie over the left-hand sides, for leftmost, lowest-id reduction."""
+class _Reducer:
+    """Letter trie over the left-hand sides of a finished rule table, for
+    leftmost, lowest-id reduction.
+
+    Rule i is `rules[i]`.  Only `_END` entries are made: the `_IDS` sets
+    are read only by the completion's pair search.
+    """
+
+    def __init__(self, rules: tuple[RewriteRule, ...]):
+        self.rules = rules
+        self.root: dict = {}
+        for rid, rule in enumerate(rules):
+            node = self.root
+            for s in rule.lhs:
+                child = node.get(s)
+                if child is None:
+                    child = node[s] = {}
+                node = child
+            node.setdefault(_END, rid)
 
     def reduce(self, word: Letters) -> Letters:
         root, rules = self.root, self.rules
@@ -221,6 +243,11 @@ class _RuleIndex(_Trie):
             del reach[i:]
             far = reach[-1] if reach else -1
         return bytes(w)
+
+
+class _RuleIndex(_Trie, _Reducer):
+    """Trie over the left-hand sides of a changing table, for reduction and
+    the pair search."""
 
 
 class _Completion:
@@ -406,11 +433,18 @@ def knuth_bendix(p: Presentation, budget: Budget = Budget()) -> RewritingSystem:
 def normal_form(rs: RewritingSystem, w: Word) -> Word:
     """Rewrite `w` to an irreducible word; unique when `rs` is Complete."""
     p = rs.presentation
-    return decode_word(p, _RuleIndex(dict(enumerate(rs.rules))).reduce(encode_word(p, w)))
+    return decode_word(p, _reducer(rs.rules).reduce(encode_word(p, w)))
 
 
 # completion key and budget -> (rules, status), least recent first
 _systems: OrderedDict[tuple, tuple[tuple[RewriteRule, ...], Completeness]] = OrderedDict()
+# id of a rule table -> its trie, least recent first.  The trie holds the
+# table, so no other object takes its id while the entry is kept.
+_reducers: OrderedDict[int, _Reducer] = OrderedDict()
+
+
+def _reducer(rules: tuple[RewriteRule, ...]) -> _Reducer:
+    return lru(_reducers, id(rules), lambda: _Reducer(rules), 16)
 
 
 def _completed(p: Presentation, budget: Budget) -> RewritingSystem:
@@ -434,8 +468,8 @@ def normal_forms(
     """
     codes = [encode_word(p, w) for w in words]
     rs = _completed(p, budget)
-    index = _RuleIndex(dict(enumerate(rs.rules)))
-    return rs, [index.reduce(c) for c in codes]
+    reduce = _reducer(rs.rules).reduce
+    return rs, [reduce(c) for c in codes]
 
 
 def words_equal(

@@ -40,6 +40,7 @@ from fpkit.presentations import (
     ParseError,
     Presentation,
     PresentationError,
+    ValidationError,
     parse_presentation,
     serialize_presentation,
 )
@@ -167,6 +168,55 @@ def test_verify_markov_corrupted_construction_refuted(tmp_path):
     assert cert.overall.value == "refuted"
     failing = [c for c in cert.checks if c.verdict.value == "fail"]
     assert failing and failing[0].witness is not None
+
+
+def test_verify_markov_builds_no_s_gh_when_the_word_problem_is_unknown(tmp_path, monkeypatch):
+    builds = []
+    build = cli.markov_semigroup
+    monkeypatch.setattr(cli, "markov_semigroup", lambda inst: builds.append(inst) or build(inst))
+    # the braid monoid has no finite shortlex system, so 10 rules leave it Partial
+    braid = tmp_path / "braid.pres"
+    braid.write_text("monoid\ngens: a, b\nrels: a b a = b a b\n", encoding="utf-8")
+    s0, s4 = CORPUS / "s0_free_x.pres", CORPUS / "s4_trivial.pres"
+    config = RunConfig(rewrite_budget=Budget(10, 20, 100))
+    job = MarkovJob("br", s0, braid, s4, "a a b", "b a a", XiRange.ALL_GENERATORS)
+    cert = json.loads(verify_markov(job, config).to_json())
+    del cert["elapsed_ms"], cert["version"]
+    assert cert == {
+        "instance": {
+            "name": "br",
+            "type": "markov",
+            "inputs": {
+                "G": "a a b",
+                "H": "b a a",
+                "s0": "s0_free_x.pres",
+                "s1": "braid.pres",
+                "s4": "s4_trivial.pres",
+            },
+        },
+        "construction": "markov-semigroup",
+        "recipe": None,
+        "xi_range": "all",
+        "checks": [
+            {
+                "name": "s1-word-problem",
+                "verdict": "unknown",
+                "witness": None,
+                "notes": "G vs H in S1: unknown",
+                "budget_used": {},
+            }
+        ],
+        "overall": "unknown",
+    }
+    # an S1 too wide for letter codes fails in its word problem, as before
+    wide = tmp_path / "wide.pres"
+    wide.write_text(
+        "monoid\ngens: " + ", ".join(f"g{i}" for i in range(129)) + "\nrels:\n", encoding="utf-8"
+    )
+    job = MarkovJob("w", s0, wide, s4, "g0", "g1", XiRange.ALL_GENERATORS)
+    with pytest.raises(ValidationError, match="129 generators"):
+        verify_markov(job, config)
+    assert builds == []
 
 
 def test_verify_test_group_dichotomy_certificates():

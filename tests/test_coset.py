@@ -585,11 +585,17 @@ def test_extra_generator_gives_its_own_verdict(enumerations):
 
 
 def test_groups_too_wide_for_letter_codes_are_still_decided(enumerations):
-    # no key can be made, but the abelianization needs no letter codes
+    # the abelianization needs no letter codes, and the key, spelled by
+    # generator index, exists at any width, so the verdict is kept
     gens = tuple(f"g{i}" for i in range(129))
     wide = Presentation(Kind.GROUP, gens, (Relation(W("g0"), Word()),))
     assert is_trivial(wide, LIMITS).status == "nontrivial"
-    assert not coset._verdicts
+    assert list(coset._verdicts) == [(wide.key, LIMITS)]
+    # enumeration needs letter codes: it raises, and nothing more is kept
+    killed = Presentation(Kind.GROUP, gens, tuple(Relation(W(g), Word()) for g in gens))
+    with pytest.raises(ValidationError, match="129 generators"):
+        is_trivial(killed, LIMITS)
+    assert list(coset._verdicts) == [(wide.key, LIMITS)]
 
 
 def test_limits_are_part_of_the_key(enumerations):

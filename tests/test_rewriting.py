@@ -636,6 +636,51 @@ def test_normal_form_over_a_renamed_cache_hit_uses_the_callers_generators(comple
     assert code == encode_word(renamed, W("x^-1"))
 
 
+# -- the reduction tries of the 16 most recently used rule tables are kept:
+#    a kept trie reduces exactly as a fresh one over the same table.
+
+
+@pytest.fixture
+def reducers(monkeypatch):
+    """Clear the kept tries and record the rule tables `normal_forms` builds one for."""
+    monkeypatch.setattr(rewriting, "_reducers", OrderedDict())
+    built = []
+    make = rewriting._Reducer
+    monkeypatch.setattr(rewriting, "_Reducer", lambda rules: built.append(rules) or make(rules))
+    return built
+
+
+def test_kept_tries_reduce_as_fresh_ones(completions, reducers):
+    budget = Budget(100, 20, 1000)
+    rng = random.Random(31)
+    cases = [p for p, _ in random_presentations(37, 60, lambda rng: budget)]
+
+    def check(p):
+        exps = (-1, 1) if p.is_group else (1,)
+        letters = [(g, e) for g in p.generators for e in exps]
+        words = [Word(tuple(rng.choices(letters, k=rng.randint(0, 12)))) for _ in range(5)]
+        rs, codes = normal_forms(p, words, budget)
+        fresh = _RuleIndex(dict(enumerate(rs.rules)))
+        assert codes == [fresh.reduce(encode_word(p, w)) for w in words]
+        assert len(rewriting._reducers) <= 16
+        return rs
+
+    systems = [check(p) for p in cases for _ in range(2)]  # first use, then reuse
+    assert len(reducers) == len({p.key for p in cases}) > 16
+    assert {rs.status for rs in systems} == set(Completeness)
+    assert sum(not rs.complete for rs in systems[::2]) >= 10
+    # the first cases' tries were evicted; their tables are still cached
+    for p in cases[:5]:
+        check(p)
+    assert len(reducers) == len({p.key for p in cases}) + len({p.key for p in cases[:5]})
+    assert len(completions) == len({p.key for p in cases})
+    # a renamed presentation reduces through the same kept trie
+    kept = len(reducers)
+    check(rename_generators(cases[-1], {"a": "x"}))
+    assert len(reducers) == kept
+    assert len(rewriting._reducers) == 16
+
+
 # -- a completion memoizes normal forms per rule table; the memo changes
 #    no rule, status or normal form.
 
