@@ -178,7 +178,7 @@ def hnn_ladder(
 
 class XiRange(str, Enum):
     VERBATIM = "verbatim"  # the four adjoined letters only
-    ALL_GENERATORS = "all"  # every generator except the zero
+    ALL_GENERATORS = "all"  # every generator outside S4 and the zero
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,10 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
 
     The schema's right-hand side "0" is read as the empty word (the
     monoid identity); the absorbing zero generator is still adjoined so
-    the result is a monoid with zero.  Under the extended xi-range the
-    relation family then collapses every non-zero generator when G = H.
+    the result is a monoid with zero.  Under the extended xi-range, which
+    is every generator outside S4 and the zero, the relation family then
+    sets each of those generators to 1 when G = H, so that S_{G,H}
+    collapses onto S4 with a zero.
     """
     trail = AuditTrail()
     trail.add("ingredients", f"G = {inst.g}, H = {inst.h}, xi-range = {inst.xi_range.value}")
@@ -262,7 +264,8 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
     if inst.xi_range is XiRange.VERBATIM:
         xi_letters = [a, b, c, d]
     else:
-        xi_letters = [g for g in built.generators if g != zname]
+        s4_letters = set(map4.values())
+        xi_letters = [g for g in built.generators if g != zname and g not in s4_letters]
     chd = cw * hw * dw
     for xi in xi_letters:
         schema.append(Relation(Word.single(xi) * chd, chd))

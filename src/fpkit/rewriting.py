@@ -25,7 +25,7 @@ recently used rule tables, keyed on the table's identity, so a repeated
 or renamed presentation reduces through the same trie instead of
 building one per call.  Each trie holds a node per lhs letter, so only a
 few are kept, and they have only the lhs ends that reduction reads, not
-the completion's sets of the rule ids below each node.
+the completion's maps of the rule ids below each node.
 
 Reduction finds redexes through a letter trie over the rule left-hand
 sides and always rewrites the leftmost one, taking the lowest rule id when
@@ -37,10 +37,18 @@ side can contain another.
 
 Critical pairs are found from the same trie, walked from each proper
 suffix of a new left-hand side, and from a second trie over the reversed
-left-hand sides for overlaps the other way round.  They are queued by
-other rule id, then direction, then overlap width, and a pair whose rule
-was interreduced away stays queued and still counts toward
-``max_iterations`` when popped.  Both are fixed for the same reason: they
+left-hand sides for overlaps the other way round.  Each trie node maps
+the lhs length of the rules below it to their ids, so a new rule queues
+one group per length L that it overlaps, keyed (its lhs length + L, its
+id), without listing a pair.  A group's pairs are listed only when it
+reaches the top of the queue, and come out by other rule id, then
+direction, then overlap width: the order of the queue of single pairs it
+replaced, which was keyed by combined lhs length, then push order.  Most
+groups of a budgeted completion are never listed.  A group lists the
+rules that were in the table when it was queued, so a rule interreduced
+away since, whose lhs is kept with the id of the rule that removed it,
+still gives its pairs, which count toward ``max_iterations`` when
+popped.  Both orders are fixed for the same reason as reduction's: they
 decide which rules a Partial system holds.
 
 A monoid with an adjoined zero z, where z occurs only in the absorption
@@ -67,7 +75,6 @@ reduces without it.  It changes no result, only repeated work.
 from __future__ import annotations
 
 import heapq
-import itertools
 from bisect import bisect_left
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -134,7 +141,7 @@ class RewritingSystem:
 
 
 _END = None  # trie key under which a node records the rule whose lhs ends there
-_IDS = -1  # trie key under which a node records every rule whose key passes through it
+_IDS = -1  # trie key under which a node maps each lhs length to the rules of that length below it
 
 
 class _Trie:
@@ -156,44 +163,56 @@ class _Trie:
             self.add(rid)
 
     def add(self, rid: int):
+        key = self.key(self.rules[rid].lhs)
+        n = len(key)
         node = self.root
-        for s in self.key(self.rules[rid].lhs):
+        for s in key:
             child = node.get(s)
             if child is None:
-                child = node[s] = {_IDS: set()}
-            child[_IDS].add(rid)
+                child = node[s] = {_IDS: {n: {rid}}}
+            else:
+                lengths = child[_IDS]
+                ids = lengths.get(n)
+                if ids is None:
+                    lengths[n] = {rid}
+                else:
+                    ids.add(rid)
             node = child
         node.setdefault(_END, rid)
 
     def remove(self, rid: int):
         """Forget `rid`; call before deleting it from the table."""
+        key = self.key(self.rules[rid].lhs)
+        n = len(key)
         node = self.root
-        for s in self.key(self.rules[rid].lhs):
+        for s in key:
             child = node[s]
-            ids = child[_IDS]
+            lengths = child[_IDS]
+            ids = lengths[n]
             ids.discard(rid)
             if not ids:
-                del node[s]  # the branch held only `rid`
-                return
+                del lengths[n]
+                if not lengths:
+                    del node[s]  # the branch held only `rid`
+                    return
             node = child
         del node[_END]
 
-    def longer(self, prefix: Letters) -> list[int]:
-        """Ids of the rules whose key starts with, and is longer than, `prefix`."""
+    def find(self, path: Letters) -> dict | None:
+        """The node that `path` spells, or None."""
         node = self.root
-        for s in prefix:
+        for s in path:
             node = node.get(s)
             if node is None:
-                return []
-        end = node.get(_END)
-        return [rid for rid in node[_IDS] if rid != end]
+                return None
+        return node
 
 
 class _Reducer:
     """Letter trie over the left-hand sides of a finished rule table, for
     leftmost, lowest-id reduction.
 
-    Rule i is `rules[i]`.  Only `_END` entries are made: the `_IDS` sets
+    Rule i is `rules[i]`.  Only `_END` entries are made: the `_IDS` maps
     are read only by the completion's pair search.
     """
 
@@ -257,9 +276,11 @@ class _Completion:
         self.index = _RuleIndex(self.rules)
         self.suffixes = _Trie(self.rules, key=lambda lhs: lhs[::-1])
         self.next_id = 0
-        self.pairs: list[tuple[int, int, int, int, int]] = []  # (key, seq, id1, id2, olen)
+        # heap of pair groups [key, rid, todo, lhs, spots]: see `_queue_pairs`
+        self.pairs: list[list] = []
+        # lhs length -> (remover id, id, lhs) of each rule interreduced away, by remover
+        self.gone: dict[int, list[tuple[int, int, Letters]]] = {}
         self.eqs: deque[tuple[Letters, Letters]] = deque()
-        self.seq = itertools.count()
         self.overflow = False
         self.reduced: dict[Letters, Letters] = {}  # normal forms under the current table
 
@@ -270,28 +291,86 @@ class _Completion:
             self.reduced[nf] = nf  # irreducible, so `reduce` returns it unchanged
         return nf
 
-    def _push_pair(self, a_id: int, b_id: int, olen: int):
-        key = len(self.rules[a_id].lhs) + len(self.rules[b_id].lhs)
-        heapq.heappush(self.pairs, (key, next(self.seq), a_id, b_id, olen))
-
     def _queue_pairs(self, rid: int):
-        """Queue every proper overlap of the new rule with itself and the others.
+        """Queue one group per lhs length L among the rules that properly
+        overlap the new one, keyed (|lhs| + L, rid), without listing them.
 
         Direction 0 is a suffix of the new lhs that starts another lhs,
-        direction 1 another lhs that ends with a prefix of the new one.
+        direction 1 another lhs that ends with a prefix of the new one.  A
+        group keeps, as its spots, the trie node of each (direction, width)
+        under which a rule of length L lies; `_list_pairs` reads them.
         """
         lhs = self.rules[rid].lhs
         n = len(lhs)
-        found = []
+        groups: dict[int, list] = {}
+        find, rfind = self.index.find, self.suffixes.find
         for k in range(1, n):
-            found += [(oid, 0, k) for oid in self.index.longer(lhs[n - k:])]
-            found += [(oid, 1, k) for oid in self.suffixes.longer(lhs[k - 1::-1]) if oid != rid]
-        found.sort()  # by other id, then direction, then width
-        for oid, direction, k in found:
-            if direction:
-                self._push_pair(oid, rid, k)
-            else:
-                self._push_pair(rid, oid, k)
+            for direction, node in enumerate((find(lhs[n - k:]), rfind(lhs[k - 1::-1]))):
+                if node is not None:
+                    for length in node[_IDS]:
+                        if length > k:
+                            spots = groups.get(length)
+                            if spots is None:
+                                groups[length] = [(direction, k, node)]
+                            else:
+                                spots.append((direction, k, node))
+        for length, spots in groups.items():
+            heapq.heappush(self.pairs, [n + length, rid, None, lhs, spots])
+
+    def _list_pairs(self, group: list) -> list[tuple[int, int, int]]:
+        """The pairs (other id, direction, width) of a group, last first, over
+        the rules of its length that were in the table when it was queued.
+
+        That is every id up to its rule's that is still in the table, and
+        every rule interreduced away since, which may be its rule itself.
+        """
+        key, rid, _, lhs, spots = group
+        n = len(lhs)
+        length = key - n
+        rules = self.rules
+        found = []
+        for direction, k, node in spots:
+            # a node also holds rules added since; one cut off by pruning, rules that are gone
+            for oid in node[_IDS].get(length, ()):
+                if oid <= rid and oid in rules and not (direction and oid == rid):
+                    found.append((oid, direction, k))
+        gone = self.gone.get(length, ())
+        for _, oid, other in gone[bisect_left(gone, (rid,)):]:
+            if oid <= rid:
+                for k in range(1, min(n, length)):
+                    if other.startswith(lhs[n - k:]):
+                        found.append((oid, 0, k))
+                    if oid != rid and other.endswith(lhs[:k]):
+                        found.append((oid, 1, k))
+        found.sort(reverse=True)
+        return found
+
+    def _next_pair(self) -> tuple[int, int, int]:
+        """Pop the next critical pair (id1, id2, width), listing its group when
+        that reaches the top.
+
+        Groups pop by combined lhs length, then rule id, and a group's
+        pairs by other id, then direction, then width (see the module
+        docstring).
+        """
+        group = self.pairs[0]
+        todo = group[2]
+        if todo is None:
+            todo = group[2] = self._list_pairs(group)
+        oid, direction, k = todo.pop()
+        if not todo:
+            heapq.heappop(self.pairs)
+        return (oid, group[1], k) if direction else (group[1], oid, k)
+
+    def _drop(self, oid: int, rid: int):
+        """Take rule `oid` out of the table, as rule `rid` interreduces it away.
+
+        Its lhs is kept under `rid`, for the groups queued before it left.
+        """
+        self.index.remove(oid)
+        self.suffixes.remove(oid)
+        lhs = self.rules.pop(oid).lhs
+        self.gone.setdefault(len(lhs), []).append((rid, oid, lhs))
 
     def add_rule(self, u: Letters, v: Letters):
         u = self._reduce(u)
@@ -315,14 +394,9 @@ class _Completion:
         # in place rules whose rhs does.  The table is mid-change here, so
         # these reductions bypass the memo.  Ids only grow and a rewritten
         # rhs keeps its rule's place, so the table is in id order.
-        for oid in list(self.rules):
-            if oid == rid:
-                continue
-            other = self.rules[oid]
+        for oid, other in list(self.rules.items())[:-1]:  # the new rule is last
             if lhs in other.lhs:
-                self.index.remove(oid)
-                self.suffixes.remove(oid)
-                del self.rules[oid]
+                self._drop(oid, rid)
                 self.eqs.append((other.lhs, other.rhs))
             elif lhs in other.rhs:
                 self.rules[oid] = RewriteRule(other.lhs, self.index.reduce(other.rhs))
@@ -340,7 +414,7 @@ class _Completion:
                 if self.overflow and len(self.rules) >= self.budget.max_rules:
                     break  # a full table can neither gain a rule nor lose one
                 continue
-            _, _, id1, id2, k = heapq.heappop(self.pairs)
+            id1, id2, k = self._next_pair()
             if id1 not in self.rules or id2 not in self.rules:
                 continue  # a side was interreduced away; its content was requeued
             r1, r2 = self.rules[id1], self.rules[id2]

@@ -8,6 +8,8 @@ both.
 
 import random
 
+import pytest
+
 from fpkit.constructions import MarkovInstance, XiRange, markov_semigroup
 from fpkit.coset import EnumLimits, todd_coxeter
 from fpkit.presentations import (
@@ -15,6 +17,8 @@ from fpkit.presentations import (
     Presentation,
     Relation,
     Word,
+    parse_presentation,
+    parse_word,
     rename_generators,
     tietze_simplify,
 )
@@ -122,3 +126,42 @@ def test_random_markov_instances_respect_the_dichotomy():
             assert embed.verdict is CheckVerdict.PASS, (s1, g, h)
             assert collapse.verdict is CheckVerdict.FAIL, (s1, g, h)
     assert equal_seen >= 5 and distinct_seen >= 10
+
+
+# S4s with generators: finite, free and commutative.  Their letters stay
+# outside the xi range, so on the equal side the monoid collapses onto S4
+# with a zero, and on the distinct side S0 still embeds.
+NONTRIVIAL_S4 = (
+    "monoid\ngens: e\nrels: e e = e",
+    "monoid\ngens: e\nrels:",
+    "monoid\ngens: e, f\nrels: e f = f e",
+)
+
+
+@pytest.mark.parametrize("s4_text", NONTRIVIAL_S4, ids=("finite", "free", "commutative"))
+@pytest.mark.parametrize(
+    "s1_text, g, h, equal",
+    [
+        ("monoid\ngens: g\nrels: g^2 = g", "g", "g g", True),
+        ("monoid\ngens: y\nrels:", "y", "y y", False),
+    ],
+    ids=("equal", "distinct"),
+)
+def test_markov_instances_over_a_nontrivial_s4_respect_the_dichotomy(s4_text, s1_text, g, h, equal):
+    s0 = Presentation(Kind.MONOID, ("x",))
+    s1, s4 = parse_presentation(s1_text), parse_presentation(s4_text)
+    inst = MarkovInstance(s0, s1, s4, parse_word(g), parse_word(h))
+    build = markov_semigroup(inst)
+    big = build.presentation
+    projection = {s: Word.single(img) for s, img in build.maps["s4"].items()}
+    collapse = collapse_check(big, s4, projection, BUDGET)
+    embed = embedding_by_rewriting(
+        s0, big, {"x": Word.single(build.maps["s0"]["x"])}, BUDGET, "embed"
+    )
+    assert (words_equal(s1, inst.g, inst.h, BUDGET) is Verdict.EQUAL) is equal
+    if equal:
+        assert collapse.verdict is CheckVerdict.PASS, collapse
+        assert embed.verdict is CheckVerdict.FAIL, embed
+    else:
+        assert embed.verdict is CheckVerdict.PASS, embed
+        assert collapse.verdict is CheckVerdict.FAIL, collapse

@@ -384,8 +384,9 @@ def test_budgeted_baumslag_solitar_partial_system_is_pinned():
     )
 
 
-# -- critical pairs come from the tries, in the order of the plain scan they
-#    replaced: other rule id, then direction, then overlap width.
+# -- critical pairs come from the tries, in the order of a heap of every
+#    overlap pushed as its rule entered the table: combined lhs length, then
+#    rule id, then other rule id, then direction, then overlap width.
 
 
 def reference_overlaps(a, b):
@@ -395,29 +396,43 @@ def reference_overlaps(a, b):
             yield k
 
 
-@given(rule_tables(), st.sets(st.integers(0, 50)))
-@example({0: R("aba", "b"), 1: R("aa", "a"), 2: R("ba", ""), 3: R("cab", "c")}, set())
-def test_trie_overlaps_match_reference_scan(table, gone):
+@st.composite
+def queued_tables(draw):
+    """A rule table, the ids to drop after each rule enters, and how many pairs to pop then."""
+    table = draw(rule_tables())
+    ids = sorted(table)
+    drops = {rid: draw(st.sets(st.sampled_from(ids[: i + 1]))) for i, rid in enumerate(ids)}
+    pops = {rid: draw(st.integers(0, 4)) for rid in ids}
+    return table, drops, pops
+
+
+@given(queued_tables())
+@example(({0: R("aba", "b"), 1: R("aa", "a"), 2: R("ba", ""), 3: R("cab", "c")}, {}, {}))
+def test_trie_overlaps_match_reference_scan(case):
+    table, drops, pops = case
     comp = _Completion(Budget())
-    comp.rules.update(table)
+    reference = []  # (key, rid, other id, direction, width, pair)
     for rid in sorted(table):
+        rule = comp.rules[rid] = table[rid]
         comp.index.add(rid)
         comp.suffixes.add(rid)
-    for rid in gone & set(table):
-        comp.index.remove(rid)
-        comp.suffixes.remove(rid)
-        del comp.rules[rid]
-    for rid, rule in comp.rules.items():
-        comp.pairs.clear()
         comp._queue_pairs(rid)
-        pushed = [(a, b, k) for _, _, a, b, k in sorted(comp.pairs, key=lambda t: t[1])]
-        expected = []
-        for oid in sorted(comp.rules):
-            other = comp.rules[oid]
-            expected += [(rid, oid, k) for k in reference_overlaps(rule.lhs, other.lhs)]
+        for oid, other in comp.rules.items():
+            key = len(rule.lhs) + len(other.lhs)
+            for k in reference_overlaps(rule.lhs, other.lhs):
+                heapq.heappush(reference, (key, rid, oid, 0, k, (rid, oid, k)))
             if oid != rid:
-                expected += [(oid, rid, k) for k in reference_overlaps(other.lhs, rule.lhs)]
-        assert pushed == expected
+                for k in reference_overlaps(other.lhs, rule.lhs):
+                    heapq.heappush(reference, (key, rid, oid, 1, k, (oid, rid, k)))
+        # as interreduction would, drop rules, perhaps the new one, whose
+        # pairs are queued and must still come out
+        for oid in sorted(drops.get(rid, set()) & set(comp.rules)):
+            comp._drop(oid, rid)
+        for _ in range(min(pops.get(rid, 0), len(reference))):
+            assert comp._next_pair() == heapq.heappop(reference)[-1]
+    popped = [comp._next_pair() for _ in range(len(reference))]
+    assert popped == [heapq.heappop(reference)[-1] for _ in range(len(popped))]
+    assert not comp.pairs
 
 
 def test_confluence_audit_raises_on_divergence_and_containment():
@@ -435,6 +450,115 @@ def test_completion_refuses_a_rule_that_does_not_decrease(monkeypatch):
     comp = _Completion(Budget())
     with pytest.raises(RuntimeError, match="strictly decreasing"):
         comp.add_rule(b"\x00", b"\x02")
+    assert not comp.rules and not comp.pairs  # refused before it entered the table
+
+
+# -- the queue of eagerly listed pairs that the groups replaced: every
+#    critical pair of a new rule heap-pushed at once, keyed (combined lhs
+#    length, push sequence).  It is the reference for the groups.
+
+
+def longer(trie, prefix):
+    """Ids of the rules whose key starts with, and is longer than, `prefix`."""
+    node = trie.find(prefix)
+    if node is None:
+        return []
+    return [oid for length, ids in node[rewriting._IDS].items() if length > len(prefix) for oid in ids]
+
+
+class EagerCompletion(_Completion):
+    def __init__(self, budget):
+        super().__init__(budget)
+        self.queued = []  # (key, seq, id1, id2, width)
+        self.seq = itertools.count()
+
+    def _queue_pairs(self, rid):
+        lhs = self.rules[rid].lhs
+        n = len(lhs)
+        found = []
+        for k in range(1, n):
+            found += [(oid, 0, k) for oid in longer(self.index, lhs[n - k:])]
+            found += [(oid, 1, k) for oid in longer(self.suffixes, lhs[k - 1::-1]) if oid != rid]
+        found.sort()  # by other id, then direction, then width
+        for oid, direction, k in found:
+            a, b = (oid, rid) if direction else (rid, oid)
+            key = len(self.rules[a].lhs) + len(self.rules[b].lhs)
+            heapq.heappush(self.queued, (key, next(self.seq), a, b, k))
+
+    def run(self, stop_when_full=True) -> Completeness:
+        steps = 0
+        while self.eqs or self.queued:
+            steps += 1
+            if steps > self.budget.max_iterations:
+                self.overflow = True
+                break
+            if self.eqs:
+                u, v = self.eqs.popleft()
+                self.add_rule(u, v)
+                if stop_when_full and self.overflow and len(self.rules) >= self.budget.max_rules:
+                    break
+                continue
+            _, _, id1, id2, k = heapq.heappop(self.queued)
+            if id1 not in self.rules or id2 not in self.rules:
+                continue
+            r1, r2 = self.rules[id1], self.rules[id2]
+            left = self.index.reduce(r1.rhs + r2.lhs[k:])
+            right = self.index.reduce(r1.lhs[:-k] + r2.rhs)
+            if left != right:
+                self.eqs.append((left, right))
+        if self.eqs or self.queued:
+            return Completeness.PARTIAL
+        return Completeness.PARTIAL if self.overflow else Completeness.COMPLETE
+
+
+def eager_knuth_bendix(monkeypatch, p, budget):
+    with monkeypatch.context() as m:
+        m.setattr(rewriting, "_Completion", EagerCompletion)
+        return knuth_bendix(p, budget)
+
+
+@pytest.mark.parametrize(
+    "seed, count, budget",
+    [(31, 200, Budget(40, 12, 300)), (37, 100, Budget(100, 20, 1000)), (41, 5, Budget())],
+)
+def test_pair_groups_complete_as_the_eager_queue(monkeypatch, seed, count, budget):
+    statuses = []
+    for p, _ in random_presentations(seed, count, lambda rng: None):
+        got = knuth_bendix(p, budget)
+        reference = eager_knuth_bendix(monkeypatch, p, budget)
+        assert (got.rules, got.status) == (reference.rules, reference.status), p
+        statuses.append(got.status)
+    assert len(set(statuses)) == 2
+
+
+def test_pair_groups_bound_the_queue(monkeypatch):
+    # BS(2,3) ends Partial at a full table; the eager queue then held tens of
+    # thousands of pairs, the groups at most one per rule and lhs length
+    p = parse_presentation("group\ngens: b, a\nrels: a^-1 b^2 a = b^3")
+    budget = Budget(max_rules=300)
+    eager_sizes = []
+    eager_queue_pairs = EagerCompletion._queue_pairs
+
+    def eager_counted(self, rid):
+        eager_queue_pairs(self, rid)
+        eager_sizes.append(len(self.queued))
+
+    monkeypatch.setattr(EagerCompletion, "_queue_pairs", eager_counted)
+    reference = eager_knuth_bendix(monkeypatch, p, budget)
+    sizes, lengths = [], set()
+    queue_pairs = _Completion._queue_pairs
+
+    def counted(self, rid):
+        queue_pairs(self, rid)
+        lengths.add(len(self.rules[rid].lhs))
+        assert len(self.pairs) <= self.next_id * len(lengths)
+        sizes.append(len(self.pairs))
+
+    monkeypatch.setattr(_Completion, "_queue_pairs", counted)
+    rs = knuth_bendix(p, budget)
+    assert rs.status is reference.status is Completeness.PARTIAL
+    assert rs.rules == reference.rules and len(rs.rules) == 300
+    assert len(sizes) > 300 and 10 * max(sizes) < max(eager_sizes)
 
 
 # -- completion stops once its table is full and an equation is refused:
@@ -453,7 +577,7 @@ def unstopped_run(self) -> Completeness:
             u, v = self.eqs.popleft()
             self.add_rule(u, v)
             continue
-        _, _, id1, id2, k = heapq.heappop(self.pairs)
+        id1, id2, k = self._next_pair()
         if id1 not in self.rules or id2 not in self.rules:
             continue
         r1, r2 = self.rules[id1], self.rules[id2]
