@@ -24,12 +24,11 @@ from typing import Callable
 
 from .coset import EnumLimits, Triviality, is_trivial
 from .constructions import (
+    PROPERTY,
     RECIPE,
     GroupTestInstance,
     MarkovInstance,
-    Mode,
     PropertySpec,
-    XiRange,
     markov_property_reduction,
     markov_semigroup,
     triviality_test_group,
@@ -42,7 +41,6 @@ from .presentations import (
     parse_presentation,
     parse_word,
     serialize_presentation,
-    tietze_simplify,
 )
 from .rewriting import Budget, Verdict, words_equal
 from .verify import (
@@ -51,7 +49,6 @@ from .verify import (
     CheckVerdict,
     Overall,
     Stopwatch,
-    abelianization,
     assemble_certificate,
     collapse_check,
     embedding_by_rewriting,
@@ -74,7 +71,6 @@ class RunConfig:
     rewrite_budget: Budget = Budget()
     enum_limits: EnumLimits = EnumLimits()
     cutoff: int = 6  # read by nothing; perfbench/worker.py still passes it
-    xi_range: XiRange = XiRange.ALL_GENERATORS
     out_dir: Path | None = None
     jobs: int = 1
 
@@ -115,13 +111,11 @@ class MarkovJob:
     s4: Path
     g_text: str
     h_text: str
-    xi_range: XiRange
 
     @classmethod
-    def from_inputs(cls, name: str, inp: dict, root: Path, config: RunConfig) -> MarkovJob:
-        xi = XiRange(inp.get("xi", config.xi_range.value))
+    def from_inputs(cls, name: str, inp: dict, root: Path) -> MarkovJob:
         s0, s1, s4 = (root / inp[k] for k in ("s0", "s1", "s4"))
-        return cls(name, s0, s1, s4, inp["G"], inp["H"], xi)
+        return cls(name, s0, s1, s4, inp["G"], inp["H"])
 
 
 @dataclass(frozen=True)
@@ -132,24 +126,20 @@ class GroupTestJob:
     b_text: str | None
 
     @classmethod
-    def from_inputs(cls, name: str, inp: dict, root: Path, config: RunConfig) -> GroupTestJob:
+    def from_inputs(cls, name: str, inp: dict, root: Path) -> GroupTestJob:
         return cls(name, root / inp["base"], inp["w"], inp.get("b"))
 
 
 @dataclass(frozen=True)
 class PropertyJob:
     name: str
-    property_name: str
     g_plus: Path
     g_minus: Path
     test: Path
-    mode: Mode
 
     @classmethod
-    def from_inputs(cls, name: str, inp: dict, root: Path, config: RunConfig) -> PropertyJob:
-        prop = inp.get("property", "unnamed property")
-        g_plus, g_minus, test = (root / inp[k] for k in ("gplus", "gminus", "test"))
-        return cls(name, prop, g_plus, g_minus, test, Mode(inp.get("mode", Mode.MARKOV.value)))
+    def from_inputs(cls, name: str, inp: dict, root: Path) -> PropertyJob:
+        return cls(name, *(root / inp[k] for k in ("gplus", "gminus", "test")))
 
 
 def _markov_instance(job: MarkovJob) -> MarkovInstance:
@@ -159,7 +149,6 @@ def _markov_instance(job: MarkovJob) -> MarkovInstance:
         s4=_load_presentation(job.s4),
         g=parse_word(job.g_text),
         h=parse_word(job.h_text),
-        xi_range=job.xi_range,
     )
 
 
@@ -232,7 +221,7 @@ def verify_markov(
         "markov-semigroup",
         reports,
         mandatory,
-        xi_range=job.xi_range.value,
+        xi_range="all",
         elapsed_ms=watch.ms(),
     )
 
@@ -294,82 +283,42 @@ def verify_test_group(
 
 
 def _property_inputs(job: PropertyJob) -> tuple[PropertySpec, Presentation]:
-    spec = PropertySpec(
-        name=job.property_name,
-        g_plus=_load_presentation(job.g_plus),
-        g_minus=_load_presentation(job.g_minus),
-        mode=job.mode,
-    )
+    spec = PropertySpec(_load_presentation(job.g_plus), _load_presentation(job.g_minus))
     return spec, _load_presentation(job.test)
 
 
 def verify_property(job: PropertyJob, config: RunConfig) -> Certificate:
+    """Certify the reduction for P = being the trivial group: G+ is trivial,
+    and G+ * test has P exactly when the test group is trivial, since the
+    free product is G+ then and contains the test group otherwise."""
     watch = Stopwatch()
     spec, test = _property_inputs(job)
-    build = markov_property_reduction(spec, test)
     triv = is_trivial(test, config.enum_limits)
+    plus = is_trivial(spec.g_plus, config.enum_limits)
 
     reports = [_triviality_report("test-triviality", triv)]
-    mandatory = ["test-triviality"]
-    if triv.is_trivial:
-        reduced = tietze_simplify(build.presentation)
-        witness = tietze_simplify(spec.g_plus)
-        if reduced == witness:
-            reports.append(
-                CheckReport(
-                    "witness-passthrough",
-                    CheckVerdict.PASS,
-                    notes="composition simplifies to the positive witness",
-                )
-            )
-        elif abelianization(reduced) == abelianization(witness):
-            reports.append(
-                CheckReport(
-                    "witness-passthrough",
-                    CheckVerdict.PASS,
-                    notes="abelianizations of composition and witness agree",
-                )
-            )
-        else:
-            reports.append(
-                CheckReport(
-                    "witness-passthrough",
-                    CheckVerdict.FAIL,
-                    witness=str(abelianization(reduced)),
-                    notes="composition does not reduce to the witness",
-                )
-            )
-        mandatory.append("witness-passthrough")
-    elif triv.definite:
-        inv = abelianization(build.presentation)
-        if not inv.is_trivial:
-            reports.append(
-                CheckReport(
-                    "obstruction-abelianization",
-                    CheckVerdict.PASS,
-                    notes=f"composition abelianization is {inv}",
-                )
-            )
-        else:
-            reports.append(
-                CheckReport(
-                    "obstruction-abelianization",
-                    CheckVerdict.UNKNOWN,
-                    notes="abelianization cannot see the obstruction",
-                )
-            )
-        mandatory.append("obstruction-abelianization")
+    if plus.definite and not plus.is_trivial:
+        witness = f"G+ {plus.status} ({plus.reason})"
+        notes = "G+ lacks the property"
+        reports.append(CheckReport("positive-witness", CheckVerdict.FAIL, witness, notes))
+    else:
+        reports.append(_triviality_report("positive-witness", plus))
+    if triv.definite:
+        fact = "= G+" if triv.is_trivial else "contains it and is nontrivial"
+        notes = f"test group {triv.status}, so G+ * test {fact}"
+        reports.append(CheckReport("free-product", CheckVerdict.PASS, notes=notes))
     instance = {
         "name": job.name,
         "type": "property",
         "inputs": {
             "g_minus": job.g_minus.name,
             "g_plus": job.g_plus.name,
-            "mode": job.mode.value,
-            "property": job.property_name,
+            "mode": "markov",
+            "property": PROPERTY,
             "test": job.test.name,
         },
     }
+    mandatory = ["test-triviality", "positive-witness", "free-product"]
     return assemble_certificate(
         instance, "property-reduction", reports, mandatory, elapsed_ms=watch.ms()
     )
@@ -386,8 +335,8 @@ class _Kind:
     job: type
     # argparse (flag, options) per input; each dest is the input's manifest key
     inputs: tuple[tuple[str, dict], ...]
-    build_settings: tuple[str, ...]  # settings that shape the construction
-    check_settings: tuple[str, ...]  # further settings that only `verify` reads
+    settings: tuple[str, ...]  # settings that `verify` reads
+    fixed: dict[str, str]  # manifest keys a row may state, each with its one value
     build: Callable  # job -> construction with .presentation and .trail
     verify: Callable  # (job, config[, built]) -> Certificate
     takes_built: bool  # whether `verify` accepts --built instead of building
@@ -400,8 +349,8 @@ KINDS = {
     "markov": _Kind(
         MarkovJob,
         (("s0", {}), ("s1", {}), ("s4", {}), ("--G", _REQUIRED), ("--H", _REQUIRED)),
-        ("xi_range",),
         ("budget_rules",),
+        {"xi": "all"},
         lambda job: markov_semigroup(_markov_instance(job)),
         verify_markov,
         True,
@@ -411,8 +360,8 @@ KINDS = {
     "test-group": _Kind(
         GroupTestJob,
         (("base", {}), ("--w", _REQUIRED), ("--b", {})),
-        (),
         ("budget_rules", "budget_cosets"),
+        {},
         lambda job: triviality_test_group(_group_instance(job)),
         verify_test_group,
         True,
@@ -425,11 +374,9 @@ KINDS = {
             ("--g-plus", {"dest": "gplus", **_REQUIRED}),
             ("--g-minus", {"dest": "gminus", **_REQUIRED}),
             ("--test", _REQUIRED),
-            ("--property-name", {"dest": "property"}),
-            ("--mode", {"choices": [m.value for m in Mode], "default": Mode.MARKOV.value}),
         ),
-        (),
         ("budget_cosets",),
+        {"mode": "markov", "property": PROPERTY},
         lambda job: markov_property_reduction(*_property_inputs(job)),
         verify_property,
         False,
@@ -491,29 +438,28 @@ def parse_manifest(path: Path) -> list[ManifestRow]:
     return rows
 
 
-# manifest key of each build setting a row may state
-_ROW_SETTINGS = {"xi_range": "xi"}
-
-
 def _input_keys(kind: _Kind) -> list[str]:
     return [options.get("dest", flag.lstrip("-")) for flag, options in kind.inputs]
 
 
 # the manifest keys a row of each kind may give
-_ROW_KEYS = {
-    name: frozenset(_input_keys(kind) + [_ROW_SETTINGS[s] for s in kind.build_settings])
-    for name, kind in KINDS.items()
-}
+_ROW_KEYS = {name: frozenset(_input_keys(kind) + list(kind.fixed)) for name, kind in KINDS.items()}
 
 
-def _job_from_row(row: ManifestRow, base_dir: Path, config: RunConfig):
+def _job_from_row(row: ManifestRow, base_dir: Path, config: RunConfig | None = None):
+    # `config` is read by nothing; perfbench/worker.py still passes it
     kind = KINDS[row.kind]
     known = _ROW_KEYS[row.kind]
-    for key in row.inputs:
+    for key, value in row.inputs.items():
         if key not in known:
             raise PresentationError(f"instance {row.name}: unknown input {key}")
+        if kind.fixed.get(key, value) != value:
+            raise PresentationError(
+                f"instance {row.name}: unsupported {key}={value}; fpkit checks only"
+                f" {key}={kind.fixed[key]}"
+            )
     try:
-        return kind.job.from_inputs(row.name, row.inputs, base_dir, config)
+        return kind.job.from_inputs(row.name, row.inputs, base_dir)
     except KeyError as exc:
         raise PresentationError(f"instance {row.name}: missing input {exc}") from None
 
@@ -529,7 +475,7 @@ def _run_rows(rows: list[ManifestRow], base_dir: Path, config: RunConfig) -> lis
     written there by this process as soon as the row has run."""
     results = []
     for row in rows:
-        cert = run_job(_job_from_row(row, base_dir, config), config)
+        cert = run_job(_job_from_row(row, base_dir), config)
         if config.out_dir is not None:
             (config.out_dir / f"{row.name}.cert.json").write_text(cert.to_json(), encoding="utf-8")
         results.append((cert.overall.value, cert.elapsed_ms))
@@ -687,7 +633,6 @@ def cmd_corpus(manifest: Path, config: RunConfig, out=sys.stdout) -> int:
 _SETTINGS = {
     "budget_rules": {"type": int, "default": Budget().max_rules},
     "budget_cosets": {"type": int, "default": EnumLimits().max_cosets},
-    "xi_range": {"choices": [x.value for x in XiRange], "default": RunConfig.xi_range.value},
     "out": {"type": Path, "default": None},
     "jobs": {"type": int, "default": RunConfig.jobs},
 }
@@ -706,7 +651,6 @@ def _config(args) -> RunConfig:
     return RunConfig(
         rewrite_budget=Budget(max_rules=s["budget_rules"]),
         enum_limits=EnumLimits(max_cosets=s["budget_cosets"]),
-        xi_range=XiRange(s["xi_range"]),
         out_dir=s["out"],
         jobs=s["jobs"],
     )
@@ -731,8 +675,8 @@ def _build_parser() -> argparse.ArgumentParser:
             vp.add_argument("--built", type=Path, default=None)
         bp.add_argument("--name", default=kind.name)
         vp.add_argument("--name", default="instance")
-        _add_settings(bp, kind.build_settings)
-        _add_settings(vp, kind.build_settings + kind.check_settings)
+        _add_settings(bp, ())
+        _add_settings(vp, kind.settings)
 
     corpus = sub.add_parser("corpus", help="run every instance of a manifest")
     corpus.add_argument(
@@ -756,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
 
         kind = KINDS[args.kind]
         inputs = {k: getattr(args, k) for k in _input_keys(kind) if getattr(args, k) is not None}
-        job = _job_from_row(ManifestRow(args.name, args.kind, inputs, ""), Path(), config)
+        job = _job_from_row(ManifestRow(args.name, args.kind, inputs, ""), Path())
         if args.command == "build":
             build = kind.build(job)
             out_dir = config.out_dir or Path.cwd()

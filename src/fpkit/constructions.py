@@ -11,8 +11,8 @@ objects whose structure encodes a word equality:
 * ``triviality_test_group`` assembles a group that is trivial exactly
   when a designated word equals the identity in a base group, and
   carries the base along otherwise;
-* ``markov_property_reduction`` composes a test group with positive and
-  negative property witnesses.
+* ``markov_property_reduction`` composes a test group with the positive
+  witness of the one property fpkit certifies, being the trivial group.
 
 Every construction is a deterministic function of its inputs and records
 an audit trail: intermediate presentations, renamings, and the relations
@@ -22,7 +22,6 @@ it adds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .presentations import (
@@ -176,11 +175,6 @@ def hnn_ladder(
 # the Markov test semigroup
 
 
-class XiRange(str, Enum):
-    VERBATIM = "verbatim"  # the four adjoined letters only
-    ALL_GENERATORS = "all"  # every generator outside S4 and the zero
-
-
 @dataclass(frozen=True)
 class MarkovInstance:
     """Ingredients of the four-letter test monoid S_{G,H}.
@@ -194,7 +188,6 @@ class MarkovInstance:
     s4: Presentation
     g: Word
     h: Word
-    xi_range: XiRange = XiRange.ALL_GENERATORS
 
     def __post_init__(self):
         for name, p in (("s0", self.s0), ("s1", self.s1), ("s4", self.s4)):
@@ -237,13 +230,13 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
 
     The schema's right-hand side "0" is read as the empty word (the
     monoid identity); the absorbing zero generator is still adjoined so
-    the result is a monoid with zero.  Under the extended xi-range, which
-    is every generator outside S4 and the zero, the relation family then
-    sets each of those generators to 1 when G = H, so that S_{G,H}
-    collapses onto S4 with a zero.
+    the result is a monoid with zero.  xi ranges over every generator
+    outside S4 and the zero (the audit trail calls this range "all"), so
+    when G = H the second family sets each of those generators to 1 and
+    S_{G,H} collapses onto S4 with a zero.
     """
     trail = AuditTrail()
-    trail.add("ingredients", f"G = {inst.g}, H = {inst.h}, xi-range = {inst.xi_range.value}")
+    trail.add("ingredients", f"G = {inst.g}, H = {inst.h}, xi-range = all")
 
     p01 = free_product(inst.s0, inst.s1, trail)
     map0 = _identity_map(inst.s0)
@@ -253,19 +246,14 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
 
     with_letters = free_product(p014, _LETTERS, trail)
     lmap = _offset_map(_LETTERS, with_letters.generators, len(p014.generators))
-    a, b, c, d = lmap.values()
-
     zname = fresh_symbol("z", with_letters.generators)
     built = adjoin_zero(with_letters, zname, trail)
 
     gw, hw = inst.g.renamed(map1), inst.h.renamed(map1)
-    cw, dw = Word.single(c), Word.single(d)
+    cw, dw = Word.single(lmap["c"]), Word.single(lmap["d"])
     schema = [Relation(cw * gw * dw, Word())]
-    if inst.xi_range is XiRange.VERBATIM:
-        xi_letters = [a, b, c, d]
-    else:
-        s4_letters = set(map4.values())
-        xi_letters = [g for g in built.generators if g != zname and g not in s4_letters]
+    s4_letters = set(map4.values())
+    xi_letters = [g for g in built.generators if g != zname and g not in s4_letters]
     chd = cw * hw * dw
     for xi in xi_letters:
         schema.append(Relation(Word.single(xi) * chd, chd))
@@ -395,27 +383,16 @@ def triviality_test_group(inst: GroupTestInstance) -> GroupTestBuild:
 # property reduction
 
 
-class Mode(str, Enum):
-    MARKOV = "markov"
-    HEREDITARY_PSEUDO_MARKOV = "hereditary"
-    SPECIAL_PSEUDO_MARKOV = "special"
-
-
-_MODE_OBLIGATIONS = {
-    Mode.MARKOV: "negative witness embeds in no group with the property",
-    Mode.HEREDITARY_PSEUDO_MARKOV: "property is inherited by subgroups",
-    Mode.SPECIAL_PSEUDO_MARKOV: "property implies decidable word problem",
-}
+# the one property fpkit certifies; certificates and audit trails name it
+PROPERTY = "being the trivial group"
 
 
 @dataclass(frozen=True)
 class PropertySpec:
-    """A property with a positive witness and a non-embeddable witness."""
+    """The positive witness, which has the property, and the negative one."""
 
-    name: str
     g_plus: Presentation
     g_minus: Presentation
-    mode: Mode = Mode.MARKOV
 
     def __post_init__(self):
         if self.g_plus.kind is not self.g_minus.kind:
@@ -429,20 +406,16 @@ class PropertyBuild:
 
 
 def markov_property_reduction(spec: PropertySpec, test: Presentation) -> PropertyBuild:
-    """Free product of the positive witness with a test component.
+    """Free product G+ * test of the positive witness with a test group.
 
-    When the test group is trivial the result is the witness; when the
-    test group is nontrivial, the material folded into the test (the
-    negative witness among its construction inputs) obstructs the
-    property.
+    For the one property, being the trivial group, the free product is
+    G+ when the test group is trivial, and is nontrivial, since it
+    contains the test group, when the test group is not.
     """
     if spec.g_plus.kind is not Kind.GROUP or test.kind is not Kind.GROUP:
         raise ValidationError("property reduction composes group presentations")
     trail = AuditTrail()
-    trail.add(
-        "property",
-        f"{spec.name} (mode {spec.mode.value}: {_MODE_OBLIGATIONS[spec.mode]})",
-    )
+    trail.add("property", PROPERTY)
     trail.add("witness-factor", "", spec.g_plus)
     trail.add("test-factor", "", test)
     out = free_product(spec.g_plus, test, trail)

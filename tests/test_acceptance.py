@@ -22,12 +22,10 @@ from fpkit.cli import (
 from fpkit.constructions import (
     GroupTestInstance,
     MarkovInstance,
-    XiRange,
     markov_property_reduction,
     markov_semigroup,
     triviality_test_group,
     PropertySpec,
-    Mode,
 )
 from fpkit.corpus import bundled_manifest, corpus_dir
 from fpkit.coset import EnumLimits, is_trivial, todd_coxeter
@@ -91,7 +89,6 @@ def _markov_instance(row):
         _load(row.inputs["s4"]),
         W(row.inputs["G"]),
         W(row.inputs["H"]),
-        xi_range=XiRange(row.inputs["xi"]),
     )
 
 
@@ -290,10 +287,8 @@ def test_criterion_6_group_test_dichotomy():
 def test_criterion_7_property_reduction_composition():
     timer = Timer(5.0)
     spec = PropertySpec(
-        "being the trivial group",
         parse_presentation("group\ngens:\nrels:"),
         parse_presentation("group\ngens: a\nrels:"),
-        Mode.MARKOV,
     )
     trivial_test = parse_presentation("group\ngens: a\nrels: a = 1")
     assert is_trivial(trivial_test, LIMITS).is_trivial

@@ -33,8 +33,8 @@ from fpkit.cli import (
     verify_property,
     verify_test_group,
 )
-from fpkit.constructions import XiRange, Mode
 from fpkit.corpus import bundled_manifest, corpus_dir
+from fpkit.coset import EnumLimits
 from fpkit.rewriting import Budget
 from fpkit.presentations import (
     ParseError,
@@ -129,7 +129,6 @@ def test_verify_markov_equal_instance_proved():
         CORPUS / "s4_trivial.pres",
         "g",
         "g g",
-        XiRange.ALL_GENERATORS,
     )
     cert = verify_markov(job, RunConfig())
     assert cert.overall.value == "proved"
@@ -162,7 +161,6 @@ def test_verify_markov_corrupted_construction_refuted(tmp_path):
         CORPUS / "s4_trivial.pres",
         "g",
         "g g",
-        XiRange.ALL_GENERATORS,
     )
     cert = verify_markov(job, RunConfig(), built=corrupt)
     assert cert.overall.value == "refuted"
@@ -179,7 +177,7 @@ def test_verify_markov_builds_no_s_gh_when_the_word_problem_is_unknown(tmp_path,
     braid.write_text("monoid\ngens: a, b\nrels: a b a = b a b\n", encoding="utf-8")
     s0, s4 = CORPUS / "s0_free_x.pres", CORPUS / "s4_trivial.pres"
     config = RunConfig(rewrite_budget=Budget(10, 20, 100))
-    job = MarkovJob("br", s0, braid, s4, "a a b", "b a a", XiRange.ALL_GENERATORS)
+    job = MarkovJob("br", s0, braid, s4, "a a b", "b a a")
     cert = json.loads(verify_markov(job, config).to_json())
     del cert["elapsed_ms"], cert["version"]
     assert cert == {
@@ -213,7 +211,7 @@ def test_verify_markov_builds_no_s_gh_when_the_word_problem_is_unknown(tmp_path,
     wide.write_text(
         "monoid\ngens: " + ", ".join(f"g{i}" for i in range(129)) + "\nrels:\n", encoding="utf-8"
     )
-    job = MarkovJob("w", s0, wide, s4, "g0", "g1", XiRange.ALL_GENERATORS)
+    job = MarkovJob("w", s0, wide, s4, "g0", "g1")
     with pytest.raises(ValidationError, match="129 generators"):
         verify_markov(job, config)
     assert builds == []
@@ -228,34 +226,51 @@ def test_verify_test_group_dichotomy_certificates():
     assert proved.recipe == "rabin-ladder"
 
 
+def _verify_property(g_plus, test):
+    job = PropertyJob("t", g_plus, CORPUS / "base_z.pres", test)
+    cert = verify_property(job, RunConfig())
+    return cert, {c.name: c for c in cert.checks}
+
+
 def test_verify_property_both_branches():
-    cfg = RunConfig()
-    trivial = verify_property(
-        PropertyJob(
-            "t",
-            "being the trivial group",
-            CORPUS / "gplus_trivial.pres",
-            CORPUS / "base_z.pres",
-            CORPUS / "base_killed.pres",
-            Mode.MARKOV,
-        ),
-        cfg,
-    )
+    gplus = CORPUS / "gplus_trivial.pres"
+    trivial, checks = _verify_property(gplus, CORPUS / "base_killed.pres")
     assert trivial.overall.value == "proved"
-    assert any(c.name == "witness-passthrough" for c in trivial.checks)
-    nontrivial = verify_property(
-        PropertyJob(
-            "t",
-            "being the trivial group",
-            CORPUS / "gplus_trivial.pres",
-            CORPUS / "base_z.pres",
-            CORPUS / "base_z.pres",
-            Mode.MARKOV,
-        ),
-        cfg,
-    )
+    assert list(checks) == ["test-triviality", "positive-witness", "free-product"]
+    assert checks["free-product"].notes == "test group trivial, so G+ * test = G+"
+    nontrivial, checks = _verify_property(gplus, CORPUS / "base_z.pres")
     assert nontrivial.overall.value == "proved"
-    assert any(c.name == "obstruction-abelianization" for c in nontrivial.checks)
+    assert checks["free-product"].notes == (
+        "test group nontrivial, so G+ * test contains it and is nontrivial"
+    )
+
+
+# A5, a perfect nontrivial group: its abelianization is trivial
+A5 = "group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, a b a b a b a b a b = 1\n"
+
+
+def test_verify_property_decides_a_perfect_nontrivial_test(tmp_path):
+    test = tmp_path / "a5.pres"
+    test.write_text(A5, encoding="utf-8")
+    cert, checks = _verify_property(CORPUS / "gplus_trivial.pres", test)
+    assert cert.overall.value == "proved"
+    assert checks["test-triviality"].notes == "nontrivial (coset enumeration closed with index 60)"
+
+
+def test_verify_property_needs_a_trivial_positive_witness(tmp_path):
+    # the composition Z * 1 is Z, which is not trivial
+    cert, checks = _verify_property(CORPUS / "base_z.pres", CORPUS / "base_killed.pres")
+    assert cert.overall.value == "refuted"
+    witness = checks["positive-witness"]
+    assert witness.verdict.value == "fail"
+    assert witness.witness == "G+ nontrivial (abelianization is Z)"
+    # a G+ that the enumeration cannot decide leaves the certificate unknown
+    perfect = tmp_path / "a5.pres"
+    perfect.write_text(A5, encoding="utf-8")
+    job = PropertyJob("t", perfect, CORPUS / "base_z.pres", CORPUS / "base_killed.pres")
+    cert = verify_property(job, RunConfig(enum_limits=EnumLimits(max_cosets=8)))
+    assert cert.overall.value == "unknown"
+    assert [c.verdict.value for c in cert.checks] == ["pass", "unknown", "pass"]
 
 
 def _stable_json(cert_text: str) -> str:
@@ -316,8 +331,6 @@ def _verify_wide_markov(tmp_path, *options):
         "s t",
         "--H",
         "t s",
-        "--xi-range",
-        "all",
         "--name",
         "wide",
         "--out",
@@ -429,16 +442,18 @@ SETTING_FLAGS = {
     "--budget-rules": "7",
     "--budget-cosets": "7",
     "--cutoff": "3",
-    "--xi-range": "verbatim",
+    "--xi-range": "all",
+    "--mode": "markov",
+    "--property-name": "being the trivial group",
     "--recipe": "rabin-ladder",
     "--out": "certs",
     "--jobs": "2",
 }
 ACCEPTED = {
-    ("build", "markov"): {"--xi-range", "--out"},
+    ("build", "markov"): {"--out"},
     ("build", "test-group"): {"--out"},
     ("build", "property"): {"--out"},
-    ("verify", "markov"): {"--budget-rules", "--xi-range", "--out"},
+    ("verify", "markov"): {"--budget-rules", "--out"},
     ("verify", "test-group"): {"--budget-rules", "--budget-cosets", "--out"},
     ("verify", "property"): {"--budget-cosets", "--out"},
 }
@@ -478,8 +493,8 @@ def test_subcommands_take_only_the_settings_they_read(command, kind, flag, capsy
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-# the instances of INPUTS as manifest inputs; neither the command line nor
-# the property row names the property, so both take the one default
+# the instances of INPUTS as manifest inputs; the property row does not name
+# the property, which the certificate echoes all the same
 ROW_INPUTS = {
     "markov": f"s0={CORPUS}/s0_free_x.pres;s1={CORPUS}/s1_cubed.pres;"
     f"s4={CORPUS}/s4_trivial.pres;G=g;H=g^2",
@@ -510,10 +525,30 @@ def test_corpus_takes_no_recipe(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_manifest_property_name_defaults_to_unnamed(tmp_path):
-    # the command line's default is checked by the certificate comparison above
-    row = ManifestRow("p", "property", {"gplus": "g", "gminus": "m", "test": "t"}, "proved")
-    assert _job_from_row(row, tmp_path, RunConfig()).property_name == "unnamed property"
+def test_manifest_property_is_the_trivial_group(tmp_path):
+    inputs = {"gplus": "g", "gminus": "m", "test": "t"}
+    fixed = {"property": "being the trivial group", "mode": "markov"}
+    row = ManifestRow("p", "property", {**inputs, **fixed}, "proved")
+    job = PropertyJob("p", tmp_path / "g", tmp_path / "m", tmp_path / "t")
+    assert _job_from_row(row, tmp_path) == job
+
+
+@pytest.mark.parametrize(
+    "kind,key,value",
+    [
+        ("property", "property", "being abelian"),
+        ("property", "mode", "hereditary"),
+        ("markov", "xi", "verbatim"),
+    ],
+)
+def test_manifest_rejects_a_property_mode_or_xi_range_fpkit_does_not_check(
+    kind, key, value, tmp_path, capsys
+):
+    manifest = tmp_path / "m.tsv"
+    row = f"one\t{kind}\t{ROW_INPUTS[kind]};{key}={value}\tproved\n"
+    manifest.write_text(row, encoding="utf-8")
+    assert main(["corpus", str(manifest)]) == EXIT_USAGE
+    assert f"error: instance one: unsupported {key}={value};" in capsys.readouterr().err
 
 
 def test_run_config_is_serial_by_default():

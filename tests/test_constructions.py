@@ -6,9 +6,7 @@ from fpkit.constructions import (
     AuditTrail,
     GroupTestInstance,
     MarkovInstance,
-    Mode,
     PropertySpec,
-    XiRange,
     adjoin_zero,
     free_product,
     hnn_extension,
@@ -168,32 +166,39 @@ def test_hnn_ladder_scope_and_duplicates():
 # -- Markov semigroup
 
 
-def _markov(s1_text, g, h, xi=XiRange.ALL_GENERATORS):
+def _markov(s1_text, g, h):
     return MarkovInstance(
         P("monoid\ngens: x\nrels:"),
         P(s1_text),
         P("monoid\ngens:\nrels:"),
         W(g),
         W(h),
-        xi_range=xi,
     )
-
-
-def test_markov_verbatim_adds_exactly_five_schema_relations():
-    inst = _markov("monoid\ngens: g\nrels: g g = g", "g", "g g", XiRange.VERBATIM)
-    build = markov_semigroup(inst)
-    before = free_product(
-        free_product(free_product(inst.s0, inst.s1), inst.s4),
-        Presentation(Kind.MONOID, ("a", "b", "c", "d")),
-    )
-    zeroed = adjoin_zero(before, "z")
-    assert len(build.presentation.relations) == len(zeroed.relations) + 5
 
 
 def test_markov_generator_count():
     inst = _markov("monoid\ngens: g\nrels: g g = g", "g", "g g")
     build = markov_semigroup(inst)
     assert len(build.presentation.generators) == 1 + 1 + 0 + 4 + 1
+
+
+def test_markov_xi_ranges_over_every_letter_outside_s4_and_the_zero():
+    inst = MarkovInstance(
+        P("monoid\ngens: x\nrels:"),
+        P("monoid\ngens: g\nrels: g g = g"),
+        P("monoid\ngens: e, f\nrels: e f = f e"),
+        W("g"),
+        W("g g"),
+    )
+    build = markov_semigroup(inst)
+    before = free_product(
+        free_product(free_product(inst.s0, inst.s1), inst.s4),
+        Presentation(Kind.MONOID, ("a", "b", "c", "d")),
+    )
+    zeroed = adjoin_zero(before, "z")
+    # c G d = 1, and xi c H d = c H d for x, g and a..d
+    assert len(build.presentation.relations) == len(zeroed.relations) + 1 + 6
+    assert "xi-range = all" in build.trail.to_text()
 
 
 def test_markov_schema_words_equal_inside_s1():
@@ -324,12 +329,7 @@ def test_test_group_audit_lists_intermediates():
 
 
 def _trivial_property():
-    return PropertySpec(
-        "being the trivial group",
-        P("group\ngens:\nrels:"),
-        P("group\ngens: a\nrels:"),
-        Mode.MARKOV,
-    )
+    return PropertySpec(P("group\ngens:\nrels:"), P("group\ngens: a\nrels:"))
 
 
 def test_property_reduction_trivial_test_passthrough():
@@ -341,12 +341,7 @@ def test_property_reduction_trivial_test_passthrough():
 
 
 def test_property_reduction_witness_passthrough_z2():
-    spec = PropertySpec(
-        "being a finite group",
-        P("group\ngens: a\nrels: a^2 = 1"),
-        P("group\ngens: a\nrels:"),
-        Mode.HEREDITARY_PSEUDO_MARKOV,
-    )
+    spec = PropertySpec(P("group\ngens: a\nrels: a^2 = 1"), P("group\ngens: a\nrels:"))
     build = markov_property_reduction(spec, P("group\ngens:\nrels:"))
     inv = abelianization(build.presentation)
     assert inv.torsion == (2,) and inv.free_rank == 0
@@ -429,15 +424,14 @@ def test_combinators_give_what_a_full_validation_accepts():
         trail = AuditTrail()
         builds.append((hnn_ladder(g1, steps, trail), trail))
         g, h = (_random_word(rng, Kind.MONOID, m1.generators, nonempty=True) for _ in "gh")
-        xi = rng.choice(list(XiRange))
-        markov = markov_semigroup(MarkovInstance(m0, m1, m4, g, h, xi))
+        markov = markov_semigroup(MarkovInstance(m0, m1, m4, g, h))
         builds.append((markov.presentation, markov.trail))
         b_word = _random_word(rng, Kind.GROUP, g1.generators) if rng.random() < 0.5 else None
         test = triviality_test_group(
             GroupTestInstance(g1, _random_word(rng, Kind.GROUP, g1.generators), b_word)
         )
         builds.append((test.presentation, test.trail))
-        prop = markov_property_reduction(PropertySpec("p", g2, g1), test.presentation)
+        prop = markov_property_reduction(PropertySpec(g2, g1), test.presentation)
         builds.append((prop.presentation, prop.trail))
         for out, trail in builds:
             _assert_rebuilds(out)

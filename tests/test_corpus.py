@@ -6,7 +6,7 @@ import itertools
 import json
 
 from fpkit.cli import KINDS, EXIT_PROVED, RunConfig, _job_from_row, cmd_corpus, parse_manifest
-from fpkit.constructions import MarkovInstance, XiRange, markov_semigroup
+from fpkit.constructions import MarkovInstance, markov_semigroup
 from fpkit.corpus import bundled_manifest, corpus_dir
 from fpkit.coset import EnumLimits, todd_coxeter
 from fpkit.presentations import (
@@ -47,7 +47,6 @@ def _instance(row):
         _load(row.inputs["s4"]),
         W(row.inputs["G"]),
         W(row.inputs["H"]),
-        xi_range=XiRange(row.inputs["xi"]),
     )
 
 
@@ -156,8 +155,8 @@ CERTIFICATE_DIGESTS = {
     "markov-equal-cubed": "3354e7b8508cf17f77c1198e32bf68de681c07d99af6c610c3c6941004748b59",
     "markov-equal-idempotent": "ee65ae5e91255a56edb32a3fae1259f1e677f7481481dbdfa0cbd874c2ac7e80",
     "markov-equal-period": "65839c01a1c1251f0a22c2086e9787f27bdb5fe60cd2711d2e2d4a3d8323d85b",
-    "property-nontrivial-test": "8bbac109a4695cd8984d98a9df6fa4d648a71452e5fae20b6317d3c5ff7a8ce6",
-    "property-trivial-test": "122df5f874b4ae15ddb013174ca382aa73aa1d19174ead72aabdcde2a59f7c14",
+    "property-nontrivial-test": "f43104982f4526cdb3d15cf15934217374d6698cfd5e52eb67cd66301577d695",
+    "property-trivial-test": "9ca520dd6e7bf4c0b74f8face69c02c9c2e2fcd2296bd88569ff49c8e89cdabf",
 }
 
 

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from fpkit.constructions import MarkovInstance, XiRange, markov_semigroup
+from fpkit.constructions import MarkovInstance, markov_semigroup
 from fpkit.coset import EnumLimits, todd_coxeter
 from fpkit.presentations import (
     Kind,
@@ -108,7 +108,7 @@ def test_random_markov_instances_respect_the_dichotomy():
         verdict = words_equal(s1, g, h, BUDGET)
         if verdict is Verdict.UNKNOWN:
             continue
-        inst = MarkovInstance(s0, s1, s4, g, h, xi_range=XiRange.ALL_GENERATORS)
+        inst = MarkovInstance(s0, s1, s4, g, h)
         build = markov_semigroup(inst)
         rs = knuth_bendix(build.presentation, BUDGET)
         if rs.status is not Completeness.COMPLETE:
@@ -165,3 +165,49 @@ def test_markov_instances_over_a_nontrivial_s4_respect_the_dichotomy(s4_text, s1
     else:
         assert embed.verdict is CheckVerdict.PASS, embed
         assert collapse.verdict is CheckVerdict.FAIL, collapse
+
+
+def _random_s4(rng, family):
+    """A random nontrivial S4 of `family`.  Its letters are drawn from names
+    that S0, S1, the letters a..d and the zero also use, so that the free
+    products rename them."""
+    gens = tuple(rng.sample(("e", "f", "a", "d", "g", "x", "z"), 1 if family == "finite" else 2))
+    if family == "finite":  # the cyclic monoid e^(i+p) = e^i
+        i, p = rng.randint(0, 2), rng.randint(1, 3)
+        rels = [Relation(Word.single(gens[0], i + p), Word.single(gens[0], i))]
+    elif family == "free":
+        rels = []
+    else:  # "commutative"
+        e, f = (Word.single(s) for s in gens)
+        rels = [Relation(e * f, f * e)]
+    return Presentation(Kind.MONOID, gens, tuple(rels))
+
+
+@pytest.mark.parametrize("family", ("finite", "free", "commutative"))
+def test_random_markov_instances_over_random_nontrivial_s4s_respect_the_dichotomy(family):
+    s0 = Presentation(Kind.MONOID, ("x",))
+    rng = random.Random(f"s4-{family}")
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        s4 = _random_s4(rng, family)
+        s1 = _random_monoid(rng)
+        g = _random_word(rng, s1.generators)
+        h = _random_word(rng, s1.generators)
+        verdict = words_equal(s1, g, h, BUDGET)
+        if verdict is Verdict.UNKNOWN:
+            continue
+        build = markov_semigroup(MarkovInstance(s0, s1, s4, g, h))
+        big = build.presentation
+        projection = {s: Word.single(img) for s, img in build.maps["s4"].items()}
+        collapse = collapse_check(big, s4, projection, BUDGET)
+        embed = embedding_by_rewriting(
+            s0, big, {"x": Word.single(build.maps["s0"]["x"])}, BUDGET, "embed"
+        )
+        if CheckVerdict.UNKNOWN in (collapse.verdict, embed.verdict):
+            continue
+        equal = verdict is Verdict.EQUAL
+        seen[equal] += 1
+        held, failed = (collapse, embed) if equal else (embed, collapse)
+        assert held.verdict is CheckVerdict.PASS, (s1, s4, g, h, held)
+        assert failed.verdict is CheckVerdict.FAIL, (s1, s4, g, h, failed)
+    assert seen[True] >= 10 and seen[False] >= 10, seen
