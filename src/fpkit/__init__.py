@@ -3,7 +3,7 @@
 Data model and parsing for finite group and monoid presentations, a
 shortlex Knuth-Bendix rewriting engine, Todd-Coxeter coset enumeration,
 integer Smith normal form, and the classical presentation-to-presentation
-test constructions (free products, HNN ladders, the four-letter test
+test constructions (free products, HNN extensions, the four-letter test
 semigroup, triviality test groups) together with exact embedding and
 collapse checks and machine-readable certificates.
 """

@@ -99,65 +99,28 @@ def _parse(data: bytes) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# instance descriptions; `from_inputs` makes a job from manifest inputs, and
-# command lines go through it too, since their argparse dests are the same keys
+# instances; a command line is read as a manifest row, since its argparse
+# dests are the row's keys
 
 
 @dataclass(frozen=True)
-class MarkovJob:
+class Job:
+    """One instance: its kind, its name and its inputs by manifest key,
+    presentation files as paths and words as text."""
+
+    kind: str
     name: str
-    s0: Path
-    s1: Path
-    s4: Path
-    g_text: str
-    h_text: str
-
-    @classmethod
-    def from_inputs(cls, name: str, inp: dict, root: Path) -> MarkovJob:
-        s0, s1, s4 = (root / inp[k] for k in ("s0", "s1", "s4"))
-        return cls(name, s0, s1, s4, inp["G"], inp["H"])
+    inputs: dict
 
 
-@dataclass(frozen=True)
-class GroupTestJob:
-    name: str
-    base: Path
-    a_text: str
-    b_text: str | None
-
-    @classmethod
-    def from_inputs(cls, name: str, inp: dict, root: Path) -> GroupTestJob:
-        return cls(name, root / inp["base"], inp["w"], inp.get("b"))
+def _markov_instance(job: Job) -> MarkovInstance:
+    s0, s1, s4 = (_load_presentation(job.inputs[k]) for k in ("s0", "s1", "s4"))
+    return MarkovInstance(s0, s1, s4, parse_word(job.inputs["G"]), parse_word(job.inputs["H"]))
 
 
-@dataclass(frozen=True)
-class PropertyJob:
-    name: str
-    g_plus: Path
-    g_minus: Path
-    test: Path
-
-    @classmethod
-    def from_inputs(cls, name: str, inp: dict, root: Path) -> PropertyJob:
-        return cls(name, *(root / inp[k] for k in ("gplus", "gminus", "test")))
-
-
-def _markov_instance(job: MarkovJob) -> MarkovInstance:
-    return MarkovInstance(
-        s0=_load_presentation(job.s0),
-        s1=_load_presentation(job.s1),
-        s4=_load_presentation(job.s4),
-        g=parse_word(job.g_text),
-        h=parse_word(job.h_text),
-    )
-
-
-def _group_instance(job: GroupTestJob) -> GroupTestInstance:
-    return GroupTestInstance(
-        base=_load_presentation(job.base),
-        a_word=parse_word(job.a_text),
-        b_word=parse_word(job.b_text) if job.b_text is not None else None,
-    )
+def _group_instance(job: Job) -> GroupTestInstance:
+    base, b = _load_presentation(job.inputs["base"]), job.inputs.get("b")
+    return GroupTestInstance(base, parse_word(job.inputs["w"]), b if b is None else parse_word(b))
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +145,7 @@ def _triviality_report(name: str, triv: Triviality) -> CheckReport:
     )
 
 
-def verify_markov(
-    job: MarkovJob, config: RunConfig, built: Presentation | None = None
-) -> Certificate:
+def verify_markov(job: Job, config: RunConfig) -> Certificate:
     watch = Stopwatch()
     inst = _markov_instance(job)
     budget = config.rewrite_budget
@@ -194,26 +155,26 @@ def verify_markov(
     mandatory = ["s1-word-problem"]
     if inner is not Verdict.UNKNOWN:  # only the check that the answer selects reads S_GH
         build = markov_semigroup(inst)
-        target = built if built is not None else build.presentation
+        s_gh = build.presentation
         if inner is Verdict.EQUAL:
             projection = {g: Word.single(img) for g, img in build.maps["s4"].items()}
-            reports.append(collapse_check(target, inst.s4, projection, budget, "collapse-onto-s4"))
+            reports.append(collapse_check(s_gh, inst.s4, projection, budget, "collapse-onto-s4"))
             mandatory.append("collapse-onto-s4")
         else:
             inclusion = {g: Word.single(img) for g, img in build.maps["s0"].items()}
             reports.append(
-                embedding_by_rewriting(inst.s0, target, inclusion, budget, "s0-embedding")
+                embedding_by_rewriting(inst.s0, s_gh, inclusion, budget, "s0-embedding")
             )
             mandatory.append("s0-embedding")
     instance = {
         "name": job.name,
         "type": "markov",
         "inputs": {
-            "G": job.g_text,
-            "H": job.h_text,
-            "s0": job.s0.name,
-            "s1": job.s1.name,
-            "s4": job.s4.name,
+            "G": job.inputs["G"],
+            "H": job.inputs["H"],
+            "s0": job.inputs["s0"].name,
+            "s1": job.inputs["s1"].name,
+            "s4": job.inputs["s4"].name,
         },
     }
     return assemble_certificate(
@@ -226,17 +187,14 @@ def verify_markov(
     )
 
 
-def verify_test_group(
-    job: GroupTestJob, config: RunConfig, built: Presentation | None = None
-) -> Certificate:
+def verify_test_group(job: Job, config: RunConfig) -> Certificate:
     watch = Stopwatch()
     inst = _group_instance(job)
-    build = triviality_test_group(inst)
-    target = built if built is not None else build.presentation
+    test_group = triviality_test_group(inst).presentation
 
     b_word = inst.b_word if inst.b_word is not None else Word()
     inner = words_equal(inst.base, inst.a_word, b_word, config.rewrite_budget)
-    triv = is_trivial(target, config.enum_limits)
+    triv = is_trivial(test_group, config.enum_limits)
 
     reports = [
         _word_problem_report("base-word-problem", "A vs B in the base", inner),
@@ -267,9 +225,9 @@ def verify_test_group(
         "name": job.name,
         "type": "test-group",
         "inputs": {
-            "A": job.a_text,
-            "B": job.b_text if job.b_text is not None else "1",
-            "base": job.base.name,
+            "A": job.inputs["w"],
+            "B": job.inputs.get("b", "1"),
+            "base": job.inputs["base"].name,
         },
     }
     return assemble_certificate(
@@ -282,12 +240,12 @@ def verify_test_group(
     )
 
 
-def _property_inputs(job: PropertyJob) -> tuple[PropertySpec, Presentation]:
-    spec = PropertySpec(_load_presentation(job.g_plus), _load_presentation(job.g_minus))
-    return spec, _load_presentation(job.test)
+def _property_inputs(job: Job) -> tuple[PropertySpec, Presentation]:
+    g_plus, g_minus, test = (_load_presentation(job.inputs[k]) for k in ("gplus", "gminus", "test"))
+    return PropertySpec(g_plus, g_minus), test
 
 
-def verify_property(job: PropertyJob, config: RunConfig) -> Certificate:
+def verify_property(job: Job, config: RunConfig) -> Certificate:
     """Certify the reduction for P = being the trivial group: G+ is trivial,
     and G+ * test has P exactly when the test group is trivial, since the
     free product is G+ then and contains the test group otherwise."""
@@ -311,11 +269,11 @@ def verify_property(job: PropertyJob, config: RunConfig) -> Certificate:
         "name": job.name,
         "type": "property",
         "inputs": {
-            "g_minus": job.g_minus.name,
-            "g_plus": job.g_plus.name,
+            "g_minus": job.inputs["gminus"].name,
+            "g_plus": job.inputs["gplus"].name,
             "mode": "markov",
             "property": PROPERTY,
-            "test": job.test.name,
+            "test": job.inputs["test"].name,
         },
     }
     mandatory = ["test-triviality", "positive-witness", "free-product"]
@@ -332,54 +290,49 @@ def verify_property(job: PropertyJob, config: RunConfig) -> Certificate:
 class _Kind:
     """How one kind of instance is read, built and verified."""
 
-    job: type
-    # argparse (flag, options) per input; each dest is the input's manifest key
+    # argparse (flag, options) per input; each dest is the input's manifest
+    # key, a row must give each positional or required input, and the inputs
+    # of type Path are presentation files
     inputs: tuple[tuple[str, dict], ...]
     settings: tuple[str, ...]  # settings that `verify` reads
     fixed: dict[str, str]  # manifest keys a row may state, each with its one value
-    build: Callable  # job -> construction with .presentation and .trail
-    verify: Callable  # (job, config[, built]) -> Certificate
-    takes_built: bool  # whether `verify` accepts --built instead of building
+    build: Callable  # Job -> constructions.Build
+    verify: Callable  # (Job, RunConfig) -> Certificate
     name: str  # default --name of `build`
     primary: str  # input whose presentation `corpus --jobs` groups rows by
 
 
 _REQUIRED = {"required": True}
+_FILE = {"type": Path}
 KINDS = {
     "markov": _Kind(
-        MarkovJob,
-        (("s0", {}), ("s1", {}), ("s4", {}), ("--G", _REQUIRED), ("--H", _REQUIRED)),
+        (("s0", _FILE), ("s1", _FILE), ("s4", _FILE), ("--G", _REQUIRED), ("--H", _REQUIRED)),
         ("budget_rules",),
         {"xi": "all"},
         lambda job: markov_semigroup(_markov_instance(job)),
         verify_markov,
-        True,
         "s_gh",
         "s1",
     ),
     "test-group": _Kind(
-        GroupTestJob,
-        (("base", {}), ("--w", _REQUIRED), ("--b", {})),
+        (("base", _FILE), ("--w", _REQUIRED), ("--b", {})),
         ("budget_rules", "budget_cosets"),
         {},
         lambda job: triviality_test_group(_group_instance(job)),
         verify_test_group,
-        True,
         "t",
         "base",
     ),
     "property": _Kind(
-        PropertyJob,
         (
-            ("--g-plus", {"dest": "gplus", **_REQUIRED}),
-            ("--g-minus", {"dest": "gminus", **_REQUIRED}),
-            ("--test", _REQUIRED),
+            ("--g-plus", {"dest": "gplus", **_REQUIRED, **_FILE}),
+            ("--g-minus", {"dest": "gminus", **_REQUIRED, **_FILE}),
+            ("--test", {**_REQUIRED, **_FILE}),
         ),
         ("budget_cosets",),
         {"mode": "markov", "property": PROPERTY},
         lambda job: markov_property_reduction(*_property_inputs(job)),
         verify_property,
-        False,
         "composite",
         "test",
     ),
@@ -446,7 +399,7 @@ def _input_keys(kind: _Kind) -> list[str]:
 _ROW_KEYS = {name: frozenset(_input_keys(kind) + list(kind.fixed)) for name, kind in KINDS.items()}
 
 
-def _job_from_row(row: ManifestRow, base_dir: Path, config: RunConfig | None = None):
+def _job_from_row(row: ManifestRow, base_dir: Path, config: RunConfig | None = None) -> Job:
     # `config` is read by nothing; perfbench/worker.py still passes it
     kind = KINDS[row.kind]
     known = _ROW_KEYS[row.kind]
@@ -458,15 +411,18 @@ def _job_from_row(row: ManifestRow, base_dir: Path, config: RunConfig | None = N
                 f"instance {row.name}: unsupported {key}={value}; fpkit checks only"
                 f" {key}={kind.fixed[key]}"
             )
-    try:
-        return kind.job.from_inputs(row.name, row.inputs, base_dir)
-    except KeyError as exc:
-        raise PresentationError(f"instance {row.name}: missing input {exc}") from None
+    inputs = {}
+    for (flag, options), key in zip(kind.inputs, _input_keys(kind)):
+        if key in row.inputs:
+            value = row.inputs[key]
+            inputs[key] = base_dir / value if options.get("type") is Path else value
+        elif not flag.startswith("-") or options.get("required"):
+            raise PresentationError(f"instance {row.name}: missing input {key!r}")
+    return Job(row.kind, row.name, inputs)
 
 
-def run_job(job, config: RunConfig) -> Certificate:
-    kind = next(k for k in KINDS.values() if isinstance(job, k.job))
-    return kind.verify(job, config)
+def run_job(job: Job, config: RunConfig) -> Certificate:
+    return KINDS[job.kind].verify(job, config)
 
 
 def _run_rows(rows: list[ManifestRow], base_dir: Path, config: RunConfig) -> list[tuple[str, int]]:
@@ -671,8 +627,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for p in (bp, vp):
             for flag, options in kind.inputs:
                 p.add_argument(flag, **options)
-        if kind.takes_built:
-            vp.add_argument("--built", type=Path, default=None)
         bp.add_argument("--name", default=kind.name)
         vp.add_argument("--name", default="instance")
         _add_settings(bp, ())
@@ -711,8 +665,7 @@ def main(argv: list[str] | None = None) -> int:
             print(pres_path)
             return EXIT_PROVED
 
-        built = {"built": _load_presentation(args.built)} if getattr(args, "built", None) else {}
-        cert = kind.verify(job, config, **built)
+        cert = run_job(job, config)
         if config.out_dir is not None:
             config.out_dir.mkdir(parents=True, exist_ok=True)
             (config.out_dir / f"{args.name}.cert.json").write_text(

@@ -3,8 +3,8 @@
 The combinators here build, from small decidable ingredients, the test
 objects whose structure encodes a word equality:
 
-* ``free_product`` / ``adjoin_zero`` / ``hnn_extension`` / ``hnn_ladder``
-  are the raw moves;
+* ``free_product`` / ``adjoin_zero`` / ``hnn_extension`` are the raw
+  moves;
 * ``markov_semigroup`` assembles the four-letter test monoid S_{G,H}
   over a free product S0 * S1 * S4, whose collapse onto S4 tracks
   whether G = H holds in S1;
@@ -14,14 +14,14 @@ objects whose structure encodes a word equality:
 * ``markov_property_reduction`` composes a test group with the positive
   witness of the one property fpkit certifies, being the trivial group.
 
-Every construction is a deterministic function of its inputs and records
-an audit trail: intermediate presentations, renamings, and the relations
-it adds.
+Each of the three constructions is a deterministic function of its
+inputs and returns a ``Build``: the presentation and an audit trail of
+the intermediate presentations, renamings, and the relations it adds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .presentations import (
@@ -63,6 +63,14 @@ class AuditTrail:
                 head += "\n" + serialize_presentation(step.presentation).rstrip("\n")
             blocks.append(head)
         return "\n".join(blocks) + "\n"
+
+
+@dataclass
+class Build:
+    presentation: Presentation
+    trail: AuditTrail
+    # factor name -> generator renaming into the presentation (S_{G,H} only)
+    maps: dict[str, dict[str, str]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +167,6 @@ def hnn_extension(
     return out
 
 
-def hnn_ladder(
-    base: Presentation,
-    steps: Sequence[tuple[str, Sequence[tuple[Word, Word]]]],
-    trail: AuditTrail | None = None,
-) -> Presentation:
-    """Left fold of HNN extensions; step i may use earlier stable letters."""
-    current = base
-    for stable, assoc in steps:
-        current = hnn_extension(current, stable, assoc, trail)
-    return current
-
-
 # ---------------------------------------------------------------------------
 # the Markov test semigroup
 
@@ -205,17 +201,6 @@ class MarkovInstance:
                 raise ValidationError(f"word {name} uses symbol {sorted(bad)[0]} outside s1")
 
 
-@dataclass
-class MarkovBuild:
-    presentation: Presentation
-    maps: dict[str, dict[str, str]]  # factor name -> generator renaming into the build
-    trail: AuditTrail
-
-
-def _identity_map(p: Presentation) -> dict[str, str]:
-    return {g: g for g in p.generators}
-
-
 def _offset_map(before: Presentation, after_gens: Sequence[str], offset: int) -> dict[str, str]:
     return {g: after_gens[offset + i] for i, g in enumerate(before.generators)}
 
@@ -224,7 +209,7 @@ def _offset_map(before: Presentation, after_gens: Sequence[str], offset: int) ->
 _LETTERS = Presentation(Kind.MONOID, ("a", "b", "c", "d"))
 
 
-def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
+def markov_semigroup(inst: MarkovInstance) -> Build:
     """Assemble S_{G,H}: S0 * S1 * S4 plus letters a,b,c,d, a zero, and the
     two schema relation families  c G d = 1  and  xi c H d = c H d.
 
@@ -239,7 +224,7 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
     trail.add("ingredients", f"G = {inst.g}, H = {inst.h}, xi-range = all")
 
     p01 = free_product(inst.s0, inst.s1, trail)
-    map0 = _identity_map(inst.s0)
+    map0 = {g: g for g in inst.s0.generators}
     map1 = _offset_map(inst.s1, p01.generators, len(inst.s0.generators))
     p014 = free_product(p01, inst.s4, trail)
     map4 = _offset_map(inst.s4, p014.generators, len(p01.generators))
@@ -263,11 +248,7 @@ def markov_semigroup(inst: MarkovInstance) -> MarkovBuild:
         f"c G d = 1 and {len(xi_letters)} relations xi c H d = c H d",
         built,
     )
-    return MarkovBuild(
-        presentation=built,
-        maps={"s0": map0, "s1": map1, "s4": map4, "letters": lmap},
-        trail=trail,
-    )
+    return Build(built, trail, {"s0": map0, "s1": map1, "s4": map4, "letters": lmap})
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +288,7 @@ class GroupTestInstance:
         return self.a_word * self.b_word.inverse()
 
 
-@dataclass
-class GroupTestBuild:
-    presentation: Presentation
-    trail: AuditTrail
-
-
-def triviality_test_group(inst: GroupTestInstance) -> GroupTestBuild:
+def triviality_test_group(inst: GroupTestInstance) -> Build:
     """The Rabin-ladder test group of `inst`: iterated HNN extensions with a
     final welding relation per stable letter.
 
@@ -358,16 +333,15 @@ def triviality_test_group(inst: GroupTestInstance) -> GroupTestBuild:
     def conj(k: int) -> Word:
         return Word.single(d, -k) * alt_square * Word.single(d, k)
 
-    p0 = free_product(
+    laddered = free_product(
         free_product(base, Presentation(Kind.GROUP, (c,)), trail),
         Presentation(Kind.GROUP, (d,)),
         trail,
     )
-    steps = []
     for i, x in enumerate(base.generators, start=1):
-        steps.append((stable[i - 1], [(conj(i), Word.single(x) * Word.single(d, i + 1))]))
-    steps.append((stable[n], [(conj(n + 1), dw)]))
-    laddered = hnn_ladder(p0, steps, trail)
+        assoc = [(conj(i), Word.single(x) * Word.single(d, i + 1))]
+        laddered = hnn_extension(laddered, stable[i - 1], assoc, trail)
+    laddered = hnn_extension(laddered, stable[n], [(conj(n + 1), dw)], trail)
 
     welds = []
     for i in range(1, n + 1):
@@ -376,7 +350,7 @@ def triviality_test_group(inst: GroupTestInstance) -> GroupTestBuild:
     welds.append(Relation(cw, conj(2 * n + 3)))
     out = extend(laddered, (), welds)
     trail.add("welds", f"{len(welds)} welding relations (stable letters and {c})", out)
-    return GroupTestBuild(out, trail)
+    return Build(out, trail)
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +373,7 @@ class PropertySpec:
             raise ValidationError("witness presentations must have matching kind")
 
 
-@dataclass
-class PropertyBuild:
-    presentation: Presentation
-    trail: AuditTrail
-
-
-def markov_property_reduction(spec: PropertySpec, test: Presentation) -> PropertyBuild:
+def markov_property_reduction(spec: PropertySpec, test: Presentation) -> Build:
     """Free product G+ * test of the positive witness with a test group.
 
     For the one property, being the trivial group, the free product is
@@ -419,4 +387,4 @@ def markov_property_reduction(spec: PropertySpec, test: Presentation) -> Propert
     trail.add("witness-factor", "", spec.g_plus)
     trail.add("test-factor", "", test)
     out = free_product(spec.g_plus, test, trail)
-    return PropertyBuild(out, trail)
+    return Build(out, trail)

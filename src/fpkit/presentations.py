@@ -188,10 +188,6 @@ class Presentation:
         object.__setattr__(self, "relations", tuple(self.relations))
         _admit(self, {}, 0, 0, None)
 
-    @property
-    def is_group(self) -> bool:
-        return self.kind is Kind.GROUP
-
     @cached_property
     def key(self) -> tuple:
         """The presentation up to renaming: kind, generator count, zero and relations.

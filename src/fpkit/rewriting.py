@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .presentations import Presentation, Relation, Word, decode_word, encode_word, lru
+from .presentations import Kind, Presentation, Relation, Word, decode_word, encode_word, lru
 
 Letters = bytes
 
@@ -494,7 +494,7 @@ def knuth_bendix(p: Presentation, budget: Budget = Budget()) -> RewritingSystem:
         rules, status = _complete_with_zero(p, kept, budget)
     else:
         equations = []
-        if p.is_group:
+        if p.kind is Kind.GROUP:
             # encoded, so that the generator count is checked even with no relations
             for c in encode_word(p, Word(tuple((g, 1) for g in p.generators))):
                 equations += ((bytes((c, c ^ 1)), b""), (bytes((c ^ 1, c)), b""))
@@ -570,7 +570,8 @@ def irreducible_words(rs: RewritingSystem, limit: int):
     """
     lhss = tuple(r.lhs for r in rs.rules)
     p = rs.presentation
-    alphabet = [bytes((s,)) for s in range(0, 2 * len(p.generators), 1 if p.is_group else 2)]
+    step = 1 if p.kind is Kind.GROUP else 2
+    alphabet = [bytes((s,)) for s in range(0, 2 * len(p.generators), step)]
     count = 0
     frontier: list[Letters] = [b""]
     while frontier:

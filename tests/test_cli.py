@@ -18,11 +18,9 @@ from fpkit.cli import (
     EXIT_REFUTED,
     EXIT_UNKNOWN,
     EXIT_USAGE,
-    MarkovJob,
-    PropertyJob,
-    RunConfig,
-    GroupTestJob,
+    Job,
     ManifestRow,
+    RunConfig,
     _build_parser,
     _forked_map,
     _job_from_row,
@@ -33,6 +31,7 @@ from fpkit.cli import (
     verify_property,
     verify_test_group,
 )
+from fpkit.constructions import markov_semigroup
 from fpkit.corpus import bundled_manifest, corpus_dir
 from fpkit.coset import EnumLimits
 from fpkit.rewriting import Budget
@@ -41,9 +40,11 @@ from fpkit.presentations import (
     Presentation,
     PresentationError,
     ValidationError,
+    Word,
     parse_presentation,
     serialize_presentation,
 )
+from fpkit.verify import CheckVerdict, collapse_check
 
 CORPUS = corpus_dir()
 
@@ -121,51 +122,43 @@ def test_manifest_rejects_inputs_its_kind_does_not_read(tmp_path, capsys):
         assert f"error: instance typo: unknown input {key}\n" in capsys.readouterr().err
 
 
+# the bundled row markov-equal-idempotent: G = g equals H = g g in S1
+IDEMPOTENT = {
+    "s0": CORPUS / "s0_free_x.pres",
+    "s1": CORPUS / "s1_idempotent.pres",
+    "s4": CORPUS / "s4_trivial.pres",
+    "G": "g",
+    "H": "g g",
+}
+
+
 def test_verify_markov_equal_instance_proved():
-    job = MarkovJob(
-        "t",
-        CORPUS / "s0_free_x.pres",
-        CORPUS / "s1_idempotent.pres",
-        CORPUS / "s4_trivial.pres",
-        "g",
-        "g g",
-    )
+    job = Job("markov", "t", IDEMPOTENT)
     cert = verify_markov(job, RunConfig())
     assert cert.overall.value == "proved"
     names = [c.name for c in cert.checks]
     assert names == ["s1-word-problem", "collapse-onto-s4"]
 
 
-def test_verify_markov_corrupted_construction_refuted(tmp_path):
-    from fpkit.constructions import markov_semigroup, MarkovInstance
-    from fpkit.presentations import parse_word
-
-    inst = MarkovInstance(
-        parse_presentation((CORPUS / "s0_free_x.pres").read_text()),
-        parse_presentation((CORPUS / "s1_idempotent.pres").read_text()),
-        parse_presentation((CORPUS / "s4_trivial.pres").read_text()),
-        parse_word("g"),
-        parse_word("g g"),
-    )
-    built = markov_semigroup(inst).presentation
+def test_verify_markov_corrupted_construction_refuted():
+    # S_GH without its relation c G d = 1 does not collapse onto S4
+    inst = cli._markov_instance(Job("markov", "t", IDEMPOTENT))
+    build = markov_semigroup(inst)
+    built = build.presentation
     dropped = tuple(
         r for r in built.relations if not (str(r.lhs) == "c g d" and r.rhs.is_empty)
     )
     assert len(dropped) == len(built.relations) - 1
     corrupt = Presentation(built.kind, built.generators, dropped, built.zero)
 
-    job = MarkovJob(
-        "t",
-        CORPUS / "s0_free_x.pres",
-        CORPUS / "s1_idempotent.pres",
-        CORPUS / "s4_trivial.pres",
-        "g",
-        "g g",
-    )
-    cert = verify_markov(job, RunConfig(), built=corrupt)
-    assert cert.overall.value == "refuted"
-    failing = [c for c in cert.checks if c.verdict.value == "fail"]
-    assert failing and failing[0].witness is not None
+    projection = {g: Word.single(img) for g, img in build.maps["s4"].items()}
+    report = collapse_check(corrupt, inst.s4, projection, Budget(), "collapse-onto-s4")
+    assert report.verdict is CheckVerdict.FAIL
+    assert report.witness == "x"
+    assert report.notes == "generator does not collapse onto the target image"
+    # the real S_GH collapses
+    real = collapse_check(built, inst.s4, projection, Budget(), "collapse-onto-s4")
+    assert real.verdict is CheckVerdict.PASS
 
 
 def test_verify_markov_builds_no_s_gh_when_the_word_problem_is_unknown(tmp_path, monkeypatch):
@@ -177,7 +170,8 @@ def test_verify_markov_builds_no_s_gh_when_the_word_problem_is_unknown(tmp_path,
     braid.write_text("monoid\ngens: a, b\nrels: a b a = b a b\n", encoding="utf-8")
     s0, s4 = CORPUS / "s0_free_x.pres", CORPUS / "s4_trivial.pres"
     config = RunConfig(rewrite_budget=Budget(10, 20, 100))
-    job = MarkovJob("br", s0, braid, s4, "a a b", "b a a")
+    inputs = {"s0": s0, "s1": braid, "s4": s4, "G": "a a b", "H": "b a a"}
+    job = Job("markov", "br", inputs)
     cert = json.loads(verify_markov(job, config).to_json())
     del cert["elapsed_ms"], cert["version"]
     assert cert == {
@@ -211,7 +205,7 @@ def test_verify_markov_builds_no_s_gh_when_the_word_problem_is_unknown(tmp_path,
     wide.write_text(
         "monoid\ngens: " + ", ".join(f"g{i}" for i in range(129)) + "\nrels:\n", encoding="utf-8"
     )
-    job = MarkovJob("w", s0, wide, s4, "g0", "g1")
+    job = Job("markov", "w", {**inputs, "s1": wide, "G": "g0", "H": "g1"})
     with pytest.raises(ValidationError, match="129 generators"):
         verify_markov(job, config)
     assert builds == []
@@ -219,7 +213,7 @@ def test_verify_markov_builds_no_s_gh_when_the_word_problem_is_unknown(tmp_path,
 
 def test_verify_test_group_dichotomy_certificates():
     proved = verify_test_group(
-        GroupTestJob("t", CORPUS / "base_killed.pres", "a", None),
+        Job("test-group", "t", {"base": CORPUS / "base_killed.pres", "w": "a"}),
         RunConfig(),
     )
     assert proved.overall.value == "proved"
@@ -227,7 +221,7 @@ def test_verify_test_group_dichotomy_certificates():
 
 
 def _verify_property(g_plus, test):
-    job = PropertyJob("t", g_plus, CORPUS / "base_z.pres", test)
+    job = Job("property", "t", {"gplus": g_plus, "gminus": CORPUS / "base_z.pres", "test": test})
     cert = verify_property(job, RunConfig())
     return cert, {c.name: c for c in cert.checks}
 
@@ -267,7 +261,8 @@ def test_verify_property_needs_a_trivial_positive_witness(tmp_path):
     # a G+ that the enumeration cannot decide leaves the certificate unknown
     perfect = tmp_path / "a5.pres"
     perfect.write_text(A5, encoding="utf-8")
-    job = PropertyJob("t", perfect, CORPUS / "base_z.pres", CORPUS / "base_killed.pres")
+    z, killed = CORPUS / "base_z.pres", CORPUS / "base_killed.pres"
+    job = Job("property", "t", {"gplus": perfect, "gminus": z, "test": killed})
     cert = verify_property(job, RunConfig(enum_limits=EnumLimits(max_cosets=8)))
     assert cert.overall.value == "unknown"
     assert [c.verdict.value for c in cert.checks] == ["pass", "unknown", "pass"]
@@ -281,7 +276,7 @@ def _stable_json(cert_text: str) -> str:
 
 
 def test_certificates_byte_identical_across_runs():
-    job = GroupTestJob("t", CORPUS / "base_c5.pres", "a^2", "a^7")
+    job = Job("test-group", "t", {"base": CORPUS / "base_c5.pres", "w": "a^2", "b": "a^7"})
     one = verify_test_group(job, RunConfig()).to_json()
     two = verify_test_group(job, RunConfig()).to_json()
     assert _stable_json(one) == _stable_json(two)
@@ -439,6 +434,7 @@ def test_readme_library_example_runs(capsys):
 # -- the per-kind table: each subcommand takes only the settings it reads
 
 SETTING_FLAGS = {
+    "--built": "built.pres",
     "--budget-rules": "7",
     "--budget-cosets": "7",
     "--cutoff": "3",
@@ -517,6 +513,22 @@ def test_verify_writes_the_certificate_corpus_writes(kind, tmp_path):
     assert _stable_json(from_cli) == _stable_json(from_corpus)
 
 
+def test_verify_checks_only_the_test_group_it_builds(tmp_path, capsys):
+    # a certificate names the instance, so no other presentation may stand in
+    # for the one built from it: here <t | >, which is not trivial
+    z2 = tmp_path / "z2.pres"
+    z2.write_text("group\ngens: a\nrels: a^2 = 1\n", encoding="utf-8")
+    z = tmp_path / "z.pres"
+    z.write_text("group\ngens: t\nrels:\n", encoding="utf-8")
+    out = tmp_path / "certs"
+    argv = ["verify", "test-group", str(z2), "--w", "a", "--out", str(out), "--built", str(z)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --built" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corpus_takes_no_recipe(capsys):
     # `--recipe` is in SETTING_FLAGS and no build or verify subcommand accepts it
     with pytest.raises(SystemExit) as exc:
@@ -529,8 +541,26 @@ def test_manifest_property_is_the_trivial_group(tmp_path):
     inputs = {"gplus": "g", "gminus": "m", "test": "t"}
     fixed = {"property": "being the trivial group", "mode": "markov"}
     row = ManifestRow("p", "property", {**inputs, **fixed}, "proved")
-    job = PropertyJob("p", tmp_path / "g", tmp_path / "m", tmp_path / "t")
-    assert _job_from_row(row, tmp_path) == job
+    # the fixed keys are checked and dropped; files are found from the manifest's directory
+    paths = {key: tmp_path / name for key, name in inputs.items()}
+    assert _job_from_row(row, tmp_path) == Job("property", "p", paths)
+
+
+@pytest.mark.parametrize(
+    "kind,dropped,missing",
+    [
+        ("markov", ["s4", "H"], "s4"),
+        ("markov", ["G"], "G"),
+        ("test-group", ["w"], "w"),
+        ("property", ["test", "gplus"], "gplus"),
+    ],
+)
+def test_manifest_names_the_first_missing_input(kind, dropped, missing, tmp_path, capsys):
+    pairs = [pair for pair in ROW_INPUTS[kind].split(";") if pair.partition("=")[0] not in dropped]
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"one\t{kind}\t{';'.join(pairs)}\tproved\n", encoding="utf-8")
+    assert main(["corpus", str(manifest)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: instance one: missing input '{missing}'\n"
 
 
 @pytest.mark.parametrize(

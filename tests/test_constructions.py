@@ -10,7 +10,6 @@ from fpkit.constructions import (
     adjoin_zero,
     free_product,
     hnn_extension,
-    hnn_ladder,
     markov_property_reduction,
     markov_semigroup,
     triviality_test_group,
@@ -136,31 +135,33 @@ def test_hnn_guards():
         hnn_extension(P("monoid\ngens: a\nrels:"), "t", [])
 
 
-def test_hnn_ladder_examples():
-    base = P("group\ngens:\nrels:")
-    assert hnn_ladder(base, []) == base
-    out = hnn_ladder(base, [("q1", []), ("q2", [])])
+def test_iterated_hnn_extensions_examples():
+    out = P("group\ngens:\nrels:")
+    for stable in ("q1", "q2"):
+        out = hnn_extension(out, stable, [])
     assert out == P("group\ngens: q1, q2\nrels:")
-    three = hnn_ladder(
-        P("group\ngens: a\nrels:"),
-        [("q1", [(W("a"), W("a"))]), ("q2", []), ("q3", [(W("q1"), W("a"))])],
-    )
+    three = P("group\ngens: a\nrels:")
+    # a later step may use the stable letters of earlier ones
+    for stable, assoc in [("q1", [(W("a"), W("a"))]), ("q2", []), ("q3", [(W("q1"), W("a"))])]:
+        three = hnn_extension(three, stable, assoc)
     assert len(three.generators) == 1 + 3
 
 
-def test_hnn_ladder_empty_associations_raise_free_rank_by_step_count():
+def test_iterated_hnn_extensions_with_empty_associations_raise_free_rank_by_step_count():
     base = P("group\ngens: a\nrels: a^2 = 1")
-    out = hnn_ladder(base, [("q1", []), ("q2", []), ("q3", [])])
+    out = base
+    for stable in ("q1", "q2", "q3"):
+        out = hnn_extension(out, stable, [])
     assert abelianization(out).free_rank == abelianization(base).free_rank + 3
 
 
-def test_hnn_ladder_scope_and_duplicates():
+def test_iterated_hnn_extensions_scope_and_duplicates():
     base = P("group\ngens: a\nrels:")
     with pytest.raises(ValidationError):
-        hnn_ladder(base, [("q1", []), ("q1", [])])
+        hnn_extension(hnn_extension(base, "q1", []), "q1", [])
     with pytest.raises(ValidationError):
         # q2 is not available at step one
-        hnn_ladder(base, [("q1", [(W("q2"), W("a"))]), ("q2", [])])
+        hnn_extension(base, "q1", [(W("q2"), W("a"))])
 
 
 # -- Markov semigroup
@@ -415,14 +416,13 @@ def test_combinators_give_what_a_full_validation_accepts():
             renamed += "second factor renamed" in trail.steps[0].detail
         trail = AuditTrail()
         builds.append((adjoin_zero(m1, fresh_symbol("z", m1.generators), trail), trail))
-        steps, letters = [], list(g1.generators)
+        trail, laddered = AuditTrail(), g1
         for _ in range(rng.randint(1, 3)):
+            letters = laddered.generators
             t = fresh_symbol("t", letters)
             pair = (_random_word(rng, Kind.GROUP, letters), _random_word(rng, Kind.GROUP, letters))
-            steps.append((t, [pair] * rng.randint(0, 2)))
-            letters.append(t)
-        trail = AuditTrail()
-        builds.append((hnn_ladder(g1, steps, trail), trail))
+            laddered = hnn_extension(laddered, t, [pair] * rng.randint(0, 2), trail)
+        builds.append((laddered, trail))
         g, h = (_random_word(rng, Kind.MONOID, m1.generators, nonempty=True) for _ in "gh")
         markov = markov_semigroup(MarkovInstance(m0, m1, m4, g, h))
         builds.append((markov.presentation, markov.trail))

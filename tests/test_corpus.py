@@ -148,12 +148,14 @@ CERTIFICATE_DIGESTS = {
     "markov-distinct-commute": "8a81118d8d2593f484aa5cb95d6d9443af750c5b0cdb24409cb55772338ed2c4",
     "markov-distinct-cubed": "f5f2675793ed8ef5da97942af7eeffea92ad7f00a306e2ee1f389f0549e4337b",
     "markov-distinct-free": "99880b365f9f2a420dfd76bd7983a0aa371a59ef60f8e59c41199fc82025c8b7",
+    "markov-distinct-free-s4": "fadc92137152d9cc8b41d1843c6f85909ee8b404ee1c649d254ab32b07f73b65",
     "markov-distinct-pair": "ae8ffaf808cb3d94931968ae5a8bafb6775c8a84dff12d6b555199d2583b33cb",
     "markov-distinct-period": "62657dbc5e50b5b5169eb0375bfa3a9d9cf8968d3eecf386c55c677d4b24ca32",
     "markov-equal-absorb": "fbc3f118343e183d658bac38c982506a5e0ddab5aa5b23f80cb36736cc39cca4",
     "markov-equal-commute": "9a6f2a1866a12aa90f38d5fb082b2790c147f161309087f931134397494d235f",
     "markov-equal-cubed": "3354e7b8508cf17f77c1198e32bf68de681c07d99af6c610c3c6941004748b59",
     "markov-equal-idempotent": "ee65ae5e91255a56edb32a3fae1259f1e677f7481481dbdfa0cbd874c2ac7e80",
+    "markov-equal-idempotent-s4": "de689d3c49487fc758b08274a1281a9ae56c8f8e6c4905063debed591a587ac7",
     "markov-equal-period": "65839c01a1c1251f0a22c2086e9787f27bdb5fe60cd2711d2e2d4a3d8323d85b",
     "property-nontrivial-test": "f43104982f4526cdb3d15cf15934217374d6698cfd5e52eb67cd66301577d695",
     "property-trivial-test": "9ca520dd6e7bf4c0b74f8face69c02c9c2e2fcd2296bd88569ff49c8e89cdabf",
@@ -174,7 +176,7 @@ def test_bundled_certificates_are_pinned(tmp_path):
         path.name[: -len(suffix)]: masked_digest(path.read_text(encoding="utf-8"))
         for path in tmp_path.glob("*" + suffix)
     }
-    assert len(got) == 20
+    assert len(got) == 22
     assert got == CERTIFICATE_DIGESTS
 
 
@@ -193,6 +195,8 @@ BUILD_DIGESTS = {
     "markov-distinct-commute": ("8257089072bfa332b8da4f342a742158e440e3540f6ab7696b30841a794fc8de", "8aac34e7a0e0e84e41a836d063c83c60613bf659dac7b3fcb859a314794c98c8"),
     "markov-distinct-pair": ("211314c9b2bfb445c0c1d251fa94f1eda5c02a7bc30081e9f1f59e7584f6aa50", "c7c73db8c10d18604aa7af3324d2d6a9a3e551577eee7aa3421c9a6a98cb366e"),
     "markov-distinct-period": ("b08363ebe571be1339122b5bab633b5644de14d54827f1b1d34acb08bcf6fba2", "f6c61f014ffb859a09a43cdecd7787dad20726fea5a5287b00a5c1a85def02dc"),
+    "markov-equal-idempotent-s4": ("74cffde56375df705484f6d4542490312b9555e494491dd10d63066e75e28bbe", "c1d47bb3a690b47b7563103a01c5e60e6c8d08542a6bcffb12e23ab3c06d4804"),
+    "markov-distinct-free-s4": ("d513a6f75539918b51cb7565b9b089cf400abf6dbbe0ecf2bb1d45ac0a7c607d", "d8637059b86f66e18b7841a0299c66ea04ce3b82c14ba4b8ddaad1f7761fa7b9"),
     "group-equal-killed": ("56acf1dfa25f2f6d91044c02219e1f509c76297ffad454ce7f8ce7c0fc285ca0", "54b2090a606db27fe9abbb589ea7d771dae9bdc3280109a8c74573778971456c"),
     "group-equal-c5": ("fb2af3ee0492e547f3e8286c73ccee7891a9a5b20b3a34ffab1f1150519832c2", "66af648bf260afd5a96f2493ee033d7a5771b3eff77ef94d10d52879b657b8b3"),
     "group-equal-klein": ("32f72babee3b43e3124113aa3ae9781a6302b0985aaa16b90061d4fcd03f87fd", "c96d00a2bc0204cb1aa19624f211bdc81f38836543db93ce39854dea4b412771"),
@@ -215,7 +219,7 @@ def test_bundled_constructions_are_pinned():
             build = KINDS[row.kind].build(_job_from_row(row, CORPUS, RunConfig()))
             pres, trail = serialize_presentation(build.presentation), build.trail.to_text()
             got[row.name] = (_sha256(pres), _sha256(trail))
-    assert len(got) == 18
+    assert len(got) == 20
     assert got == BUILD_DIGESTS
 
 
@@ -229,5 +233,5 @@ def test_pool_writes_the_certificates_a_serial_run_writes(tmp_path):
         {path.name: masked_digest(path.read_text(encoding="utf-8")) for path in d.iterdir()}
         for d in (tmp_path / "1", tmp_path / "2")
     )
-    assert len(serial) == 20
+    assert len(serial) == 22
     assert pooled == serial

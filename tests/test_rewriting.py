@@ -780,7 +780,7 @@ def test_kept_tries_reduce_as_fresh_ones(completions, reducers):
     cases = [p for p, _ in random_presentations(37, 60, lambda rng: budget)]
 
     def check(p):
-        exps = (-1, 1) if p.is_group else (1,)
+        exps = (-1, 1) if p.kind is Kind.GROUP else (1,)
         letters = [(g, e) for g in p.generators for e in exps]
         words = [Word(tuple(rng.choices(letters, k=rng.randint(0, 12)))) for _ in range(5)]
         rs, codes = normal_forms(p, words, budget)
@@ -842,7 +842,7 @@ def test_reducing_a_normal_form_again_changes_nothing():
             continue
         partial += 1
         index = _RuleIndex(dict(enumerate(rs.rules)))
-        letters = range(0, 2 * len(p.generators), 1 if p.is_group else 2)
+        letters = range(0, 2 * len(p.generators), 1 if p.kind is Kind.GROUP else 2)
         for _ in range(20):
             nf = index.reduce(bytes(rng.choice(letters) for _ in range(rng.randint(0, 10))))
             assert index.reduce(nf) == nf

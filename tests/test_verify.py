@@ -573,4 +573,4 @@ def test_bundled_certificates_are_written_as_json_dumps_writes_them():
     for row in rows:
         text = run_job(_job_from_row(row, manifest.parent, RunConfig()), RunConfig()).to_json()
         assert text == json.dumps(json.loads(text), indent=2) + "\n", row.name
-    assert len(rows) == 20
+    assert len(rows) == 22
