@@ -405,9 +405,12 @@ def _decide(p: Presentation, limits: EnumLimits) -> Triviality:
     inv = abelianization(p)
     if not inv.is_trivial:
         return Triviality("nontrivial", f"abelianization is {inv}")
-    result = todd_coxeter(p, (), limits)
-    if result.closed:
-        if result.index == 1:
+    with _gc_paused():  # so that no collection walks the rows of a table about to be freed
+        result = todd_coxeter(p, (), limits)
+        closed, index = result.closed, result.index
+        del result
+    if closed:
+        if index == 1:
             return Triviality("trivial", "coset enumeration closed with index 1")
-        return Triviality("nontrivial", f"coset enumeration closed with index {result.index}")
+        return Triviality("nontrivial", f"coset enumeration closed with index {index}")
     return Triviality("unknown", "enumeration exhausted its limits")

@@ -70,12 +70,19 @@ keeps the normal forms it has found under its current rule table, each
 word's and the normal form's own.  The memo is cleared as a new rule
 enters the table; interreduction, which runs on the table mid-change,
 reduces without it.  It changes no result, only repeated work.
+
+Interreduction finds the rules whose lhs or rhs contains a new lhs by
+searching one text of the rules' sides in C (see `_holders`), then tests
+only those, in id order.  The text may hold old versions of a rule and
+matches across two rules, but these only add candidates that the exact
+tests reject, so the rules dropped and rewritten, and the order they go
+in, are those of a test of every rule, and so are Partial systems.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
@@ -283,6 +290,10 @@ class _Completion:
         self.eqs: deque[tuple[Letters, Letters]] = deque()
         self.overflow = False
         self.reduced: dict[Letters, Letters] = {}  # normal forms under the current table
+        # every rule's lhs + rhs, one region per version of the rule: see `_holders`
+        self.text = bytearray()
+        self.starts: list[int] = []  # where each region starts, ascending
+        self.owners: list[int] = []  # the rule id of each region
 
     def _reduce(self, w: Letters) -> Letters:
         nf = self.reduced.get(w)
@@ -372,6 +383,31 @@ class _Completion:
         lhs = self.rules.pop(oid).lhs
         self.gone.setdefault(len(lhs), []).append((rid, oid, lhs))
 
+    def _write(self, rids: Iterable[int]):
+        """Append a region holding the current lhs + rhs of each of `rids`."""
+        text, starts, owners, rules = self.text, self.starts, self.owners, self.rules
+        for rid in rids:
+            rule = rules[rid]
+            starts.append(len(text))
+            owners.append(rid)
+            text += rule.lhs
+            text += rule.rhs
+
+    def _holders(self, w: Letters) -> list[int]:
+        """Ids, ascending, of the rules with a region in which `w` occurs: each
+        rule whose lhs or rhs contains it, as its latest region holds both,
+        and maybe others (see the module docstring)."""
+        text, starts, owners = self.text, self.starts, self.owners
+        found = set()
+        i = text.find(w)
+        while i >= 0:
+            r = bisect_right(starts, i)  # region r - 1 holds the occurrence
+            found.add(owners[r - 1])
+            if r == len(starts):
+                break
+            i = text.find(w, starts[r])
+        return sorted(found)
+
     def add_rule(self, u: Letters, v: Letters):
         u = self._reduce(u)
         v = self._reduce(v)
@@ -390,16 +426,27 @@ class _Completion:
         self.index.add(rid)
         self.suffixes.add(rid)
         self._queue_pairs(rid)
-        # Interreduce: requeue rules whose lhs contains the new lhs, rewrite
-        # in place rules whose rhs does.  The table is mid-change here, so
-        # these reductions bypass the memo.  Ids only grow and a rewritten
-        # rhs keeps its rule's place, so the table is in id order.
-        for oid, other in list(self.rules.items())[:-1]:  # the new rule is last
+        # Interreduce, in id order: requeue rules whose lhs contains the new
+        # lhs, rewrite in place rules whose rhs does.  The table is mid-change
+        # here, so these reductions bypass the memo.  Ids only grow and a
+        # rewritten rhs keeps its rule's place, so the table is in id order.
+        rewritten = []
+        for oid in self._holders(lhs):  # the new rule has no region yet
+            other = self.rules.get(oid)
+            if other is None:
+                continue  # a region of a rule interreduced away
             if lhs in other.lhs:
                 self._drop(oid, rid)
                 self.eqs.append((other.lhs, other.rhs))
             elif lhs in other.rhs:
                 self.rules[oid] = RewriteRule(other.lhs, self.index.reduce(other.rhs))
+                rewritten.append(oid)
+        if len(self.starts) + 1 + len(rewritten) > 2 * len(self.rules):
+            # dead regions would outnumber live rules: write the table afresh
+            self.text, self.starts, self.owners = bytearray(), [], []
+            self._write(self.rules)
+        else:
+            self._write((rid, *rewritten))
 
     def run(self) -> Completeness:
         steps = 0

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import weakref
 from collections import OrderedDict
 
 import pytest
@@ -467,11 +468,15 @@ def test_closed_runs_hold_no_dead_row(monkeypatch):
 def test_enumeration_pauses_the_garbage_collector(monkeypatch):
     # rows hold no cycles, so no collection runs while a table grows; a
     # collector the caller disabled stays disabled
-    seen = []
+    seen, tables = [], weakref.WeakSet()
     scan = CosetTable.scan_and_fill
-    monkeypatch.setattr(
-        CosetTable, "scan_and_fill", lambda t, c, rel: seen.append(gc.isenabled()) or scan(t, c, rel)
-    )
+
+    def spy(t, c, rel):
+        seen.append(gc.isenabled())
+        tables.add(t)
+        return scan(t, c, rel)
+
+    monkeypatch.setattr(CosetTable, "scan_and_fill", spy)
     assert gc.isenabled()
     assert todd_coxeter(parse_presentation(KLEIN), (), LIMITS).index == 4
     assert gc.isenabled() and seen and not any(seen)
@@ -481,6 +486,15 @@ def test_enumeration_pauses_the_garbage_collector(monkeypatch):
         assert not gc.isenabled()
     finally:
         gc.enable()
+    # a triviality test drops its table before the collector may walk it
+    monkeypatch.setattr(coset, "_verdicts", OrderedDict())
+    live_at_enable = []
+    enable = gc.enable
+    monkeypatch.setattr(gc, "enable", lambda: live_at_enable.append(len(tables)) or enable())
+    seen.clear()
+    assert is_trivial(parse_presentation(CLASSIC_TRIVIAL), LIMITS).is_trivial
+    assert seen and not any(seen)
+    assert live_at_enable == [0] and gc.isenabled()
 
 
 def test_corrupted_entry_fails_the_consistency_check():

@@ -2,7 +2,7 @@ import hashlib
 import heapq
 import itertools
 import random
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -381,6 +381,24 @@ def test_budgeted_baumslag_solitar_partial_system_is_pinned():
     text = "\n".join(f"{spell(r.lhs)} -> {spell(r.rhs)}" for r in rs.rules)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "8f07a5c26f8eea44d1eda7db99f8324bf58eedbfe4f6d6f23609ab9f77f51dc6"
+    )
+
+
+def test_default_budget_baumslag_solitar_partial_system_is_pinned():
+    # time to unknown at the default budget: the run of the CI step that
+    # bounds its memory, which ends at a full table of 2000 rules
+    p = parse_presentation("group\ngens: x, y\nrels: x^-1 y^2 x = y^3")
+    rs = knuth_bendix(p)
+    assert rs.status is Completeness.PARTIAL
+    assert len(rs.rules) == 2000
+    names = ("x", "x_inv", "y", "y_inv")
+
+    def spell(codes):
+        return " ".join(names[c] for c in codes) or "1"
+
+    text = "\n".join(f"{spell(r.lhs)} -> {spell(r.rhs)}" for r in rs.rules)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e9d45cb90fcb73e9b008a7a685e2a790227f0977b177a6533ead01205bea2a5d"
     )
 
 
@@ -847,6 +865,68 @@ def test_reducing_a_normal_form_again_changes_nothing():
             nf = index.reduce(bytes(rng.choice(letters) for _ in range(rng.randint(0, 10))))
             assert index.reduce(nf) == nf
     assert partial > 20
+
+
+# -- interreduction finds the rules holding a new lhs by one search of the
+#    table's text; testing every rule for it, as it used to, is the reference.
+
+
+class PerRuleCompletion(_Completion):
+    counts = None  # a Counter of the drops and rhs rewrites, set by the test
+
+    def add_rule(self, u, v):
+        u = self._reduce(u)
+        v = self._reduce(v)
+        if u == v:
+            return
+        lhs, rhs = (u, v) if shortlex(v) < shortlex(u) else (v, u)
+        if len(lhs) > self.budget.max_rule_length or len(self.rules) >= self.budget.max_rules:
+            self.overflow = True
+            return
+        rid = self.next_id
+        self.next_id += 1
+        self.reduced.clear()
+        self.rules[rid] = RewriteRule(lhs, rhs)
+        self.index.add(rid)
+        self.suffixes.add(rid)
+        self._queue_pairs(rid)
+        for oid, other in list(self.rules.items())[:-1]:
+            if lhs in other.lhs:
+                self._drop(oid, rid)
+                self.eqs.append((other.lhs, other.rhs))
+                self.counts["drops"] += 1
+            elif lhs in other.rhs:
+                self.rules[oid] = RewriteRule(other.lhs, self.index.reduce(other.rhs))
+                self.counts["rewrites"] += 1
+
+
+def test_text_search_interreduces_as_the_per_rule_scan(monkeypatch):
+    cases = list(random_presentations(43, 150, tight_budget))
+    cases += random_presentations(47, 40, lambda rng: Budget(200, 20, 2000))
+    cases.append((parse_presentation("group\ngens: b, a\nrels: a^-1 b^2 a = b^3"), Budget(300)))
+    rebuilds = []
+    write = _Completion._write
+
+    def checked(c, u, v):
+        ADD_RULE(c, u, v)
+        # each rule's latest region holds its current lhs + rhs
+        ends = c.starts[1:] + [len(c.text)]
+        latest = {rid: c.text[i:j] for i, j, rid in zip(c.starts, ends, c.owners)}
+        assert all(latest[rid] == r.lhs + r.rhs for rid, r in c.rules.items())
+
+    monkeypatch.setattr(
+        _Completion, "_write", lambda c, rids: rebuilds.append(rids is c.rules) or write(c, rids)
+    )
+    monkeypatch.setattr(_Completion, "add_rule", checked)
+    got = [knuth_bendix(p, budget) for p, budget in cases]
+    monkeypatch.setattr(PerRuleCompletion, "counts", Counter())
+    monkeypatch.setattr(rewriting, "_Completion", PerRuleCompletion)
+    reference = [knuth_bendix(p, budget) for p, budget in cases]
+    assert [(rs.rules, rs.status) for rs in got] == [(rs.rules, rs.status) for rs in reference]
+    assert {rs.status for rs in got} == set(Completeness)
+    counts = PerRuleCompletion.counts
+    assert counts["drops"] > 100 and counts["rewrites"] > 20, counts
+    assert sum(rebuilds) > 10  # dead regions came to outnumber live rules
 
 
 # -- a monoid whose zero z occurs only in its absorption relations completes
