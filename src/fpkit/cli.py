@@ -450,7 +450,7 @@ def _pool_tasks(rows: list[ManifestRow], base_dir: Path, jobs: int) -> list[list
     any fork, so the workers inherit their parses.
     """
     groups: dict = {}
-    keys: dict[str, tuple] = {}  # primary input -> completion key
+    keys: dict[str, tuple] = {}  # primary input -> its `Presentation.key`
     for i, row in enumerate(rows):
         name = row.inputs.get(KINDS[row.kind].primary)
         if name is not None and name not in keys:

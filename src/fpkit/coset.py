@@ -15,6 +15,9 @@ them, and may take its queued pairs in any order.  It takes first those
 queued by merges into coset 0, and ends a cascade as soon as coset 0 is
 fixed by every generator: every coset was defined from a live one and
 merging keeps the quotient connected, so the congruence is then total.
+An enumeration ends there too, closed with index 1: with coset 0 the only
+live coset and fixed by every generator, no scan can define or deduce
+anything, and the dead rows go in one slice assignment.
 
 When the table hits the coset limit and enough rows are dead, the dead
 rows are freed in place and enumeration resumes; the limit then counts
@@ -247,12 +250,16 @@ class CosetTable:
 
         Freed rows become None and stop counting toward the coset limit.
         Live rows name only live cosets, and a row that dies later names
-        cosets live when it died, so no kept row names a freed one.
+        cosets live when it died, so no kept row names a freed one.  Coset
+        0 never dies, so when it is the only live coset every other row goes.
         """
         rows, parent = self.rows, self.parent
-        for c in range(len(rows)):
-            if parent[c] != c:
-                rows[c] = None
+        if self.live == 1:
+            rows[1:] = [None] * (len(rows) - 1)
+        else:
+            for c in range(len(rows)):
+                if parent[c] != c:
+                    rows[c] = None
         self.dropped = len(rows) - self.live
 
     def check_consistency(self):
@@ -270,6 +277,8 @@ class CosetTable:
                     raise RuntimeError(f"inverse consistency broken at coset {c}, column {col}")
 
     def is_closed(self) -> bool:
+        if self.live == 1:
+            return UNDEF not in self.rows[0]
         parent = self.parent
         return not any(UNDEF in row for c, row in enumerate(self.rows) if parent[c] == c)
 
@@ -354,6 +363,8 @@ def _enumerate(table: CosetTable, relators: list[bytes], subgens: list[bytes]) -
                     table.drop_dead_rows()
                     continue  # rescan the same coset; prior fills are kept
                 return TcResult(False, None, table)
+            if table.live == 1 and UNDEF not in rows[0]:
+                break  # every generator fixes coset 0, the only one left: index 1
             alpha += 1
     except _WorkExceeded:
         return TcResult(False, None, table)
@@ -383,7 +394,7 @@ class Triviality:
         return self.status != "unknown"
 
 
-# (completion key, limits) -> verdict, least recent first
+# (`Presentation.key`, limits) -> verdict, least recent first
 _verdicts: OrderedDict[tuple, Triviality] = OrderedDict()
 
 

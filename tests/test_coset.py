@@ -374,6 +374,32 @@ def test_total_collapse_ends_like_the_full_cascade(monkeypatch):
             fired_after_drop += bool(collapses) and collapses[0] > 0
     assert runs >= 200 and fired >= runs / 4 and fired_after_drop >= 25
 
+
+def reference_drop_dead_rows(table: CosetTable):
+    """Free the rows of dead cosets one id at a time."""
+    for c in range(len(table.rows)):
+        if not table.is_live(c):
+            table.rows[c] = None
+    table.dropped = len(table.rows) - table.live
+
+
+def test_a_run_left_with_coset_0_alone_ends_as_the_full_loop(monkeypatch):
+    # once coset 0 is the only live coset and every generator fixes it, the
+    # run ends closed with index 1 and frees every other row at once; it
+    # reports what running on over the dead ids, freeing them one by one,
+    # reports
+    runs, alone = [], 0
+    for p, subgens, limits in collapsing_enumerations(9, 150):
+        got = todd_coxeter(p, subgens, limits, debug_checks=True)
+        with monkeypatch.context() as m:
+            m.setattr(CosetTable, "drop_dead_rows", reference_drop_dead_rows)
+            want = todd_coxeter(p, subgens, limits, debug_checks=True)
+        assert record(got) == record(want)
+        assert (got.table.rows, got.table.dropped) == (want.table.rows, want.table.dropped)
+        runs.append(got.closed)
+        alone += got.index == 1
+    assert alone >= 50 and sum(runs) > alone
+
 def eagerly_compacting_enumeration(p: Presentation, subgens, limits: EnumLimits):
     """HLT enumeration that renumbers the whole table at every lookahead.
 

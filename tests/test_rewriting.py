@@ -64,6 +64,9 @@ def brute_confluent(rules: list[tuple[str, str]]) -> bool:
     return True
 
 
+BYTES = 256  # a trie width that takes every letter code, the ASCII ones of hand-made tables too
+
+
 def confluence_audit(rs: RewritingSystem, max_rules: int = 50) -> bool:
     """Exhaustively check that every critical pair joins; Complete systems only.
 
@@ -71,7 +74,7 @@ def confluence_audit(rs: RewritingSystem, max_rules: int = 50) -> bool:
     """
     if len(rs.rules) > max_rules:
         raise ValueError(f"audit limited to {max_rules} rules")
-    index = _RuleIndex(dict(enumerate(rs.rules)))
+    index = _RuleIndex(dict(enumerate(rs.rules)), BYTES)
     for r1 in rs.rules:
         for r2 in rs.rules:
             for k in range(1, min(len(r1.lhs), len(r2.lhs))):
@@ -267,7 +270,8 @@ def test_partial_system_still_certifies_equality():
 # -- the rule index must rewrite exactly as the plain scan it replaced:
 #    leftmost redex, lowest rule id at that position.  Partial systems, and
 #    so `equal` versus `unknown`, depend on that order.  The index never
-#    looks inside a letter, so these tables spell letters as ASCII bytes.
+#    looks inside a letter, so these tables spell letters as ASCII bytes,
+#    in tries of width `ASCII`.
 
 
 def reference_reduce(word, rules):
@@ -289,6 +293,8 @@ def reference_reduce(word, rules):
     return bytes(w)
 
 
+ASCII = 128
+
 letters3 = st.lists(st.sampled_from(b"abc"), max_size=4).map(bytes)
 words3 = st.lists(st.sampled_from(b"abc"), max_size=14).map(bytes)
 
@@ -309,12 +315,12 @@ def rule_tables(draw):
 
 @given(rule_tables(), words3)
 def test_rule_index_matches_reference_scan(table, word):
-    assert _RuleIndex(table).reduce(word) == reference_reduce(word, table)
+    assert _RuleIndex(table, ASCII).reduce(word) == reference_reduce(word, table)
 
 
 @given(rule_tables(), rule_tables(), st.data())
 def test_rule_index_tracks_added_and_removed_rules(table, extra, data):
-    index = _RuleIndex(table)
+    index = _RuleIndex(table, ASCII)
     gone = data.draw(st.sets(st.sampled_from(sorted(table)))) if table else set()
     for rid in gone:
         index.remove(rid)
@@ -325,7 +331,7 @@ def test_rule_index_tracks_added_and_removed_rules(table, extra, data):
             index.add(100 + rid)
     word = data.draw(words3)
     assert index.reduce(word) == reference_reduce(word, table)
-    assert index.root == _RuleIndex(table).root  # removal prunes dead branches
+    assert index.root == _RuleIndex(table, ASCII).root  # removal prunes dead branches
 
 
 def R(lhs: str, rhs: str) -> RewriteRule:
@@ -334,17 +340,109 @@ def R(lhs: str, rhs: str) -> RewriteRule:
 
 def test_rule_index_prefers_leftmost_start_then_lowest_id():
     # `b` ends first, but `abc` starts further left
-    assert _RuleIndex({0: R("b", "a"), 1: R("abc", "")}).reduce(b"abc") == b""
+    assert _RuleIndex({0: R("b", "a"), 1: R("abc", "")}, ASCII).reduce(b"abc") == b""
     # a prefix and its extension both start at 0: the lower id wins, either way round
-    assert _RuleIndex({3: R("ab", "c"), 5: R("abb", "")}).reduce(b"abb") == b"cb"
-    assert _RuleIndex({3: R("abb", ""), 5: R("ab", "c")}).reduce(b"abb") == b""
+    assert _RuleIndex({3: R("ab", "c"), 5: R("abb", "")}, ASCII).reduce(b"abb") == b"cb"
+    assert _RuleIndex({3: R("abb", ""), 5: R("ab", "c")}, ASCII).reduce(b"abb") == b""
     for table in (
         {0: R("b", "a"), 1: R("abc", "")},
         {3: R("ab", "c"), 5: R("abb", "")},
         {2: R("cc", "a"), 7: R("acc", "b"), 9: R("c", "")},
     ):
         for word in (b"abc", b"abb", b"aacc", b"cacc", b"ababbcc"):
-            assert _RuleIndex(table).reduce(word) == reference_reduce(word, table)
+            assert _RuleIndex(table, ASCII).reduce(word) == reference_reduce(word, table)
+    # the same over the top code of a full byte alphabet, whose child slot
+    # sits next to the end slot: tables met mid-interreduction, where a new
+    # lhs lies inside older ones not yet dropped
+    a, b, top = 0, 1, 255
+    table = {2: RewriteRule(bytes((a, b)), bytes((top,))), 5: RewriteRule(bytes((a, b, b)), b""),
+             7: RewriteRule(bytes((b,)), bytes((a,)))}
+    assert _RuleIndex(table, BYTES).reduce(bytes((a, b, b))) == bytes((top, a))
+    held = {4: RewriteRule(bytes((top, b, top)), bytes((b,))), 9: RewriteRule(bytes((b,)), b"")}
+    assert _RuleIndex(held, BYTES).reduce(bytes((a, top, b, top, b))) == bytes((a,))
+    for t in (table, held, {**table, 4: held[4]}):
+        for word in itertools.product((a, b, top), repeat=5):
+            word = bytes(word)
+            assert _RuleIndex(t, BYTES).reduce(word) == reference_reduce(word, t)
+
+
+# -- a trie node is a list indexed by letter code, as wide as the alphabet:
+#    the top code takes the last child slot, next to the end slot.
+
+
+def coded_table(rng, width):
+    """A rule table of distinct lhs over a few codes below `width`, its top
+    code among them, with scattered ids; not interreduced."""
+    codes = sorted({width - 1, *rng.sample(range(width), min(width, 2))})
+    table, seen = {}, set()
+    for rid in rng.sample(range(60), rng.randint(1, 9)):
+        lhs = bytes(rng.choice(codes) for _ in range(rng.randint(1, 4)))
+        if lhs in seen:
+            continue
+        seen.add(lhs)
+        rhs = bytes(rng.choice(codes) for _ in range(rng.randint(0, len(lhs))))
+        table[rid] = RewriteRule(lhs, rhs if shortlex(rhs) < shortlex(lhs) else rhs[1:])
+    return table, codes
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 10, 100, 255, 256])
+def test_list_nodes_reduce_as_the_reference_over_any_alphabet(width):
+    rng = random.Random(width)
+    top_in_lhs = 0
+    for _ in range(150):
+        table, codes = coded_table(rng, width)
+        top_in_lhs += any(width - 1 in r.lhs for r in table.values())
+        index = _RuleIndex(table, width)
+        reducer = rewriting._Reducer(tuple(table[rid] for rid in sorted(table)), width)
+        ranked = dict(enumerate(table[rid] for rid in sorted(table)))
+        for _ in range(5):
+            word = bytes([width - 1, *(rng.choice(codes) for _ in range(rng.randint(0, 12)))])
+            word = word[1:] + word[:1] if rng.random() < 0.5 else word
+            assert index.reduce(word) == reference_reduce(word, table)
+            assert reducer.reduce(word) == reference_reduce(word, ranked)
+    assert top_in_lhs > 100
+
+
+def test_removing_every_rule_prunes_to_a_fresh_root():
+    rng = random.Random(5)
+    for width in (2, 7, 256):
+        for _ in range(40):
+            table, _ = coded_table(rng, width)
+            index = _RuleIndex(dict(table), width)
+            suffixes = rewriting._Trie(index.rules, width, key=lambda lhs: lhs[::-1])
+            order = list(table)
+            rng.shuffle(order)
+            for k, rid in enumerate(order):
+                index.remove(rid)
+                suffixes.remove(rid)
+                del index.rules[rid]
+                rest = {oid: table[oid] for oid in sorted(table) if oid in index.rules}
+                assert index.root == _RuleIndex(rest, width).root
+                assert suffixes.root == rewriting._Trie(rest, width, key=lambda lhs: lhs[::-1]).root
+            assert index.root == suffixes.root == [None] * (width + 2)
+
+
+def test_a_group_on_128_generators_completes_over_the_top_codes():
+    gens = tuple(f"g{i}" for i in range(128))
+    rels = (Relation(W("g127^3"), Word()), Relation(W("g0 g127"), W("g127 g0")))
+    p = Presentation(Kind.GROUP, gens, rels)
+    rs = knuth_bendix(p, Budget(300, 8, 3000))
+    # 256 cancellation rules, 2 for the cube and 4 that move g127 past g0
+    assert rs.status is Completeness.COMPLETE and len(rs.rules) == 262
+    assert normal_form(rs, W("g127^-4 g0 g127^-1 g0^-1")) == W("g127")
+    assert words_equal(p, W("g127^5"), W("g127^-1"), Budget(300, 8, 3000)) is Verdict.EQUAL
+    assert words_equal(p, W("g126 g127"), W("g127 g126"), Budget(300, 8, 3000)) is Verdict.DISTINCT
+
+
+def test_kept_tries_are_kept_per_width(monkeypatch):
+    # every empty rule table is one object: a free monoid's trie must not
+    # serve a wider one
+    monkeypatch.setattr(rewriting, "_reducers", OrderedDict())
+    narrow = parse_presentation("monoid\ngens: x\nrels:")
+    wide = parse_presentation("monoid\ngens: x, y, z\nrels:")
+    assert normal_forms(narrow, [W("x^2")])[1] == [b"\x00\x00"]
+    assert normal_forms(wide, [W("z y")])[1] == [b"\x04\x02"]
+    assert len(rewriting._reducers) == 2
 
 
 def test_budgeted_one_relator_partial_system_is_pinned():
@@ -382,6 +480,42 @@ def test_budgeted_baumslag_solitar_partial_system_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "8f07a5c26f8eea44d1eda7db99f8324bf58eedbfe4f6d6f23609ab9f77f51dc6"
     )
+
+
+@pytest.mark.parametrize(
+    "text, count, digest",
+    [
+        (
+            "group\ngens: y, x\nrels: x^-1 y^2 x = y",
+            100,
+            "44975928cd6b1a911f3f3babd13250b53b30c4eb36fd67df5b238276c5220b93",
+        ),
+        (
+            "group\ngens: y, x\nrels: x^-1 y^3 x = y",
+            100,
+            "370e31b89903e95e3673921715f366053820682f25b5306d0eaf7662f50ab0be",
+        ),
+        (
+            "monoid\ngens: a, b\nrels: a b a = b a b",
+            17,
+            "77d345ee4114ad14d1c73134e963714465656e53550369c7bf19c42269edb24b",
+        ),
+    ],
+)
+def test_exhaust_partial_systems_are_pinned(text, count, digest):
+    # more of the exhaust workload's bases at its budget: two BS bases end
+    # at the rule cap, the braid monoid at max_iterations
+    p = parse_presentation(text)
+    rs = knuth_bendix(p, Budget(100, 20, 1000))
+    assert rs.status is Completeness.PARTIAL
+    assert len(rs.rules) == count
+    names = (p.generators[0], p.generators[0] + "_inv", p.generators[1], p.generators[1] + "_inv")
+
+    def spell(codes):
+        return " ".join(names[c] for c in codes) or "1"
+
+    text = "\n".join(f"{spell(r.lhs)} -> {spell(r.rhs)}" for r in rs.rules)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_default_budget_baumslag_solitar_partial_system_is_pinned():
@@ -428,7 +562,7 @@ def queued_tables(draw):
 @example(({0: R("aba", "b"), 1: R("aa", "a"), 2: R("ba", ""), 3: R("cab", "c")}, {}, {}))
 def test_trie_overlaps_match_reference_scan(case):
     table, drops, pops = case
-    comp = _Completion(Budget())
+    comp = _Completion(Budget(), ASCII)
     reference = []  # (key, rid, other id, direction, width, pair)
     for rid in sorted(table):
         rule = comp.rules[rid] = table[rid]
@@ -465,7 +599,7 @@ def test_confluence_audit_raises_on_divergence_and_containment():
 
 def test_completion_refuses_a_rule_that_does_not_decrease(monkeypatch):
     monkeypatch.setattr(rewriting, "shortlex", lambda w: 0)  # a broken order
-    comp = _Completion(Budget())
+    comp = _Completion(Budget(), 4)
     with pytest.raises(RuntimeError, match="strictly decreasing"):
         comp.add_rule(b"\x00", b"\x02")
     assert not comp.rules and not comp.pairs  # refused before it entered the table
@@ -481,12 +615,13 @@ def longer(trie, prefix):
     node = trie.find(prefix)
     if node is None:
         return []
-    return [oid for length, ids in node[rewriting._IDS].items() if length > len(prefix) for oid in ids]
+    lengths = node[trie.width + 1]
+    return [oid for length, ids in lengths.items() if length > len(prefix) for oid in ids]
 
 
 class EagerCompletion(_Completion):
-    def __init__(self, budget):
-        super().__init__(budget)
+    def __init__(self, budget, width):
+        super().__init__(budget, width)
         self.queued = []  # (key, seq, id1, id2, width)
         self.seq = itertools.count()
 
@@ -788,7 +923,9 @@ def reducers(monkeypatch):
     monkeypatch.setattr(rewriting, "_reducers", OrderedDict())
     built = []
     make = rewriting._Reducer
-    monkeypatch.setattr(rewriting, "_Reducer", lambda rules: built.append(rules) or make(rules))
+    monkeypatch.setattr(
+        rewriting, "_Reducer", lambda rules, width: built.append(rules) or make(rules, width)
+    )
     return built
 
 
@@ -802,7 +939,7 @@ def test_kept_tries_reduce_as_fresh_ones(completions, reducers):
         letters = [(g, e) for g in p.generators for e in exps]
         words = [Word(tuple(rng.choices(letters, k=rng.randint(0, 12)))) for _ in range(5)]
         rs, codes = normal_forms(p, words, budget)
-        fresh = _RuleIndex(dict(enumerate(rs.rules)))
+        fresh = _RuleIndex(dict(enumerate(rs.rules)), 2 * len(p.generators))
         assert codes == [fresh.reduce(encode_word(p, w)) for w in words]
         assert len(rewriting._reducers) <= 16
         return rs
@@ -859,7 +996,7 @@ def test_reducing_a_normal_form_again_changes_nothing():
         if rs.complete:
             continue
         partial += 1
-        index = _RuleIndex(dict(enumerate(rs.rules)))
+        index = _RuleIndex(dict(enumerate(rs.rules)), 2 * len(p.generators))
         letters = range(0, 2 * len(p.generators), 1 if p.kind is Kind.GROUP else 2)
         for _ in range(20):
             nf = index.reduce(bytes(rng.choice(letters) for _ in range(rng.randint(0, 10))))
@@ -974,7 +1111,7 @@ def by_shortlex(rules) -> tuple[RewriteRule, ...]:
 def general_completion(p, budget):
     """(rules, status) of completing every relation of `p`, the zero's too."""
     encoded = [(encode_word(p, r.lhs), encode_word(p, r.rhs)) for r in p.relations]
-    rules, status = rewriting._complete(encoded, budget)
+    rules, status = rewriting._complete(encoded, budget, 2 * len(p.generators))
     return by_shortlex(rules), status
 
 
