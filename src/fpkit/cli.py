@@ -18,11 +18,12 @@ import functools
 import os
 import pickle
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .coset import EnumLimits, Triviality, is_trivial
+from .coset import EnumLimits, is_trivial
 from .constructions import (
     PROPERTY,
     RECIPE,
@@ -42,13 +43,12 @@ from .presentations import (
     parse_word,
     serialize_presentation,
 )
-from .rewriting import Budget, Verdict, words_equal
+from .rewriting import Budget, Decision, words_equal
 from .verify import (
     Certificate,
     CheckReport,
     CheckVerdict,
     Overall,
-    Stopwatch,
     assemble_certificate,
     collapse_check,
     embedding_by_rewriting,
@@ -127,45 +127,30 @@ def _group_instance(job: Job) -> GroupTestInstance:
 # verification pipelines
 
 
-def _word_problem_report(name: str, pair: str, inner: Verdict) -> CheckReport:
-    """Pass when the word-problem oracle decided `pair`, Unknown when it did not."""
-    return CheckReport(
-        name,
-        CheckVerdict.PASS if inner is not Verdict.UNKNOWN else CheckVerdict.UNKNOWN,
-        notes=f"{pair}: {inner.value}",
-    )
-
-
-def _triviality_report(name: str, triv: Triviality) -> CheckReport:
-    """Pass when the triviality test decided, Unknown when it did not."""
-    return CheckReport(
-        name,
-        CheckVerdict.PASS if triv.definite else CheckVerdict.UNKNOWN,
-        notes=f"{triv.status}" + (f" ({triv.reason})" if triv.reason else ""),
-    )
+def _report(name: str, decision: Decision, subject: str = "") -> CheckReport:
+    """Pass when the engine decided, Unknown when it did not; the notes are
+    `subject: value` for a word problem and the decision for a group."""
+    verdict = CheckVerdict.PASS if decision.definite else CheckVerdict.UNKNOWN
+    return CheckReport(name, verdict, notes=f"{subject}: {decision}" if subject else str(decision))
 
 
 def verify_markov(job: Job, config: RunConfig) -> Certificate:
-    watch = Stopwatch()
     inst = _markov_instance(job)
     budget = config.rewrite_budget
 
     inner = words_equal(inst.s1, inst.g, inst.h, budget)
-    reports = [_word_problem_report("s1-word-problem", "G vs H in S1", inner)]
-    mandatory = ["s1-word-problem"]
-    if inner is not Verdict.UNKNOWN:  # only the check that the answer selects reads S_GH
+    reports = [_report("s1-word-problem", inner, "G vs H in S1")]
+    if inner.definite:  # only the check that the answer selects reads S_GH
         build = markov_semigroup(inst)
         s_gh = build.presentation
-        if inner is Verdict.EQUAL:
+        if inner.value == "equal":
             projection = {g: Word.single(img) for g, img in build.maps["s4"].items()}
             reports.append(collapse_check(s_gh, inst.s4, projection, budget, "collapse-onto-s4"))
-            mandatory.append("collapse-onto-s4")
         else:
             inclusion = {g: Word.single(img) for g, img in build.maps["s0"].items()}
             reports.append(
                 embedding_by_rewriting(inst.s0, s_gh, inclusion, budget, "s0-embedding")
             )
-            mandatory.append("s0-embedding")
     instance = {
         "name": job.name,
         "type": "markov",
@@ -177,18 +162,10 @@ def verify_markov(job: Job, config: RunConfig) -> Certificate:
             "s4": job.inputs["s4"].name,
         },
     }
-    return assemble_certificate(
-        instance,
-        "markov-semigroup",
-        reports,
-        mandatory,
-        xi_range="all",
-        elapsed_ms=watch.ms(),
-    )
+    return assemble_certificate(instance, "markov-semigroup", reports, xi_range="all")
 
 
 def verify_test_group(job: Job, config: RunConfig) -> Certificate:
-    watch = Stopwatch()
     inst = _group_instance(job)
     test_group = triviality_test_group(inst).presentation
 
@@ -197,19 +174,19 @@ def verify_test_group(job: Job, config: RunConfig) -> Certificate:
     triv = is_trivial(test_group, config.enum_limits)
 
     reports = [
-        _word_problem_report("base-word-problem", "A vs B in the base", inner),
-        _triviality_report("test-group-triviality", triv),
+        _report("base-word-problem", inner, "A vs B in the base"),
+        _report("test-group-triviality", triv),
     ]
-    if inner is Verdict.UNKNOWN or not triv.definite:
+    if not (inner.definite and triv.definite):
         reports.append(
             CheckReport("dichotomy", CheckVerdict.UNKNOWN, notes="an engine returned unknown")
         )
-    elif (inner is Verdict.EQUAL) == triv.is_trivial:
+    elif (inner.value == "equal") == (triv.value == "trivial"):
         reports.append(
             CheckReport(
                 "dichotomy",
                 CheckVerdict.PASS,
-                notes=f"words {inner.value} and test group {triv.status}",
+                notes=f"words {inner.value} and test group {triv.value}",
             )
         )
     else:
@@ -217,7 +194,7 @@ def verify_test_group(job: Job, config: RunConfig) -> Certificate:
             CheckReport(
                 "dichotomy",
                 CheckVerdict.FAIL,
-                witness=f"words {inner.value} but test group {triv.status}",
+                witness=f"words {inner.value} but test group {triv.value}",
                 notes="the two engines contradict each other",
             )
         )
@@ -230,14 +207,7 @@ def verify_test_group(job: Job, config: RunConfig) -> Certificate:
             "base": job.inputs["base"].name,
         },
     }
-    return assemble_certificate(
-        instance,
-        "triviality-test-group",
-        reports,
-        ["base-word-problem", "test-group-triviality", "dichotomy"],
-        recipe=RECIPE,
-        elapsed_ms=watch.ms(),
-    )
+    return assemble_certificate(instance, "triviality-test-group", reports, recipe=RECIPE)
 
 
 def _property_inputs(job: Job) -> tuple[PropertySpec, Presentation]:
@@ -249,21 +219,20 @@ def verify_property(job: Job, config: RunConfig) -> Certificate:
     """Certify the reduction for P = being the trivial group: G+ is trivial,
     and G+ * test has P exactly when the test group is trivial, since the
     free product is G+ then and contains the test group otherwise."""
-    watch = Stopwatch()
     spec, test = _property_inputs(job)
     triv = is_trivial(test, config.enum_limits)
     plus = is_trivial(spec.g_plus, config.enum_limits)
 
-    reports = [_triviality_report("test-triviality", triv)]
-    if plus.definite and not plus.is_trivial:
-        witness = f"G+ {plus.status} ({plus.reason})"
+    reports = [_report("test-triviality", triv)]
+    if plus.value == "nontrivial":
+        witness = f"G+ {plus}"
         notes = "G+ lacks the property"
         reports.append(CheckReport("positive-witness", CheckVerdict.FAIL, witness, notes))
     else:
-        reports.append(_triviality_report("positive-witness", plus))
+        reports.append(_report("positive-witness", plus))
     if triv.definite:
-        fact = "= G+" if triv.is_trivial else "contains it and is nontrivial"
-        notes = f"test group {triv.status}, so G+ * test {fact}"
+        fact = "= G+" if triv.value == "trivial" else "contains it and is nontrivial"
+        notes = f"test group {triv.value}, so G+ * test {fact}"
         reports.append(CheckReport("free-product", CheckVerdict.PASS, notes=notes))
     instance = {
         "name": job.name,
@@ -276,10 +245,7 @@ def verify_property(job: Job, config: RunConfig) -> Certificate:
             "test": job.inputs["test"].name,
         },
     }
-    mandatory = ["test-triviality", "positive-witness", "free-product"]
-    return assemble_certificate(
-        instance, "property-reduction", reports, mandatory, elapsed_ms=watch.ms()
-    )
+    return assemble_certificate(instance, "property-reduction", reports)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +317,12 @@ class ManifestRow:
     expected: str
 
 
+def _bad_name(name: str) -> bool:
+    """Whether `name` is empty, `.` or `..`, or holds a path separator:
+    NAME.cert.json and NAME.pres must be files of the output directory."""
+    return name in ("", ".", "..") or "/" in name or "\\" in name
+
+
 def parse_manifest(path: Path) -> list[ManifestRow]:
     rows = []
     line_of: dict[str, int] = {}  # instance name -> line that named it
@@ -369,6 +341,8 @@ def parse_manifest(path: Path) -> list[ManifestRow]:
                 f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
             )
         name, kind, inputs_field, expected = (p.strip() for p in parts)
+        if _bad_name(name):
+            raise PresentationError(f"{path}:{lineno}: instance name {name!r} is not a file name")
         if name in line_of:
             # both would write NAME.cert.json, and the second would overwrite the first
             raise PresentationError(
@@ -386,7 +360,10 @@ def parse_manifest(path: Path) -> list[ManifestRow]:
             key, eq, value = pair.partition("=")
             if not eq:
                 raise PresentationError(f"{path}:{lineno}: bad input field {pair!r}")
-            inputs[key.strip()] = value.strip()
+            key = key.strip()
+            if key in inputs:
+                raise PresentationError(f"{path}:{lineno}: input {key!r} given twice")
+            inputs[key] = value.strip()
         rows.append(ManifestRow(name, kind, inputs, expected))
     return rows
 
@@ -422,7 +399,10 @@ def _job_from_row(row: ManifestRow, base_dir: Path, config: RunConfig | None = N
 
 
 def run_job(job: Job, config: RunConfig) -> Certificate:
-    return KINDS[job.kind].verify(job, config)
+    start = time.monotonic()
+    cert = KINDS[job.kind].verify(job, config)
+    cert.elapsed_ms = int((time.monotonic() - start) * 1000)
+    return cert
 
 
 def _run_rows(rows: list[ManifestRow], base_dir: Path, config: RunConfig) -> list[tuple[str, int]]:
@@ -652,6 +632,8 @@ def main(argv: list[str] | None = None) -> int:
                 manifest = bundled_manifest()
             return cmd_corpus(manifest, config)
 
+        if _bad_name(args.name):
+            raise PresentationError(f"--name {args.name!r} is not a file name")
         kind = KINDS[args.kind]
         inputs = {k: getattr(args, k) for k in _input_keys(kind) if getattr(args, k) is not None}
         job = _job_from_row(ManifestRow(args.name, args.kind, inputs, ""), Path())

@@ -34,9 +34,10 @@ then enumerates over the empty subgroup.  `is_trivial` keeps its last 128
 verdicts per process in `presentations.lru`, keyed on the limits and
 `Presentation.key` (generator count and relations as runs of generator
 index and exponent, in relation order), so presentations that differ only
-by a renaming share a verdict.  Only the frozen `Triviality` is kept, never
-a table: whatever a certificate reads from an enumeration must be part of
-that record, or a cached verdict and a fresh one would certify differently.
+by a renaming share a verdict.  Only the frozen `rewriting.Decision` is
+kept, never a table: whatever a certificate reads from an enumeration must
+be part of that record, or a cached verdict and a fresh one would certify
+differently.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .presentations import Kind, Presentation, ValidationError, Word, encode_word, lru
+from .rewriting import Decision
 from .verify import abelianization
 
 UNDEF = -1
@@ -380,25 +382,11 @@ def _enumerate(table: CosetTable, relators: list[bytes], subgens: list[bytes]) -
 # triviality
 
 
-@dataclass(frozen=True)
-class Triviality:
-    status: str  # "trivial" | "nontrivial" | "unknown"
-    reason: str | None = None
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.status == "trivial"
-
-    @property
-    def definite(self) -> bool:
-        return self.status != "unknown"
-
-
 # (`Presentation.key`, limits) -> verdict, least recent first
-_verdicts: OrderedDict[tuple, Triviality] = OrderedDict()
+_verdicts: OrderedDict[tuple, Decision] = OrderedDict()
 
 
-def is_trivial(p: Presentation, limits: EnumLimits = EnumLimits()) -> Triviality:
+def is_trivial(p: Presentation, limits: EnumLimits = EnumLimits()) -> Decision:
     """Three-valued triviality test: abelianization first, then enumeration.
 
     The verdict depends only on the relators' letter codes in relation
@@ -412,16 +400,16 @@ def is_trivial(p: Presentation, limits: EnumLimits = EnumLimits()) -> Triviality
     return lru(_verdicts, (p.key, limits), lambda: _decide(p, limits))
 
 
-def _decide(p: Presentation, limits: EnumLimits) -> Triviality:
+def _decide(p: Presentation, limits: EnumLimits) -> Decision:
     inv = abelianization(p)
     if not inv.is_trivial:
-        return Triviality("nontrivial", f"abelianization is {inv}")
+        return Decision("nontrivial", f"abelianization is {inv}")
     with _gc_paused():  # so that no collection walks the rows of a table about to be freed
         result = todd_coxeter(p, (), limits)
         closed, index = result.closed, result.index
         del result
     if closed:
         if index == 1:
-            return Triviality("trivial", "coset enumeration closed with index 1")
-        return Triviality("nontrivial", f"coset enumeration closed with index {index}")
-    return Triviality("unknown", "enumeration exhausted its limits")
+            return Decision("trivial", "coset enumeration closed with index 1")
+        return Decision("nontrivial", f"coset enumeration closed with index {index}")
+    return Decision("unknown", "enumeration exhausted its limits")

@@ -125,10 +125,21 @@ class Completeness(Enum):
     PARTIAL = "partial"
 
 
-class Verdict(Enum):
-    EQUAL = "equal"
-    DISTINCT = "distinct"
-    UNKNOWN = "unknown"
+@dataclass(frozen=True)
+class Decision:
+    """An engine's answer: "equal" or "distinct" for a word problem,
+    "trivial" or "nontrivial" for a group, or "unknown", with how it was
+    reached."""
+
+    value: str
+    reason: str | None = None
+
+    @property
+    def definite(self) -> bool:
+        return self.value != "unknown"
+
+    def __str__(self) -> str:
+        return f"{self.value} ({self.reason})" if self.reason else self.value
 
 
 def shortlex(w: Letters) -> tuple[int, Letters]:
@@ -618,9 +629,7 @@ def normal_forms(
     return rs, [reduce(c) for c in codes]
 
 
-def words_equal(
-    p: Presentation, u: Word, v: Word, budget: Budget = Budget()
-) -> Verdict:
+def words_equal(p: Presentation, u: Word, v: Word, budget: Budget = Budget()) -> Decision:
     """Budgeted word-problem oracle over a group or monoid presentation.
 
     Equal and Distinct are sound: Equal is certified by a common rewrite
@@ -629,8 +638,8 @@ def words_equal(
     """
     rs, (nu, nv) = normal_forms(p, (u, v), budget)
     if nu == nv:
-        return Verdict.EQUAL
-    return Verdict.DISTINCT if rs.complete else Verdict.UNKNOWN
+        return Decision("equal")
+    return Decision("distinct" if rs.complete else "unknown")
 
 
 def irreducible_words(rs: RewritingSystem, limit: int):

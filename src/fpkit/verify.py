@@ -15,11 +15,10 @@ plus the zero.  Each reports Pass, Fail with a witness, or Unknown.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .presentations import Kind, Presentation, ValidationError, Word, decode_word, substitute
 from .rewriting import Budget, normal_forms
@@ -352,7 +351,7 @@ class Certificate:
     checks: list[CheckReport]
     overall: Overall
     version: str
-    elapsed_ms: int
+    elapsed_ms: int = 0  # the run's wall time, which `cli.run_job` sets
 
     def to_json(self) -> str:
         payload = {
@@ -422,34 +421,25 @@ def assemble_certificate(
     instance: dict,
     construction: str,
     reports: Sequence[CheckReport],
-    mandatory: Iterable[str],
     recipe: str | None = None,
     xi_range: str | None = None,
-    elapsed_ms: int = 0,
 ) -> Certificate:
-    """Fold check reports into an overall verdict.
-
-    Any Fail refutes.  Otherwise every mandatory check must be present
-    and passing to prove; a missing or Unknown mandatory check leaves
-    the certificate Unknown.
+    """Fold check reports into an overall verdict: any Fail refutes,
+    otherwise the certificate is proved when every check passes and
+    unknown when one is Unknown.
     """
     from . import __version__
 
     reports = list(reports)
     if not reports:
         raise ValidationError("cannot assemble a certificate from zero checks")
-    by_name = {r.name: r for r in reports}
-    overall = Overall.PROVED
-    for r in reports:
-        if r.verdict is CheckVerdict.FAIL:
-            overall = Overall.REFUTED
-            break
-    if overall is not Overall.REFUTED:
-        for name in mandatory:
-            rep = by_name.get(name)
-            if rep is None or rep.verdict is not CheckVerdict.PASS:
-                overall = Overall.UNKNOWN
-                break
+    verdicts = {r.verdict for r in reports}
+    if CheckVerdict.FAIL in verdicts:
+        overall = Overall.REFUTED
+    elif CheckVerdict.UNKNOWN in verdicts:
+        overall = Overall.UNKNOWN
+    else:
+        overall = Overall.PROVED
     return Certificate(
         instance=instance,
         construction=construction,
@@ -458,13 +448,4 @@ def assemble_certificate(
         checks=reports,
         overall=overall,
         version=__version__,
-        elapsed_ms=elapsed_ms,
     )
-
-
-class Stopwatch:
-    def __init__(self):
-        self.start = time.monotonic()
-
-    def ms(self) -> int:
-        return int((time.monotonic() - self.start) * 1000)

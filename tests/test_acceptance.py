@@ -42,7 +42,6 @@ from fpkit.presentations import (
 from fpkit.rewriting import (
     Budget,
     Completeness,
-    Verdict,
     knuth_bendix,
     normal_form,
     words_equal,
@@ -130,7 +129,7 @@ def test_criterion_2_enumeration_soundness():
     assert klein.closed and klein.index == 4
     trivial = parse_presentation("group\ngens: a, b\nrels: a b a^-1 = b^2, b a b^-1 = a^2")
     verdict = is_trivial(trivial, LIMITS)
-    assert verdict.is_trivial
+    assert verdict.value == "trivial"
     elapsed = timer.check()
     print(f"\nACCEPTANCE 2 (enumeration soundness): PASS in {elapsed:.2f}s")
 
@@ -212,7 +211,7 @@ def test_criterion_4_markov_collapse_dichotomy():
     equal_rows = []
     for row in rows:
         inst = _markov_instance(row)
-        if words_equal(inst.s1, inst.g, inst.h) is Verdict.EQUAL:
+        if words_equal(inst.s1, inst.g, inst.h).value == "equal":
             equal_rows.append((row, inst))
     assert len(equal_rows) >= 5
     for row, inst in equal_rows:
@@ -223,8 +222,8 @@ def test_criterion_4_markov_collapse_dichotomy():
         # every generator is the identity, the image of an S4 generator or the zero
         anchors = (Word(), *projection.values(), Word.single(build.presentation.zero))
         for g in build.presentation.generators:
-            verdicts = {words_equal(build.presentation, Word.single(g), a) for a in anchors}
-            assert Verdict.EQUAL in verdicts, (row.name, g)
+            verdicts = {words_equal(build.presentation, Word.single(g), a).value for a in anchors}
+            assert "equal" in verdicts, (row.name, g)
     elapsed = timer.check()
     print(f"\nACCEPTANCE 4 (Markov collapse on {len(equal_rows)} instances): PASS in {elapsed:.2f}s")
 
@@ -235,7 +234,7 @@ def test_criterion_5_markov_embedding_dichotomy():
     distinct_rows = []
     for row in rows:
         inst = _markov_instance(row)
-        if words_equal(inst.s1, inst.g, inst.h) is Verdict.DISTINCT:
+        if words_equal(inst.s1, inst.g, inst.h).value == "distinct":
             distinct_rows.append((row, inst))
     assert len(distinct_rows) >= 5
     for row, inst in distinct_rows:
@@ -250,7 +249,7 @@ def test_criterion_5_markov_embedding_dichotomy():
         # x, x^2, ..., x^6 stay pairwise distinct in the built monoid
         powers = [W("x").pow(k) for k in range(1, 7)]
         for wa, wb in itertools.combinations(powers, 2):
-            assert words_equal(build.presentation, wa, wb) is Verdict.DISTINCT
+            assert words_equal(build.presentation, wa, wb).value == "distinct"
     elapsed = timer.check()
     print(f"\nACCEPTANCE 5 (Markov embedding on {len(distinct_rows)} instances): PASS in {elapsed:.2f}s")
 
@@ -266,11 +265,11 @@ def test_criterion_6_group_test_dichotomy():
         inner = words_equal(base, a_word, b_word if b_word is not None else Word())
         build = triviality_test_group(GroupTestInstance(base, a_word, b_word))
         outer = is_trivial(build.presentation, LIMITS)
-        assert inner is not Verdict.UNKNOWN, row.name
+        assert inner.definite, row.name
         assert outer.definite, row.name
         # zero contradictions between the two engines
-        assert (inner is Verdict.EQUAL) == outer.is_trivial, (row.name, inner, outer)
-        if inner is Verdict.EQUAL:
+        assert (inner.value == "equal") == (outer.value == "trivial"), (row.name, inner, outer)
+        if inner.value == "equal":
             equal_count += 1
         else:
             distinct_count += 1
@@ -290,7 +289,7 @@ def test_criterion_7_property_reduction_composition():
         parse_presentation("group\ngens: a\nrels:"),
     )
     trivial_test = parse_presentation("group\ngens: a\nrels: a = 1")
-    assert is_trivial(trivial_test, LIMITS).is_trivial
+    assert is_trivial(trivial_test, LIMITS).value == "trivial"
     composed = markov_property_reduction(spec, trivial_test)
     assert tietze_simplify(composed.presentation) == Presentation(Kind.GROUP, ())
 

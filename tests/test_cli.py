@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import io
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -24,17 +26,19 @@ from fpkit.cli import (
     _build_parser,
     _forked_map,
     _job_from_row,
+    _report,
     cmd_corpus,
     main,
     parse_manifest,
+    run_job,
     verify_markov,
     verify_property,
     verify_test_group,
 )
 from fpkit.constructions import markov_semigroup
 from fpkit.corpus import bundled_manifest, corpus_dir
-from fpkit.coset import EnumLimits
-from fpkit.rewriting import Budget
+from fpkit.coset import EnumLimits, is_trivial
+from fpkit.rewriting import Budget, words_equal
 from fpkit.presentations import (
     ParseError,
     Presentation,
@@ -107,6 +111,46 @@ def test_manifest_rejects_a_repeated_instance_name(tmp_path, capsys):
     assert main(["corpus", str(manifest), "--out", str(out_dir)]) == EXIT_USAGE
     assert "already used on line 2" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_manifest_rejects_an_instance_name_that_is_not_a_file_name(tmp_path, capsys):
+    # `../escaped` would write out/escaped.cert.json from --out out/inner
+    manifest = tmp_path / "m.tsv"
+    out_dir = tmp_path / "out" / "inner"
+    for name in ("../escaped", "a/b", "a\\b", "..", ".", ""):
+        row = f"{name}\tmarkov\t{ROW_INPUTS['markov']}\tproved\n"
+        manifest.write_text("# one row\n" + row, encoding="utf-8")
+        message = rf"m\.tsv:2: instance name {re.escape(repr(name))} is not a file name"
+        with pytest.raises(PresentationError, match=message):
+            parse_manifest(manifest)
+        assert main(["corpus", str(manifest), "--out", str(out_dir)]) == EXIT_USAGE
+        assert "is not a file name" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the names the bundled corpus and the benchmark's batches use stay valid
+    names = ("markov-equal-idempotent", "m12", "t3", "br7", "a.b", ".hidden")
+    rows = "".join(f"{name}\tmarkov\t{ROW_INPUTS['markov']}\tproved\n" for name in names)
+    manifest.write_text(rows, encoding="utf-8")
+    assert [row.name for row in parse_manifest(manifest)] == list(names)
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_name_flag_that_is_not_a_file_name_is_a_usage_error(command, tmp_path, capsys):
+    out_dir = tmp_path / "out" / "inner"
+    base = str(CORPUS / "base_z.pres")
+    for name in ("../x", "a/b", "a\\b", "..", ".", ""):
+        args = [command, "test-group", base, "--w", "a", "--name", name, "--out", str(out_dir)]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --name {name!r} is not a file name\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_rejects_an_input_given_twice(tmp_path):
+    # the last value used to win: this row ran with w=a^5 and was proved
+    manifest = tmp_path / "m.tsv"
+    row = f"twice\ttest-group\tbase={CORPUS / 'base_c5.pres'};w=a; w = a^5\tproved\n"
+    manifest.write_text(row, encoding="utf-8")
+    with pytest.raises(PresentationError, match=r"m\.tsv:1: input 'w' given twice"):
+        parse_manifest(manifest)
 
 
 def test_manifest_rejects_inputs_its_kind_does_not_read(tmp_path, capsys):
@@ -218,6 +262,47 @@ def test_verify_test_group_dichotomy_certificates():
     )
     assert proved.overall.value == "proved"
     assert proved.recipe == "rabin-ladder"
+
+
+def test_reports_note_each_decision_under_its_subject():
+    # a word problem's notes end in the bare value, which the benchmark reads;
+    # a group's give the value and how it was reached
+    c5 = parse_presentation("group\ngens: a\nrels: a^5 = 1")
+    a, a2, a7 = Word.single("a"), Word.single("a").pow(2), Word.single("a").pow(7)
+    starved = Budget(max_rules=1, max_rule_length=4, max_iterations=1)
+    group = lambda text, limits=EnumLimits(): is_trivial(parse_presentation(text), limits)
+    killed, z3 = "group\ngens: a\nrels: a = 1", "group\ngens: a\nrels: a^3 = 1"
+    cases = [
+        (words_equal(c5, a2, a7), "G vs H in S1", "G vs H in S1: equal"),
+        (words_equal(c5, a, a2), "G vs H in S1", "G vs H in S1: distinct"),
+        (words_equal(c5, a, a2, starved), "G vs H in S1", "G vs H in S1: unknown"),
+        (words_equal(c5, a2, a7), "A vs B in the base", "A vs B in the base: equal"),
+        (words_equal(c5, a, a2), "A vs B in the base", "A vs B in the base: distinct"),
+        (words_equal(c5, a, a2, starved), "A vs B in the base", "A vs B in the base: unknown"),
+        (group(killed), "", "trivial (coset enumeration closed with index 1)"),
+        (group(z3), "", "nontrivial (abelianization is Z/3)"),
+        (group(A5), "", "nontrivial (coset enumeration closed with index 60)"),
+        (group(A5, EnumLimits(max_cosets=8)), "", "unknown (enumeration exhausted its limits)"),
+    ]
+    for decision, subject, notes in cases:
+        report = _report("check", decision, subject)
+        assert report.notes == notes
+        assert report.verdict is (CheckVerdict.PASS if decision.definite else CheckVerdict.UNKNOWN)
+        assert decision.definite == (decision.value != "unknown")
+        assert (decision.reason is None) == bool(subject)
+
+
+def test_run_job_times_the_instance(monkeypatch):
+    kind = cli.KINDS["test-group"]
+
+    def slow(job, config):
+        time.sleep(0.05)
+        return kind.verify(job, config)
+
+    monkeypatch.setitem(cli.KINDS, "test-group", dataclasses.replace(kind, verify=slow))
+    job = Job("test-group", "t", {"base": CORPUS / "base_killed.pres", "w": "a"})
+    assert verify_test_group(job, RunConfig()).elapsed_ms == 0  # a pipeline does not time itself
+    assert run_job(job, RunConfig()).elapsed_ms >= 50
 
 
 def _verify_property(g_plus, test):
@@ -427,8 +512,8 @@ def test_readme_library_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     equal, trivial = capsys.readouterr().out.splitlines()
-    assert equal == "Verdict.EQUAL"
-    assert trivial.startswith("Triviality(status='trivial'")
+    assert equal == "equal"
+    assert trivial == "trivial (coset enumeration closed with index 1)"
 
 
 # -- the per-kind table: each subcommand takes only the settings it reads

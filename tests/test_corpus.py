@@ -4,6 +4,11 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 from fpkit.cli import KINDS, EXIT_PROVED, RunConfig, _job_from_row, cmd_corpus, parse_manifest
 from fpkit.constructions import MarkovInstance, markov_semigroup
@@ -19,7 +24,6 @@ from fpkit.presentations import (
 from fpkit.rewriting import (
     Budget,
     Completeness,
-    Verdict,
     irreducible_words,
     knuth_bendix,
     words_equal,
@@ -86,20 +90,20 @@ def test_collapse_and_embedding_passes_are_exclusive():
         assert not (
             collapse.verdict is CheckVerdict.PASS and embed.verdict is CheckVerdict.PASS
         ), row.name
-        if verdict is Verdict.EQUAL:
+        if verdict.value == "equal":
             assert collapse.verdict is CheckVerdict.PASS
             assert embed.verdict is CheckVerdict.FAIL
             # S0 keeps its letters in the build: distinct in S0, equal in S_{G,H}
             u, v = (W(side) for side in embed.witness.split(" | "))
-            assert words_equal(inst.s0, u, v) is Verdict.DISTINCT, row.name
-            assert words_equal(build.presentation, u, v) is Verdict.EQUAL, row.name
+            assert words_equal(inst.s0, u, v).value == "distinct", row.name
+            assert words_equal(build.presentation, u, v).value == "equal", row.name
         else:
             assert embed.verdict is CheckVerdict.PASS
             assert collapse.verdict is CheckVerdict.FAIL
             # a generator that is neither the identity nor the zero
             g, z = Word.single(collapse.witness), Word.single(build.presentation.zero)
             for anchor in (Word(), z):
-                assert words_equal(build.presentation, g, anchor) is Verdict.DISTINCT, row.name
+                assert words_equal(build.presentation, g, anchor).value == "distinct", row.name
 
 
 def test_enumeration_agrees_with_rewriting_on_corpus_groups():
@@ -235,3 +239,26 @@ def test_pool_writes_the_certificates_a_serial_run_writes(tmp_path):
     )
     assert len(serial) == 22
     assert pooled == serial
+
+
+def test_benchmark_tracer_runs_the_bundled_corpus(tmp_path):
+    # perfbench/spans.py summarises results by field (`words_equal(...).value`,
+    # `knuth_bendix(...).status.value`, a relation's `lhs.length()`), and a
+    # summary that raises fails its instance; -B keeps bytecode out of the checkout
+    root = Path(__file__).resolve().parents[1]
+    batch = tmp_path / "batch"
+    shutil.copytree(CORPUS, batch, ignore=shutil.ignore_patterns("__pycache__"))
+    config = {"cutoff": 6, "budget": None, "limits": None}
+    (batch / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    out, spans = tmp_path / "out.json", tmp_path / "spans.jsonl"
+    worker = root / "perfbench" / "worker.py"
+    r = subprocess.run(
+        [sys.executable, "-B", str(worker), "serial", str(batch), str(out), "--spans", str(spans)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["errors"] == {}
+    assert len(result["certs"]) == 22

@@ -8,7 +8,7 @@ from collections import OrderedDict
 import pytest
 
 from fpkit import coset
-from fpkit.coset import UNDEF, CosetTable, EnumLimits, Triviality, is_trivial, todd_coxeter
+from fpkit.coset import UNDEF, CosetTable, EnumLimits, is_trivial, todd_coxeter
 from fpkit.presentations import (
     Kind,
     Presentation,
@@ -20,7 +20,7 @@ from fpkit.presentations import (
     parse_word,
     rename_generators,
 )
-from fpkit.rewriting import Completeness, irreducible_words, knuth_bendix
+from fpkit.rewriting import Completeness, Decision, irreducible_words, knuth_bendix
 from fpkit.verify import abelianization
 
 W = parse_word
@@ -518,7 +518,7 @@ def test_enumeration_pauses_the_garbage_collector(monkeypatch):
     enable = gc.enable
     monkeypatch.setattr(gc, "enable", lambda: live_at_enable.append(len(tables)) or enable())
     seen.clear()
-    assert is_trivial(parse_presentation(CLASSIC_TRIVIAL), LIMITS).is_trivial
+    assert is_trivial(parse_presentation(CLASSIC_TRIVIAL), LIMITS).value == "trivial"
     assert seen and not any(seen)
     assert live_at_enable == [0] and gc.isenabled()
 
@@ -577,11 +577,11 @@ def test_table_dump_golden_klein():
 
 def test_is_trivial_examples():
     killed = parse_presentation("group\ngens: a\nrels: a = 1")
-    assert is_trivial(killed, LIMITS).is_trivial
+    assert is_trivial(killed, LIMITS).value == "trivial"
     z = parse_presentation("group\ngens: a\nrels:")
     v = is_trivial(z, LIMITS)
-    assert v.status == "nontrivial" and "abelianization" in v.reason
-    assert is_trivial(parse_presentation(CLASSIC_TRIVIAL), LIMITS).is_trivial
+    assert v.value == "nontrivial" and "abelianization" in v.reason
+    assert is_trivial(parse_presentation(CLASSIC_TRIVIAL), LIMITS).value == "trivial"
 
 
 def test_is_trivial_unknown_on_starved_limits():
@@ -591,7 +591,7 @@ def test_is_trivial_unknown_on_starved_limits():
     assert not todd_coxeter(p, (), EnumLimits(8, 1_000_000)).closed
     assert todd_coxeter(p, (), EnumLimits(9, 1_000_000)).index == 1
     verdict = is_trivial(p, EnumLimits(3, 50))
-    assert verdict.status == "unknown"
+    assert verdict.value == "unknown"
 
 
 @pytest.fixture
@@ -611,17 +611,17 @@ def test_equal_and_renamed_presentations_enumerate_once(enumerations):
     again = parse_presentation(CLASSIC_TRIVIAL)
     renamed = rename_generators(p, {"a": "u", "b": "v"})
     verdicts = [is_trivial(q, LIMITS) for q in (p, again, renamed)]
-    assert verdicts == [verdicts[0]] * 3 and verdicts[0].is_trivial
+    assert verdicts == [verdicts[0]] * 3 and verdicts[0].value == "trivial"
     assert len(enumerations) == 1
 
 
 def test_extra_generator_gives_its_own_verdict(enumerations):
     p = parse_presentation(CLASSIC_TRIVIAL)
     wider = Presentation(Kind.GROUP, (*p.generators, "c"), p.relations)
-    assert is_trivial(p, LIMITS).is_trivial
+    assert is_trivial(p, LIMITS).value == "trivial"
     # the same relator codes, but c is free: Z in the abelianization
-    assert is_trivial(wider, LIMITS).status == "nontrivial"
-    assert is_trivial(p, LIMITS).is_trivial
+    assert is_trivial(wider, LIMITS).value == "nontrivial"
+    assert is_trivial(p, LIMITS).value == "trivial"
 
 
 def test_groups_too_wide_for_letter_codes_are_still_decided(enumerations):
@@ -629,7 +629,7 @@ def test_groups_too_wide_for_letter_codes_are_still_decided(enumerations):
     # generator index, exists at any width, so the verdict is kept
     gens = tuple(f"g{i}" for i in range(129))
     wide = Presentation(Kind.GROUP, gens, (Relation(W("g0"), Word()),))
-    assert is_trivial(wide, LIMITS).status == "nontrivial"
+    assert is_trivial(wide, LIMITS).value == "nontrivial"
     assert list(coset._verdicts) == [(wide.key, LIMITS)]
     # enumeration needs letter codes: it raises, and nothing more is kept
     killed = Presentation(Kind.GROUP, gens, tuple(Relation(W(g), Word()) for g in gens))
@@ -641,9 +641,9 @@ def test_groups_too_wide_for_letter_codes_are_still_decided(enumerations):
 def test_limits_are_part_of_the_key(enumerations):
     p = parse_presentation(CLASSIC_TRIVIAL)
     starved = EnumLimits(3, 50)
-    assert is_trivial(p, starved).status == "unknown"
-    assert is_trivial(p, LIMITS).is_trivial
-    assert is_trivial(p, starved).status == "unknown"
+    assert is_trivial(p, starved).value == "unknown"
+    assert is_trivial(p, LIMITS).value == "trivial"
+    assert is_trivial(p, starved).value == "unknown"
     assert len(enumerations) == 2
 
 
@@ -659,7 +659,7 @@ def test_cached_verdicts_equal_fresh_ones(enumerations):
     cases += cases[::2]
     cached = [is_trivial(p, limits) for p, limits in cases]
     assert len(coset._verdicts) == 128
-    assert all(type(v) is Triviality for v in coset._verdicts.values())
+    assert all(type(v) is Decision for v in coset._verdicts.values())
     # without the cache, every case with a trivial abelianization enumerates
     blind = sum(abelianization(p).is_trivial for p, _ in cases)
     cached_calls = len(enumerations)
@@ -670,7 +670,7 @@ def test_cached_verdicts_equal_fresh_ones(enumerations):
         fresh.append(is_trivial(p, limits))
     assert cached == fresh
     assert len(enumerations) - cached_calls == blind
-    assert {v.status for v in fresh} == {"trivial", "nontrivial", "unknown"}
+    assert {v.value for v in fresh} == {"trivial", "nontrivial", "unknown"}
 
 
 def test_lookahead_compaction_recovers_space():

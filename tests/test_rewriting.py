@@ -24,7 +24,6 @@ from fpkit.rewriting import (
     Completeness,
     RewriteRule,
     RewritingSystem,
-    Verdict,
     _Completion,
     _RuleIndex,
     irreducible_words,
@@ -176,21 +175,21 @@ def test_normal_form_of_group_word_uses_the_presentations_generators():
 def test_generator_named_like_an_inverse_is_its_own_letter():
     p = Presentation(Kind.GROUP, ("a", "a_inv"))
     assert encode_word(p, W("a^-1 a_inv")) == b"\x01\x02"
-    assert words_equal(p, W("a_inv"), W("a^-1")) is Verdict.DISTINCT
-    assert words_equal(p, W("a a^-1 a_inv"), W("a_inv")) is Verdict.EQUAL
+    assert words_equal(p, W("a_inv"), W("a^-1")).value == "distinct"
+    assert words_equal(p, W("a a^-1 a_inv"), W("a_inv")).value == "equal"
 
 
 def test_words_equal_examples():
     idem = parse_presentation("monoid\ngens: g\nrels: g g = g")
-    assert words_equal(idem, W("g^3"), W("g")) is Verdict.EQUAL
+    assert words_equal(idem, W("g^3"), W("g")).value == "equal"
     free = parse_presentation("monoid\ngens: x, y\nrels:")
-    assert words_equal(free, W("x"), W("y")) is Verdict.DISTINCT
+    assert words_equal(free, W("x"), W("y")).value == "distinct"
 
 
 def test_words_equal_budget_exhaustion_is_unknown():
     # completion cannot finish within one iteration, so nothing is certified
     hostile = parse_presentation("monoid\ngens: a, b\nrels: b a = a b, b b b = a a")
-    assert words_equal(hostile, W("a"), W("b"), Budget(2, 4, 1)) is Verdict.UNKNOWN
+    assert words_equal(hostile, W("a"), W("b"), Budget(2, 4, 1)).value == "unknown"
 
 
 def test_words_equal_wrong_alphabet():
@@ -201,9 +200,9 @@ def test_words_equal_wrong_alphabet():
 
 def test_words_equal_group_words():
     c5 = parse_presentation("group\ngens: a\nrels: a^5 = 1")
-    assert words_equal(c5, W("a^2"), W("a^7")) is Verdict.EQUAL
-    assert words_equal(c5, W("a"), W("a^2")) is Verdict.DISTINCT
-    assert words_equal(c5, W("a^-1"), W("a^4")) is Verdict.EQUAL
+    assert words_equal(c5, W("a^2"), W("a^7")).value == "equal"
+    assert words_equal(c5, W("a"), W("a^2")).value == "distinct"
+    assert words_equal(c5, W("a^-1"), W("a^4")).value == "equal"
 
 
 small_words = st.lists(st.sampled_from("gh"), max_size=6).map(
@@ -214,7 +213,7 @@ small_words = st.lists(st.sampled_from("gh"), max_size=6).map(
 @given(small_words, small_words)
 def test_words_equal_symmetric_and_reflexive(u, v):
     p = parse_presentation("monoid\ngens: g, h\nrels: g h = h g, g g = g")
-    assert words_equal(p, u, u, Budget(1, 4, 1)) is Verdict.EQUAL
+    assert words_equal(p, u, u, Budget(1, 4, 1)).value == "equal"
     assert words_equal(p, u, v) == words_equal(p, v, u)
 
 
@@ -264,7 +263,7 @@ def test_partial_system_still_certifies_equality():
     rs = knuth_bendix(p, Budget(2, 6, 3))
     if rs.status is Completeness.PARTIAL:
         # equality through an explicit derivation must still be accepted
-        assert words_equal(p, W("a b"), W("b"), Budget(2, 6, 3)) is Verdict.EQUAL
+        assert words_equal(p, W("a b"), W("b"), Budget(2, 6, 3)).value == "equal"
 
 
 # -- the rule index must rewrite exactly as the plain scan it replaced:
@@ -430,8 +429,8 @@ def test_a_group_on_128_generators_completes_over_the_top_codes():
     # 256 cancellation rules, 2 for the cube and 4 that move g127 past g0
     assert rs.status is Completeness.COMPLETE and len(rs.rules) == 262
     assert normal_form(rs, W("g127^-4 g0 g127^-1 g0^-1")) == W("g127")
-    assert words_equal(p, W("g127^5"), W("g127^-1"), Budget(300, 8, 3000)) is Verdict.EQUAL
-    assert words_equal(p, W("g126 g127"), W("g127 g126"), Budget(300, 8, 3000)) is Verdict.DISTINCT
+    assert words_equal(p, W("g127^5"), W("g127^-1"), Budget(300, 8, 3000)).value == "equal"
+    assert words_equal(p, W("g126 g127"), W("g127 g126"), Budget(300, 8, 3000)).value == "distinct"
 
 
 def test_kept_tries_are_kept_per_width(monkeypatch):
@@ -839,9 +838,9 @@ def test_equal_and_renamed_presentations_complete_once(completions):
 def test_budget_is_part_of_the_completion_key(completions):
     hostile = parse_presentation("monoid\ngens: a, b\nrels: b a = a b, b b b = a a")
     starved = Budget(2, 4, 1)
-    assert words_equal(hostile, W("a"), W("b"), starved) is Verdict.UNKNOWN
-    assert words_equal(hostile, W("a"), W("b")) is Verdict.DISTINCT
-    assert words_equal(hostile, W("a"), W("b"), starved) is Verdict.UNKNOWN
+    assert words_equal(hostile, W("a"), W("b"), starved).value == "unknown"
+    assert words_equal(hostile, W("a"), W("b")).value == "distinct"
+    assert words_equal(hostile, W("a"), W("b"), starved).value == "unknown"
     assert len(completions) == 2
 
 
