@@ -19,6 +19,7 @@ import os
 import pickle
 import sys
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -38,7 +39,10 @@ from .presentations import (
     ParseError,
     Presentation,
     PresentationError,
+    ValidationError,
     Word,
+    eliminate,
+    lru,
     parse_presentation,
     parse_word,
     serialize_presentation,
@@ -50,7 +54,7 @@ from .verify import (
     CheckVerdict,
     Overall,
     assemble_certificate,
-    collapse_check,
+    collapse_by_derivation,
     embedding_by_rewriting,
 )
 
@@ -144,8 +148,7 @@ def verify_markov(job: Job, config: RunConfig) -> Certificate:
         build = markov_semigroup(inst)
         s_gh = build.presentation
         if inner.value == "equal":
-            projection = {g: Word.single(img) for g, img in build.maps["s4"].items()}
-            reports.append(collapse_check(s_gh, inst.s4, projection, budget, "collapse-onto-s4"))
+            reports.append(collapse_by_derivation(inst, build, "collapse-onto-s4"))
         else:
             inclusion = {g: Word.single(img) for g, img in build.maps["s0"].items()}
             reports.append(
@@ -165,13 +168,36 @@ def verify_markov(job: Job, config: RunConfig) -> Certificate:
     return assemble_certificate(instance, "markov-semigroup", reports, xi_range="all")
 
 
-def verify_test_group(job: Job, config: RunConfig) -> Certificate:
-    inst = _group_instance(job)
-    test_group = triviality_test_group(inst).presentation
+# base `Presentation.key` -> the triviality of its T_1, least recent first
+_t1_verdicts: OrderedDict[tuple, Decision] = OrderedDict()
 
+
+def _t1_triviality(base: Presentation) -> Decision:
+    """The test group T_1 of the empty word over `base`, proved trivial by
+    `eliminate`.  T_1 and its proof depend on the base only up to renaming,
+    so the last 128 decisions are kept under the base's key."""
+
+    def prove() -> Decision:
+        steps = eliminate(triviality_test_group(GroupTestInstance(base, Word())).presentation)
+        if steps is None:  # T_1 always dies: 1 = d, the welds, then each 1 = x_i d^(i+1)
+            raise ValidationError("Tietze eliminations do not kill T_1")
+        kill = f"{len(steps)} Tietze eliminations kill"
+        return Decision("trivial", f"w = 1, so T_w is T_1, which {kill}")
+
+    return lru(_t1_verdicts, base.key, prove)
+
+
+def verify_test_group(job: Job, config: RunConfig) -> Certificate:
+    """When w = 1 in the base, T_w has T_1's relators modulo the base's
+    relations, so T_w is T_1 and no T_w is built; otherwise T_w is built
+    and enumerated."""
+    inst = _group_instance(job)
     b_word = inst.b_word if inst.b_word is not None else Word()
     inner = words_equal(inst.base, inst.a_word, b_word, config.rewrite_budget)
-    triv = is_trivial(test_group, config.enum_limits)
+    if inner.value == "equal":
+        triv = _t1_triviality(inst.base)
+    else:
+        triv = is_trivial(triviality_test_group(inst).presentation, config.enum_limits)
 
     reports = [
         _report("base-word-problem", inner, "A vs B in the base"),

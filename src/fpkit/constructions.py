@@ -308,8 +308,11 @@ def triviality_test_group(inst: GroupTestInstance) -> Build:
 
     express every base generator and d through conjugates of W, while
     the welds  q_i = e_(n+1+i),  q = e_(2n+2),  c = e_(2n+3)  do the
-    same for the remaining letters.  With w = 1 every right-hand side
-    collapses and the group is trivial by a short derivation; the welds
+    same for the remaining letters.  With w = 1 every conjugate of W is
+    1, so the relations read 1 = x_i d^(i+1), 1 = d, q_i = 1, q = 1 and
+    c = 1 beside the base's, and `presentations.eliminate` kills the
+    group one generator at a time (this is T_1, which `cli` proves
+    trivial for every instance whose words agree); the welds
     are what lets the stable letters die (a pure HNN tower always keeps
     its last stable letter, so a quotienting step is unavoidable for a
     test group).

@@ -491,6 +491,54 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     return Word(tuple(letters))
 
 
+def _cyclically_reduced(w: Word) -> Word:
+    letters = w.letters
+    while len(letters) > 1 and letters[0][0] == letters[-1][0]:
+        letters = _merge(((letters[0][0], letters[0][1] + letters[-1][1]),) + letters[1:-1])
+    return _merged_word(letters)
+
+
+def _once_at(r: Word) -> int | None:
+    """The position of the first letter of `r` whose generator occurs once in `r`."""
+    runs: dict[str, int] = {}
+    for s, e in r.letters:
+        runs[s] = 0 if s in runs else e
+    return next((i for i, (s, _) in enumerate(r.letters) if runs[s] in (1, -1)), None)
+
+
+def eliminate(p: Presentation) -> tuple[tuple[str, Word], ...] | None:
+    """A proof by Tietze eliminations that the group `p` is trivial, or None.
+
+    Each step takes the shortest cyclically reduced relator (the first of
+    them) in which some generator occurs once, as a single letter of
+    exponent 1 or -1.  It solves that relator for the first such
+    generator x, drops it, and puts the solution in for x in the other
+    relators: an isomorphic presentation on one generator fewer.  So when
+    no generator is left, the group is trivial.  The proof is each
+    eliminated generator with its solution, in order.  None when a
+    generator is left and no relator can be solved for one.
+    """
+    if p.kind is not Kind.GROUP:
+        raise ValidationError("eliminate expects a group presentation")
+    relators = [_cyclically_reduced(r.lhs * r.rhs.inverse()) for r in p.relations]
+    steps = []
+    while len(steps) < len(p.generators):
+        solvable = [(r.length(), k) for k, r in enumerate(relators) if _once_at(r) is not None]
+        if not solvable:
+            return None
+        r = relators.pop(min(solvable)[1])
+        at = _once_at(r)
+        x, e = r.letters[at]
+        rest = Word(r.letters[at + 1 :] + r.letters[:at])  # x^e rest = 1
+        image = rest.inverse() if e == 1 else rest
+        for k, w in enumerate(relators):
+            if x in w.symbols():
+                relators[k] = _cyclically_reduced(substitute(w, {x: image}))
+        relators = [w for w in relators if w.letters]
+        steps.append((x, image))
+    return tuple(steps)
+
+
 def tietze_simplify(p: Presentation, max_moves: int = 1000) -> Presentation:
     """Delete trivial relations and eliminate redundantly defined generators.
 

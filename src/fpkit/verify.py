@@ -1,16 +1,18 @@
-"""Independent oracles, exact embedding and collapse checks, certificates.
+"""Independent oracles, the Markov dichotomy's checks, certificates.
 
 Abelianization takes the Smith normal form of the integer relation
 matrix (one row per relation, exponent sums per generator): the cheap
 decidable shadow that certifies nontriviality and cross-checks every
 construction that claims to preserve or compose group structure.
 
-The two sides of a Markov dichotomy are decided at every word length,
+Each side of a Markov dichotomy has its own check, and neither
+enumerates words.  When G = H in S1, `collapse_by_derivation` replays
+the paper's short derivation that S_{G,H} is S4 with a zero, reading
+only the built relations.  When G != H, `embedding_by_rewriting` decides
 from the budgeted completions of the presentations
-(`rewriting.normal_forms`) and never by enumerating words:
-`embedding_by_rewriting` asks whether a letter map embeds one monoid in
-another, `collapse_check` whether a built monoid is its target's image
-plus the zero.  Each reports Pass, Fail with a witness, or Unknown.
+(`rewriting.normal_forms`), at every word length, whether a letter map
+embeds one monoid in another.  Each reports Pass, Fail with a witness,
+or Unknown.
 """
 
 from __future__ import annotations
@@ -20,7 +22,16 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
-from .presentations import Kind, Presentation, ValidationError, Word, decode_word, substitute
+from .constructions import Build, MarkovInstance
+from .presentations import (
+    Kind,
+    Presentation,
+    Relation,
+    ValidationError,
+    Word,
+    decode_word,
+    substitute,
+)
 from .rewriting import Budget, normal_forms
 
 Matrix = list[list[int]]
@@ -187,7 +198,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 
 # ---------------------------------------------------------------------------
-# embedding and collapse checks
+# the Markov dichotomy's checks
 
 
 class CheckVerdict(Enum):
@@ -288,48 +299,61 @@ def embedding_by_rewriting(
     return CheckReport(name, CheckVerdict.PASS, notes=notes)
 
 
-def collapse_check(
-    built: Presentation,
-    target: Presentation,
-    projection: Mapping[str, Word],
-    budget: Budget = Budget(),
-    name: str = "collapse-check",
-) -> CheckReport:
-    """Decide whether `built` is the image of `target` plus the zero.
+def collapse_by_derivation(inst: MarkovInstance, build: Build, name: str) -> CheckReport:
+    """Replay the derivation that S_{G,H} is S4 with a zero when G = H in S1.
 
-    A target with generators must embed (`embedding_by_rewriting`).  Then
-    each generator of `built` must equal an anchor: the image of the empty
-    word or of a target letter, the identity or the zero.  A normal form of
-    one letter is in the image only as an anchor's, so under a Complete
-    system a generator that matches none fails at every length; under a
-    Partial one it is blocked.  `comparisons` counts the anchors tried.
+    The build must hold S1's relations, c G d = 1 and xi c H d = c H d for
+    every generator xi outside S4's letters and the zero.  Then G = H gives
+    xi = xi c G d = xi c H d = c H d = c G d = 1 for each xi, so putting 1
+    in for every xi keeps the monoid.  The relations that are left must be
+    exactly S4's own, the zero's on S4's letters and z z = z: the build is
+    then S4 with a zero adjoined, into which S4 embeds.  Fail names the
+    first relation missing from the build, left over or not left.
     """
-    _check_images("projection", target, built, projection)
-    notes = ""
-    if target.generators:
-        embedded = embedding_by_rewriting(target, built, projection, budget, name)
-        if embedded.verdict is not CheckVerdict.PASS:
-            return embedded
-        notes = embedded.notes
-    anchors = [Word()] + [projection[g] for g in target.generators] + [Word()]
-    anchors += [Word.single(built.zero)] if built.zero is not None else []
-    rs, nfs = normal_forms(built, anchors + [Word.single(g) for g in built.generators], budget)
-    first = {nf: k for k, nf in reversed(list(enumerate(nfs[: len(anchors)])))}
-    comparisons = blocked = 0
-    for g, nf in zip(built.generators, nfs[len(anchors):]):
-        # one comparison per anchor tried, up to the first match or all of them
-        comparisons += first.get(nf, len(anchors) - 1) + 1
-        if nf not in first and rs.complete:
-            notes = "generator does not collapse onto the target image"
-            used = {"comparisons": comparisons}
-            return CheckReport(name, CheckVerdict.FAIL, witness=g, notes=notes, budget_used=used)
-        blocked += nf not in first
-    if blocked:
-        notes = f"{blocked} comparisons exhausted the budget"
-        used = {"comparisons": comparisons, "blocked": blocked}
-        return CheckReport(name, CheckVerdict.UNKNOWN, notes=notes, budget_used=used)
-    used = {"comparisons": comparisons}
+    p = build.presentation
+    s1, s4, letters = build.maps["s1"], build.maps["s4"], build.maps["letters"]
+    keep = {*s4.values(), p.zero}
+    xi = [g for g in p.generators if g not in keep]
+    fail = lambda rel, why: CheckReport(name, CheckVerdict.FAIL, witness=str(rel), notes=why)
+    c, d = Word.single(letters["c"]), Word.single(letters["d"])
+    chd = c * inst.h.renamed(s1) * d
+    needed = [Relation(r.lhs.renamed(s1), r.rhs.renamed(s1)) for r in inst.s1.relations]
+    needed.append(Relation(c * inst.g.renamed(s1) * d, Word()))
+    needed += [Relation(Word.single(x) * chd, chd) for x in xi]
+    # relations are compared as pairs of letter tuples, which hash in C
+    have = {(r.lhs.letters, r.rhs.letters) for r in p.relations}
+    for rel in needed:
+        if (rel.lhs.letters, rel.rhs.letters) not in have:
+            return fail(rel, "not a relation of S_{G,H}")
+    z = Word.single(p.zero)
+    expected = [Relation(r.lhs.renamed(s4), r.rhs.renamed(s4)) for r in inst.s4.relations]
+    for g in s4.values():
+        expected += [Relation(Word.single(g) * z, z), Relation(z * Word.single(g), z)]
+    expected.append(Relation(z * z, z))
+    expected = {(r.lhs.letters, r.rhs.letters): r for r in expected if r.lhs != r.rhs}
+    left = set()
+    for rel in p.relations:
+        kept = (_kept(rel.lhs.letters, keep), _kept(rel.rhs.letters, keep))
+        if kept[0] != kept[1]:
+            if kept not in expected:
+                return fail(rel, "left over once every xi is 1")
+            left.add(kept)
+    for kept, rel in expected.items():
+        if kept not in left:
+            return fail(rel, "not left once every xi is 1")
+    notes = (
+        f"G = H sets all {len(xi)} xi to 1 (xi = xi c G d = xi c H d = c H d = c G d = 1),"
+        f" leaving S4 with a zero, into which S4 embeds"
+    )
+    used = {"relations": len(p.relations)}
     return CheckReport(name, CheckVerdict.PASS, notes=notes, budget_used=used)
+
+
+def _kept(letters: tuple, keep: set) -> tuple:
+    """The letters of a word on the symbols in `keep`, with 1 put in for the others."""
+    kept = tuple(t for t in letters if t[0] in keep)
+    # no letter went, or too few are left to merge
+    return kept if len(kept) == len(letters) or len(kept) < 2 else Word(kept).letters
 
 
 # ---------------------------------------------------------------------------

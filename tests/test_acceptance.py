@@ -50,12 +50,11 @@ from fpkit.verify import (
     AbelianInvariants,
     CheckVerdict,
     abelianization,
-    collapse_check,
     diagonal_of,
     embedding_by_rewriting,
     smith_normal_form,
 )
-from test_verify import merge_invariants
+from test_verify import collapse_check, merge_invariants
 
 W = parse_word
 CORPUS = corpus_dir()

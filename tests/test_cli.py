@@ -35,7 +35,8 @@ from fpkit.cli import (
     verify_property,
     verify_test_group,
 )
-from fpkit.constructions import markov_semigroup
+from fpkit import rewriting
+from fpkit.constructions import GroupTestInstance, markov_semigroup, triviality_test_group
 from fpkit.corpus import bundled_manifest, corpus_dir
 from fpkit.coset import EnumLimits, is_trivial
 from fpkit.rewriting import Budget, words_equal
@@ -46,9 +47,11 @@ from fpkit.presentations import (
     ValidationError,
     Word,
     parse_presentation,
+    parse_word as W,
     serialize_presentation,
 )
-from fpkit.verify import CheckVerdict, collapse_check
+from fpkit.verify import CheckVerdict
+from test_verify import collapse_check
 
 CORPUS = corpus_dir()
 
@@ -255,6 +258,63 @@ def test_verify_markov_builds_no_s_gh_when_the_word_problem_is_unknown(tmp_path,
     assert builds == []
 
 
+def test_verify_markov_equal_side_completes_only_s1(monkeypatch):
+    # the collapse is derived from the built relations; no system of S_GH is completed
+    completed = []
+    normal_forms = rewriting.normal_forms
+    monkeypatch.setattr(
+        rewriting, "normal_forms", lambda p, *a: completed.append(p) or normal_forms(p, *a)
+    )
+    job = Job("markov", "t", {**IDEMPOTENT, "s4": CORPUS / "s4_idempotent.pres"})
+    cert = verify_markov(job, RunConfig())
+    assert cert.overall.value == "proved"
+    assert [p.generators for p in completed] == [("g",)]
+
+
+def test_verify_test_group_equal_side_builds_no_test_group(monkeypatch):
+    built, enumerated = [], []
+    build = cli.triviality_test_group
+    monkeypatch.setattr(
+        cli, "triviality_test_group", lambda inst: built.append(inst.test_word) or build(inst)
+    )
+    monkeypatch.setattr(cli, "is_trivial", lambda *a: enumerated.append(a))
+    monkeypatch.setattr(cli, "_t1_verdicts", type(cli._t1_verdicts)())
+    klein = CORPUS / "base_klein.pres"
+    for w, b in (("a b", "b a"), ("a^2", None), ("b a b", "a")):
+        job = Job("test-group", "k", {"base": klein, "w": w, **({"b": b} if b else {})})
+        cert = verify_test_group(job, RunConfig())
+        assert cert.overall.value == "proved"
+        notes = [c.notes for c in cert.checks]
+        assert notes == [
+            "A vs B in the base: equal",
+            "trivial (w = 1, so T_w is T_1, which 7 Tietze eliminations kill)",
+            "words equal and test group trivial",
+        ]
+    # only the first row built a test group, T_1; a renamed base finds its proof cached
+    renamed = parse_presentation("group\ngens: u, v\nrels: u^2 = 1, v^2 = 1, u v u v = 1")
+    assert cli._t1_triviality(renamed).value == "trivial"
+    assert built == [Word()] and enumerated == []
+
+
+def test_verify_test_group_raises_when_t1_does_not_die(monkeypatch):
+    monkeypatch.setattr(cli, "eliminate", lambda p: None)
+    monkeypatch.setattr(cli, "_t1_verdicts", type(cli._t1_verdicts)())
+    job = Job("test-group", "k", {"base": CORPUS / "base_klein.pres", "w": "a b", "b": "b a"})
+    with pytest.raises(ValidationError, match="do not kill T_1"):
+        verify_test_group(job, RunConfig())
+
+
+def test_verify_test_group_over_bs12_is_proved_where_enumeration_exhausts(tmp_path):
+    # y^2 x^-1 y^-1 x = 1 in BS(1,2), whose T_w 1000 cosets do not enumerate
+    base = tmp_path / "bs12.pres"
+    base.write_text("group\ngens: y, x\nrels: x^-1 y x = y^2\n", encoding="utf-8")
+    w, budget = "y^2 x^-1 y^-1 x", ("--budget-cosets", "1000", "--budget-rules", "100")
+    r = run_cli("verify", "test-group", str(base), "--w", w, *budget, "--out", str(tmp_path))
+    assert r.returncode == EXIT_PROVED, r.stdout + r.stderr
+    t_w = triviality_test_group(GroupTestInstance(parse_presentation(base.read_text()), W(w)))
+    assert is_trivial(t_w.presentation, EnumLimits(1000)).value == "unknown"
+
+
 def test_verify_test_group_dichotomy_certificates():
     proved = verify_test_group(
         Job("test-group", "t", {"base": CORPUS / "base_killed.pres", "w": "a"}),
@@ -280,6 +340,8 @@ def test_reports_note_each_decision_under_its_subject():
         (words_equal(c5, a, a2), "A vs B in the base", "A vs B in the base: distinct"),
         (words_equal(c5, a, a2, starved), "A vs B in the base", "A vs B in the base: unknown"),
         (group(killed), "", "trivial (coset enumeration closed with index 1)"),
+        (cli._t1_triviality(c5), "", "trivial (w = 1, so T_w is T_1, which 5 Tietze"
+         " eliminations kill)"),
         (group(z3), "", "nontrivial (abelianization is Z/3)"),
         (group(A5), "", "nontrivial (coset enumeration closed with index 60)"),
         (group(A5, EnumLimits(max_cosets=8)), "", "unknown (enumeration exhausted its limits)"),
@@ -374,7 +436,8 @@ def test_cli_exit_codes():
     proved = run_cli("verify", "test-group", str(CORPUS / "base_killed.pres"), "--w", "a")
     assert proved.returncode == EXIT_PROVED, proved.stderr
 
-    unknown = run_cli(
+    # the equal side is proved by derivation, which completes nothing
+    derived = run_cli(
         "verify",
         "markov",
         str(CORPUS / "s0_free_x.pres"),
@@ -384,6 +447,22 @@ def test_cli_exit_codes():
         "g",
         "--H",
         "g g",
+        "--budget-rules",
+        "1",
+    )
+    assert derived.returncode == EXIT_PROVED, derived.stderr
+
+    # the distinct side's embedding needs S_GH completed, which 1 rule leaves Partial
+    unknown = run_cli(
+        "verify",
+        "markov",
+        str(CORPUS / "s0_free_x.pres"),
+        str(CORPUS / "s1_free_y.pres"),
+        str(CORPUS / "s4_trivial.pres"),
+        "--G",
+        "y",
+        "--H",
+        "y y",
         "--budget-rules",
         "1",
     )

@@ -1,6 +1,7 @@
 """Cross-cutting invariants over the bundled corpus."""
 
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -10,10 +11,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fpkit.cli import KINDS, EXIT_PROVED, RunConfig, _job_from_row, cmd_corpus, parse_manifest
-from fpkit.constructions import MarkovInstance, markov_semigroup
+from fpkit.cli import (
+    KINDS,
+    EXIT_PROVED,
+    RunConfig,
+    _group_instance,
+    _job_from_row,
+    _markov_instance,
+    cmd_corpus,
+    parse_manifest,
+    run_job,
+)
+from fpkit.constructions import MarkovInstance, markov_semigroup, triviality_test_group
 from fpkit.corpus import bundled_manifest, corpus_dir
-from fpkit.coset import EnumLimits, todd_coxeter
+from fpkit.coset import EnumLimits, is_trivial, todd_coxeter
 from fpkit.presentations import (
     Kind,
     Word,
@@ -28,8 +39,9 @@ from fpkit.rewriting import (
     knuth_bendix,
     words_equal,
 )
-from fpkit.verify import CheckVerdict, abelianization, collapse_check, embedding_by_rewriting
+from fpkit.verify import CheckVerdict, abelianization, embedding_by_rewriting
 from test_rewriting import confluence_audit, general_completion
+from test_verify import collapse_check
 
 W = parse_word
 CORPUS = corpus_dir()
@@ -145,22 +157,22 @@ CERTIFICATE_DIGESTS = {
     "group-distinct-z": "ff1c9a1ed504c65f525877da81c875df6556bb89294461efc23d22ff3f8a1936",
     "group-distinct-z2": "409a62b3d672c6d705811771fe3ca4a243bee15e507df2044591587b9b5037ee",
     "group-distinct-z6": "3b6887b54da10e20838af48c4425cc8704ff3b97831c2d6cbcf12cf04a028a4c",
-    "group-equal-c5": "0d0bbaa369875cd58dbcac9a2b543a13658976cd86312f69cc63c12d1dc93043",
-    "group-equal-killed": "50dee7a3c6d8c5ae10467901d622fc0f7f47f1bb4f84d122eb70a0b9c2ce75ea",
-    "group-equal-klein": "146da4dad192d15217e6abdf10029345dfc7b58df8fe35196f2c60e86a2777c4",
-    "group-equal-z2": "f7c390e9617d192118e0ed038eeac56c74d34d77a41a82fa558583849075707a",
+    "group-equal-c5": "46ab4dedb0df053bdc6b11b2887f04c120b215bd6cd268965cb03befeb3da15d",
+    "group-equal-killed": "2063a3a6cc00fa9335a58bd4190d147cf6d58e569d69d44462d32927b30fd579",
+    "group-equal-klein": "5bccde76fd161770d7b7ffa2f2ae0d022ee99e48d922f72617c696e69b82601f",
+    "group-equal-z2": "9284a8ae9a15d115c9f5dac11c5b63719b743513831aae06e46a47ebd1a41a32",
     "markov-distinct-commute": "8a81118d8d2593f484aa5cb95d6d9443af750c5b0cdb24409cb55772338ed2c4",
     "markov-distinct-cubed": "f5f2675793ed8ef5da97942af7eeffea92ad7f00a306e2ee1f389f0549e4337b",
     "markov-distinct-free": "99880b365f9f2a420dfd76bd7983a0aa371a59ef60f8e59c41199fc82025c8b7",
     "markov-distinct-free-s4": "fadc92137152d9cc8b41d1843c6f85909ee8b404ee1c649d254ab32b07f73b65",
     "markov-distinct-pair": "ae8ffaf808cb3d94931968ae5a8bafb6775c8a84dff12d6b555199d2583b33cb",
     "markov-distinct-period": "62657dbc5e50b5b5169eb0375bfa3a9d9cf8968d3eecf386c55c677d4b24ca32",
-    "markov-equal-absorb": "fbc3f118343e183d658bac38c982506a5e0ddab5aa5b23f80cb36736cc39cca4",
-    "markov-equal-commute": "9a6f2a1866a12aa90f38d5fb082b2790c147f161309087f931134397494d235f",
-    "markov-equal-cubed": "3354e7b8508cf17f77c1198e32bf68de681c07d99af6c610c3c6941004748b59",
-    "markov-equal-idempotent": "ee65ae5e91255a56edb32a3fae1259f1e677f7481481dbdfa0cbd874c2ac7e80",
-    "markov-equal-idempotent-s4": "de689d3c49487fc758b08274a1281a9ae56c8f8e6c4905063debed591a587ac7",
-    "markov-equal-period": "65839c01a1c1251f0a22c2086e9787f27bdb5fe60cd2711d2e2d4a3d8323d85b",
+    "markov-equal-absorb": "fb25a9ee7e0c83decd4105983063425733329ce83817be7c60f8debbad108665",
+    "markov-equal-commute": "b11e4f9a0506f392a1804309129a67e5fc6067448f63e5bd8a9a41cb624cc002",
+    "markov-equal-cubed": "98470e9c524a8d6521bbbb45ddba61f9ae80d0d5d0de5ce8f4d71201ea0a20a6",
+    "markov-equal-idempotent": "cce6de15c3f8d7a97b3064a6e75abd8d2b5efdb8a90578653ae8799f2854178e",
+    "markov-equal-idempotent-s4": "c33a329de5b695e040a649fde271ccb310080de8efed47e1b53a758264fa04a6",
+    "markov-equal-period": "511c9c3ccac4a29dfb457f1e080159287ee5b067f3d82b104b35924d9d9c43f8",
     "property-nontrivial-test": "f43104982f4526cdb3d15cf15934217374d6698cfd5e52eb67cd66301577d695",
     "property-trivial-test": "9ca520dd6e7bf4c0b74f8face69c02c9c2e2fcd2296bd88569ff49c8e89cdabf",
 }
@@ -262,3 +274,52 @@ def test_benchmark_tracer_runs_the_bundled_corpus(tmp_path):
     result = json.loads(out.read_text(encoding="utf-8"))
     assert result["errors"] == {}
     assert len(result["certs"]) == 22
+
+
+def _perfbench(module: str):
+    """A module of the benchmark, imported for reading; no bytecode is written."""
+    root = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, root)
+    sys.dont_write_bytecode, before = True, sys.dont_write_bytecode
+    try:
+        return importlib.import_module(module)
+    finally:
+        sys.dont_write_bytecode = before
+        sys.path.remove(root)
+
+
+def test_equal_side_of_the_benchmark_workloads_is_proved(tmp_path):
+    # every markov and test-group row whose ground truth is G = H or w = 1 is
+    # proved by derivation, and neither engine contradicts it: enumerating
+    # T_w never finds it nontrivial, and the reference collapse of S_GH,
+    # which completes it, never fails
+    workloads = _perfbench("workloads")
+    seen = {}
+    for name in ("corpus-mix", "embed-wide", "exhaust"):
+        batch = workloads.generate(name, 3)
+        out = tmp_path / name
+        batch.write(out, name)
+        spec = batch.config
+        config = RunConfig(
+            rewrite_budget=Budget(**spec["budget"]) if spec["budget"] else Budget(),
+            enum_limits=EnumLimits(**spec["limits"]) if spec["limits"] else EnumLimits(),
+        )
+        truth = {inst.name: inst.truth for inst in batch.instances}
+        for row in parse_manifest(out / "manifest.tsv"):
+            if row.kind == "property" or not truth[row.name]:
+                continue
+            job = _job_from_row(row, out)
+            assert run_job(job, config).overall.value == "proved", (name, row.name)
+            if row.kind == "test-group":
+                t_w = triviality_test_group(_group_instance(job)).presentation
+                assert is_trivial(t_w, config.enum_limits).value != "nontrivial", row.name
+            else:
+                inst = _markov_instance(job)
+                build = markov_semigroup(inst)
+                projection = {g: Word.single(img) for g, img in build.maps["s4"].items()}
+                reference = collapse_check(
+                    build.presentation, inst.s4, projection, config.rewrite_budget
+                )
+                assert reference.verdict is not CheckVerdict.FAIL, row.name
+            seen[name, row.kind] = seen.get((name, row.kind), 0) + 1
+    assert min(seen.values()) >= 3 and len(seen) == 5, seen

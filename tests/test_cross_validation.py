@@ -11,12 +11,13 @@ import random
 import pytest
 
 from fpkit.constructions import MarkovInstance, markov_semigroup
-from fpkit.coset import EnumLimits, todd_coxeter
+from fpkit.coset import EnumLimits, is_trivial, todd_coxeter
 from fpkit.presentations import (
     Kind,
     Presentation,
     Relation,
     Word,
+    eliminate,
     parse_presentation,
     parse_word,
     rename_generators,
@@ -29,7 +30,13 @@ from fpkit.rewriting import (
     knuth_bendix,
     words_equal,
 )
-from fpkit.verify import CheckVerdict, abelianization, collapse_check, embedding_by_rewriting
+from fpkit.verify import (
+    CheckVerdict,
+    abelianization,
+    collapse_by_derivation,
+    embedding_by_rewriting,
+)
+from test_verify import collapse_check
 
 LIMITS = EnumLimits(5_000, 500_000)
 BUDGET = Budget(400, 40, 4000)
@@ -210,3 +217,44 @@ def test_random_markov_instances_over_random_nontrivial_s4s_respect_the_dichotom
         assert held.verdict is CheckVerdict.PASS, (s1, s4, g, h, held)
         assert failed.verdict is CheckVerdict.FAIL, (s1, s4, g, h, failed)
     assert seen[True] >= 10 and seen[False] >= 10, seen
+
+
+def test_random_group_eliminations_are_sound():
+    # a proof by elimination is never contradicted by either group oracle
+    rng = random.Random(3141)
+    proved = enumerated = 0
+    for _ in range(300):
+        p = _random_group(rng, max_gens=2, max_rels=3)
+        if eliminate(p) is None:
+            continue
+        proved += 1
+        assert abelianization(p).is_trivial, p
+        verdict = is_trivial(p, LIMITS).value
+        assert verdict != "nontrivial", p
+        enumerated += verdict == "trivial"
+    assert proved >= 20 and enumerated == proved
+
+
+def test_random_equal_side_derivations_agree_with_the_reference():
+    # on the equal side the derivation passes, and the reference collapse,
+    # which completes S_GH, never fails
+    s0 = Presentation(Kind.MONOID, ("x",))
+    rng = random.Random("derivation")
+    checked = 0
+    for _ in range(80):
+        family = rng.choice(("trivial", "finite", "free", "commutative"))
+        s4 = Presentation(Kind.MONOID, ()) if family == "trivial" else _random_s4(rng, family)
+        s1 = _random_monoid(rng)
+        g = _random_word(rng, s1.generators)
+        h = _random_word(rng, s1.generators)
+        if words_equal(s1, g, h, BUDGET).value != "equal":
+            continue
+        inst = MarkovInstance(s0, s1, s4, g, h)
+        build = markov_semigroup(inst)
+        derived = collapse_by_derivation(inst, build, "collapse")
+        assert derived.verdict is CheckVerdict.PASS, (s1, s4, g, h, derived)
+        projection = {s: Word.single(img) for s, img in build.maps["s4"].items()}
+        reference = collapse_check(build.presentation, s4, projection, BUDGET)
+        assert reference.verdict is not CheckVerdict.FAIL, (s1, s4, g, h, reference)
+        checked += 1
+    assert checked >= 10

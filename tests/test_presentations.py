@@ -4,7 +4,8 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, strategies as st
 
-from fpkit.coset import todd_coxeter
+from fpkit.constructions import GroupTestInstance, triviality_test_group
+from fpkit.coset import is_trivial, todd_coxeter
 from fpkit.presentations import (
     Kind,
     ParseError,
@@ -14,6 +15,7 @@ from fpkit.presentations import (
     Word,
     _merge,
     decode_word,
+    eliminate,
     encode_word,
     extend,
     lru,
@@ -440,6 +442,82 @@ def test_tietze_respects_budget():
     p = parse_presentation("group\ngens: a\nrels: a = a, a = a, a = a")
     q = tietze_simplify(p, max_moves=2)
     assert len(q.relations) == 1
+
+
+# -- elimination
+
+
+def _t1(base_text):
+    base = parse_presentation(base_text)
+    return triviality_test_group(GroupTestInstance(base, Word())).presentation
+
+
+def replay(p, steps):
+    """Whether `steps` proves `p` trivial: each generator x goes in turn, x
+    occurs once in a relator that x = image makes freely trivial, x is not
+    in its image, and no generator is left."""
+    relators = [r.lhs * r.rhs.inverse() for r in p.relations]
+    for x, image in steps:
+        once = lambda r: sum(abs(e) for s, e in r.letters if s == x) == 1
+        if x in image.symbols():
+            return False
+        if not any(once(r) and substitute(r, {x: image}).is_empty for r in relators):
+            return False
+        relators = [substitute(r, {x: image}) for r in relators]
+    return sorted(x for x, _ in steps) == sorted(p.generators)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        "group\ngens: a\nrels: a^2 = 1",  # Z/2
+        "group\ngens: a, b\nrels: a^2 = 1, b^2 = 1, a b a b = 1",  # Klein
+        "group\ngens: a, b\nrels: a^2 = 1, b^3 = 1, a b a b = 1",  # S3
+        "group\ngens: x, y\nrels: x^-1 y^2 x = y^3",  # BS(2,3)
+        "group\ngens: a, b\nrels:",  # F2
+    ],
+)
+def test_eliminate_proves_the_test_group_of_the_empty_word_trivial(base):
+    t1 = _t1(base)
+    steps = eliminate(t1)
+    assert steps is not None
+    assert replay(t1, steps)
+    # 1 = d and the welds are the shortest relators; then each 1 = x_i d^(i+1) is x_i
+    assert all(image == Word() for _, image in steps)
+    assert is_trivial(t1).value == "trivial"
+
+
+def test_eliminate_solves_the_shortest_relator_for_a_generator_that_occurs_once():
+    p = parse_presentation("group\ngens: a, b\nrels: a b a^-1 = b^2, a = b")
+    # a b a^-1 b^-2 holds a twice and b in two runs; a b^-1 holds a once
+    assert eliminate(p) == (("a", W("b")), ("b", Word()))
+    # b^2 a is a b^2 cyclically, so a = b^-2, which leaves a b^3 as b
+    q = parse_presentation("group\ngens: a, b\nrels: a b^3 = 1, b^2 a = 1")
+    assert eliminate(q) == (("a", W("b^-2")), ("b", Word()))
+    # b a^-1 b is cyclically reduced to b^2 a^-1, so a = b^2
+    r = parse_presentation("group\ngens: a, b\nrels: a^2 b^-3 = 1, b a^-1 b = 1")
+    assert eliminate(r) == (("a", W("b^2")), ("b", Word()))
+    # the shortest relator goes first: b = 1 before a = b^-2
+    t = parse_presentation("group\ngens: a, b\nrels: b^2 a = 1, b^3 = b^2")
+    assert eliminate(t) == (("b", Word()), ("a", Word()))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "group\ngens: a\nrels: a^2 = 1",  # a occurs twice
+        "group\ngens: a, b\nrels: a b = b a",  # Z^2
+        "group\ngens: a, b\nrels: a = 1",  # b occurs in no relator
+        "group\ngens: a, b\nrels: a b^2 = 1, b^3 = 1",  # Z/3 once a = b^-2
+    ],
+)
+def test_eliminate_gives_no_proof_when_stuck(text):
+    assert eliminate(parse_presentation(text)) is None
+
+
+def test_eliminate_expects_a_group():
+    with pytest.raises(ValidationError):
+        eliminate(parse_presentation("monoid\ngens: a\nrels: a = 1"))
 
 
 def test_word_text_roundtrip():

@@ -2,12 +2,13 @@ import itertools
 import json
 import math
 import random
+from typing import Mapping
 
 import pytest
 
-from fpkit.cli import RunConfig, _job_from_row, parse_manifest, run_job
-from fpkit.constructions import adjoin_zero
-from fpkit.corpus import bundled_manifest
+from fpkit.cli import RunConfig, _job_from_row, _markov_instance, parse_manifest, run_job
+from fpkit.constructions import Build, MarkovInstance, adjoin_zero, markov_semigroup
+from fpkit.corpus import bundled_manifest, corpus_dir
 from fpkit.presentations import (
     Kind,
     Presentation,
@@ -20,14 +21,15 @@ from fpkit.presentations import (
     substitute,
     tietze_simplify,
 )
-from fpkit.rewriting import Budget, words_equal
+from fpkit.rewriting import Budget, normal_forms, words_equal
 from fpkit.verify import (
     AbelianInvariants,
     CheckReport,
     CheckVerdict,
     abelianization,
+    _check_images,
     assemble_certificate,
-    collapse_check,
+    collapse_by_derivation,
     diagonal_of,
     dump_json,
     embedding_by_rewriting,
@@ -178,6 +180,56 @@ def test_embedding_spot_check_collapse_detected():
     assert report.witness == "x^2 | x"
 
 
+# -- the reference collapse check: it completes the built monoid, and the
+#    pipelines' derivation (`collapse_by_derivation`) is held to it
+
+
+def collapse_check(
+    built: Presentation,
+    target: Presentation,
+    projection: Mapping[str, Word],
+    budget: Budget = Budget(),
+    name: str = "collapse-check",
+) -> CheckReport:
+    """Decide whether `built` is the image of `target` plus the zero, by
+    completing it; the pipelines prove the collapse by derivation
+    (`collapse_by_derivation`), and the tests hold that proof to this.
+
+    A target with generators must embed (`embedding_by_rewriting`).  Then
+    each generator of `built` must equal an anchor: the image of the empty
+    word or of a target letter, the identity or the zero.  A normal form of
+    one letter is in the image only as an anchor's, so under a Complete
+    system a generator that matches none fails at every length; under a
+    Partial one it is blocked.  `comparisons` counts the anchors tried.
+    """
+    _check_images("projection", target, built, projection)
+    notes = ""
+    if target.generators:
+        embedded = embedding_by_rewriting(target, built, projection, budget, name)
+        if embedded.verdict is not CheckVerdict.PASS:
+            return embedded
+        notes = embedded.notes
+    anchors = [Word()] + [projection[g] for g in target.generators] + [Word()]
+    anchors += [Word.single(built.zero)] if built.zero is not None else []
+    rs, nfs = normal_forms(built, anchors + [Word.single(g) for g in built.generators], budget)
+    first = {nf: k for k, nf in reversed(list(enumerate(nfs[: len(anchors)])))}
+    comparisons = blocked = 0
+    for g, nf in zip(built.generators, nfs[len(anchors):]):
+        # one comparison per anchor tried, up to the first match or all of them
+        comparisons += first.get(nf, len(anchors) - 1) + 1
+        if nf not in first and rs.complete:
+            notes = "generator does not collapse onto the target image"
+            used = {"comparisons": comparisons}
+            return CheckReport(name, CheckVerdict.FAIL, witness=g, notes=notes, budget_used=used)
+        blocked += nf not in first
+    if blocked:
+        notes = f"{blocked} comparisons exhausted the budget"
+        used = {"comparisons": comparisons, "blocked": blocked}
+        return CheckReport(name, CheckVerdict.UNKNOWN, notes=notes, budget_used=used)
+    used = {"comparisons": comparisons}
+    return CheckReport(name, CheckVerdict.PASS, notes=notes, budget_used=used)
+
+
 def test_collapse_check_trivial_identity():
     trivial = parse_presentation("monoid\ngens:\nrels:")
     report = collapse_check(trivial, trivial, {})
@@ -236,6 +288,92 @@ def test_collapse_check_budget_blocked_is_unknown(target, projection, notes, use
     assert (report.notes, report.budget_used) == (notes, used)
     # with the default budget the system completes and the free b fails
     assert collapse_check(hostile, target, projection).verdict is CheckVerdict.FAIL
+
+
+# -- the derivation of the Markov collapse, and the builds it must refuse
+
+
+def _equal_build(s4="s4_idempotent.pres"):
+    """markov-equal-idempotent over `s4`: G = g equals H = g g in S1."""
+    load = lambda name: parse_presentation((corpus_dir() / name).read_text(encoding="utf-8"))
+    inst = MarkovInstance(load("s0_free_x.pres"), load("s1_idempotent.pres"), load(s4), W("g"), W("g g"))
+    return inst, markov_semigroup(inst)
+
+
+def _with_relations(build, relations):
+    p = build.presentation
+    return Build(Presentation(p.kind, p.generators, relations, p.zero), build.trail, build.maps)
+
+
+def test_collapse_by_derivation_passes_on_the_build():
+    for s4, xi, relations in (("s4_trivial.pres", 6, 21), ("s4_idempotent.pres", 6, 24)):
+        inst, build = _equal_build(s4)
+        report = collapse_by_derivation(inst, build, "collapse-onto-s4")
+        assert report.verdict is PASS, report
+        assert report.notes == (
+            f"G = H sets all {xi} xi to 1 (xi = xi c G d = xi c H d = c H d = c G d = 1),"
+            " leaving S4 with a zero, into which S4 embeds"
+        )
+        assert report.budget_used == {"relations": relations}
+
+
+def _refusal(build_relations, inst, build):
+    report = collapse_by_derivation(inst, _with_relations(build, build_relations), "collapse")
+    assert report.verdict is FAIL
+    return report.witness, report.notes
+
+
+def test_collapse_by_derivation_refuses_a_build_without_c_g_d_1():
+    # the build of test_verify_markov_corrupted_construction_refuted
+    inst, build = _equal_build("s4_trivial.pres")
+    kept = [r for r in build.presentation.relations if str(r) != "c g d = 1"]
+    assert len(kept) == len(build.presentation.relations) - 1
+    assert _refusal(kept, inst, build) == ("c g d = 1", "not a relation of S_{G,H}")
+
+
+def test_collapse_by_derivation_refuses_s4_letters_in_the_xi_range():
+    # the relation family of a build that ranges xi over S4's letters too
+    inst, build = _equal_build()
+    chd = W("c g^2 d")
+    extra = Relation(W("e") * chd, chd)
+    got = _refusal(build.presentation.relations + (extra,), inst, build)
+    assert got == ("e c g^2 d = c g^2 d", "left over once every xi is 1")
+
+
+def test_collapse_by_derivation_refuses_an_extra_relation_among_s4_letters():
+    inst, build = _equal_build()
+    extra = Relation(W("e"), Word())
+    got = _refusal(build.presentation.relations + (extra,), inst, build)
+    assert got == ("e = 1", "left over once every xi is 1")
+
+
+@pytest.mark.parametrize(
+    "dropped, witness, notes",
+    [
+        ("g^2 = g", "g^2 = g", "not a relation of S_{G,H}"),  # S1's, which G = H needs
+        ("d c g^2 d = c g^2 d", "d c g^2 d = c g^2 d", "not a relation of S_{G,H}"),
+        ("e^2 = e", "e^2 = e", "not left once every xi is 1"),  # S4's own
+    ],
+)
+def test_collapse_by_derivation_refuses_a_missing_relation(dropped, witness, notes):
+    inst, build = _equal_build()
+    kept = [r for r in build.presentation.relations if str(r) != dropped]
+    assert len(kept) == len(build.presentation.relations) - 1
+    assert _refusal(kept, inst, build) == (witness, notes)
+
+
+def test_collapse_by_derivation_agrees_with_the_reference_on_the_bundled_rows():
+    for row in parse_manifest(bundled_manifest()):
+        if row.kind != "markov":
+            continue
+        inst = _markov_instance(_job_from_row(row, bundled_manifest().parent))
+        if words_equal(inst.s1, inst.g, inst.h).value != "equal":
+            continue
+        build = markov_semigroup(inst)
+        projection = {g: Word.single(img) for g, img in build.maps["s4"].items()}
+        reference = collapse_check(build.presentation, inst.s4, projection)
+        assert reference.verdict is PASS, row.name
+        assert collapse_by_derivation(inst, build, "c").verdict is PASS, row.name
 
 
 # -- a brute-force reference: every pair of words up to a length cutoff, one
